@@ -5,7 +5,11 @@ possibly inverting some of them, and records polynomial relations among
 them.  Around an evaluation point this data supports exact computation
 of the quotients by powers of the point's maximal ideal, and therefore
 a finite certificate that restriction to a centralizer subsystem is an
-isomorphism on each truncation level.
+isomorphism on each truncation level.  The quotients come from linear
+algebra on the relations expanded around the point (a truncated
+Macaulay matrix, as in Dayton and Zeng's and Mourrain's treatments of
+local multiplicity structure); point ideals and Groebner bases remain
+available for checking them independently.
 """
 
 from __future__ import annotations
@@ -16,15 +20,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .cyclotomic import Cyclo, cyclotomic_polynomial
-from .groebner import (GroebnerBasis, groebner, reduce_poly,
-                       standard_monomials)
+from .cyclotomic import Cyclo, coeff_is_zero, cyclotomic_polynomial
+from .errors import ResourceCapError
+from .groebner import groebner
 from .laurent import LaurentPoly, inverse_monomial, weyl_act
-from .linalg import RowSpace, rank as matrix_rank, solve_coordinates
-from .poly import Monomial, Poly, make_elim_key, parse_poly
+from .linalg import RowSpace, rank as matrix_rank
+from .poly import Monomial, Poly, grevlex_key, make_elim_key, parse_poly
 from .rootdata import (LeviDatum, RootDatum, WeylGroup, centralizer_subsystem,
                        orbit, standard_datum, weyl_group)
 from .spectrum import EvalPoint, evaluate_poly, parse_point, support
+
+# Columns of one side's Macaulay matrix (monomials in its variables of
+# degree below j_max) beyond which the echelon form is refused.
+MACAULAY_COLUMN_CAP = 1_000
 
 
 @dataclass(frozen=True)
@@ -294,67 +302,156 @@ def point_ideal(pres: Presentation, p: EvalPoint) -> list[Poly]:
 
 @dataclass(frozen=True)
 class TruncationReport:
-    """Dimension data for one quotient by a power of the maximal ideal."""
+    """Dimension data for one quotient by a power of the maximal ideal.
+
+    `monomials` is a basis over the residue field kappa: monomials in the
+    shifted variables t = x - v, in grevlex order.  `dimension` is the
+    dimension over Q, that basis size times [kappa:Q].
+    """
 
     level: int
     dimension: int
     monomials: tuple[Monomial, ...]
-    basis: GroebnerBasis
 
 
-def truncated_quotient(pres: Presentation, ideal_gens: list[Poly],
+def _cut(f: LaurentPoly, bound: int) -> LaurentPoly:
+    """Drop the terms of degree >= bound of a polynomial in shifted variables."""
+    return LaurentPoly(f.rank, {e: c for e, c in f.terms.items() if sum(e) < bound})
+
+
+def _expand(f: Poly, shift: list[LaurentPoly], bound: int) -> LaurentPoly:
+    """f(t + v) cut below the bound, given the shifted variables t_k + v_k."""
+    value = f.substitute(shift)
+    if not isinstance(value, LaurentPoly):
+        value = LaurentPoly(len(shift), {(0,) * len(shift): value})
+    return _cut(value, bound)
+
+
+def _series_inverse(f: LaurentPoly, bound: int, nonzero_ring: bool) -> LaurentPoly:
+    """Inverse of f below the bound, by the geometric series.
+
+    With constant term c and f = c + h, 1/f = (1/c) sum_k (-h/c)^k; h has
+    no constant term, so the sum stops below the bound.  A zero constant
+    term means f lies in the maximal ideal, which is only invertible when
+    the quotient is the zero ring.
+    """
+    c = f.coefficient((0,) * f.rank)
+    if coeff_is_zero(c):
+        if nonzero_ring:
+            raise ValueError("element is not invertible in the truncated quotient")
+        return LaurentPoly.zero(f.rank)
+    inv = Fraction(1) / c
+    ratio = (f - c) * (-inv)
+    total = term = LaurentPoly.one(f.rank)
+    for _ in range(1, bound):
+        term = _cut(term * ratio, bound)
+        total = total + term
+    return total * inv
+
+
+def _conjugate_count(values: list) -> int:
+    """[Q(v):Q] for a tuple of point values: the size of its Galois orbit."""
+    cyclos = [v for v in values if isinstance(v, Cyclo)]
+    if not cyclos:
+        return 1
+    order = math.lcm(*(c.order for c in cyclos))
+    cyclos = [c.promote(order) for c in cyclos]
+    return len({tuple(c.galois(k).coords for c in cyclos)
+                for k in range(1, order + 1) if math.gcd(k, order) == 1})
+
+
+def _macaulay_width(pres: Presentation, bound: int) -> int:
+    """Column count C(n + bound - 1, n) of a side's Macaulay matrix, capped."""
+    n = pres.num_vars
+    width = math.comb(n + bound - 1, n)
+    if width > MACAULAY_COLUMN_CAP:
+        raise ResourceCapError(
+            f"Macaulay matrix would have {width} columns ({n} variables "
+            f"below degree {bound}), over MACAULAY_COLUMN_CAP = "
+            f"{MACAULAY_COLUMN_CAP}")
+    return width
+
+
+class _MacaulayEchelon:
+    """One side's relations around the point, expanded and echeloned once.
+
+    The columns are the monomials t^a of degree below the bound in the
+    shifted variables t = x - v, in grevlex order, so by ascending degree.
+    Every relation f contributes the row t^a * f(t + v), cut below the
+    bound, for every column t^a.  The RowSpace pivots on the first
+    nonzero column, and t^a * f vanishes below degree j once |a| >= j, so
+    the degree < j prefix of this one echelon form is the echelon form of
+    level j: its non-pivot columns of degree < j are a basis of
+    R/(I + m^j) over the residue field, and the prefix of a normal form
+    is the level-j normal form.
+    """
+
+    def __init__(self, pres: Presentation, p: EvalPoint, bound: int) -> None:
+        if p.rank != pres.rank:
+            raise ValueError("point rank does not match presentation rank")
+        n = pres.num_vars
+        width = _macaulay_width(pres, bound)
+        self.values = [evaluate_poly(p, img) for img in pres.laurent_values()]
+        self.kappa_degree = _conjugate_count(self.values)
+        self.columns = sorted(
+            (tuple(combo.count(k) for k in range(n))
+             for deg in range(bound)
+             for combo in combinations_with_replacement(range(n), deg)),
+            key=grevlex_key)
+        index = {e: i for i, e in enumerate(self.columns)}
+        self.index = index
+        zero = (0,) * n
+        self.shift = [LaurentPoly(n, {tuple(int(i == k) for i in range(n)): 1,
+                                      zero: v})
+                      for k, v in enumerate(self.values)]
+        self.space = RowSpace(width)
+        for f in pres.relations:
+            expanded = _expand(f, self.shift, bound)
+            for a in self.columns:
+                row = [0] * width
+                for e, c in expanded.terms.items():
+                    col = index.get(tuple(x + y for x, y in zip(a, e)))
+                    if col is not None:
+                        row[col] = c
+                self.space.add(row)
+        pivots = set(self.space.pivots)
+        self.free = [i for i in range(width) if i not in pivots]
+
+    def free_below(self, level: int) -> list[int]:
+        """Non-pivot columns of degree < level: a prefix of self.free."""
+        return [i for i in self.free if sum(self.columns[i]) < level]
+
+    def report(self, level: int) -> TruncationReport:
+        monos = tuple(self.columns[i] for i in self.free_below(level))
+        return TruncationReport(level=level,
+                                dimension=len(monos) * self.kappa_degree,
+                                monomials=monos)
+
+    def normal_form(self, f: LaurentPoly) -> list:
+        """Coordinates of f, cut below the bound, on the non-pivot columns."""
+        row = [0] * len(self.columns)
+        for e, c in f.terms.items():
+            row[self.index[e]] = c
+        reduced = self.space.reduce(row)
+        return [reduced[i] for i in self.free]
+
+
+def truncated_quotient(pres: Presentation, p: EvalPoint,
                        level: int) -> TruncationReport:
-    """The quotient of the presented ring by the level-th ideal power.
+    """The quotient of the presented ring by the level-th power of m_p.
 
-    Generators are the presentation relations together with all products
-    of `level` ideal generators; the dimension is the count of standard
-    monomials of the resulting Groebner basis.
+    The variables are shifted to the point's values, t = x - v, with v a
+    Fraction or a Cyclo at one conjugate, and the relations are echeloned
+    as a Macaulay matrix on the monomials of degree below the level (see
+    _MacaulayEchelon).  The non-pivot monomials are a basis over the
+    residue field kappa.  Over Q(zeta) the ideal m_p splits by CRT into
+    the maximal ideals of the Galois conjugates of v, all with quotients
+    of the same dimension, so the dimension over Q is the basis size
+    times [kappa:Q], the number of distinct conjugates of v.
     """
     if level < 1:
         raise ValueError("truncation level must be at least 1")
-    nv = pres.num_vars
-    for g in ideal_gens:
-        if g.nvars != nv:
-            raise ValueError("ideal generator variable count mismatch")
-    gens = list(pres.relations)
-    for combo in combinations_with_replacement(ideal_gens, level):
-        prod = Poly.constant(nv, 1)
-        for f in combo:
-            prod = prod * f
-        gens.append(prod)
-    gb = groebner(gens)
-    monos = standard_monomials(gb)
-    return TruncationReport(level=level, dimension=len(monos),
-                            monomials=tuple(monos), basis=gb)
-
-
-def _quotient_coords(f: Poly, gb: GroebnerBasis,
-                     monos: tuple[Monomial, ...]) -> list[Fraction]:
-    r = reduce_poly(f, list(gb.polys))
-    pos = {e: i for i, e in enumerate(monos)}
-    row = [Fraction(0)] * len(monos)
-    for e, c in r.terms.items():
-        if e not in pos:
-            raise AssertionError("normal form left the standard monomial basis")
-        row[pos[e]] = c
-    return row
-
-
-def _quotient_inverse(f: Poly, gb: GroebnerBasis,
-                      monos: tuple[Monomial, ...]) -> Poly:
-    """Inverse of f in the finite-dimensional quotient, if one exists."""
-    nv = f.nvars
-    rows = [_quotient_coords(f * Poly(nv, {e: Fraction(1)}), gb, monos)
-            for e in monos]
-    one = _quotient_coords(Poly.constant(nv, 1), gb, monos)
-    sol = solve_coordinates(rows, one)
-    if sol is None:
-        raise ValueError("element is not invertible in the truncated quotient")
-    out = Poly.zero(nv)
-    for c, e in zip(sol, monos):
-        if c:
-            out = out + Poly(nv, {e: Fraction(c)})
-    return out
+    return _MacaulayEchelon(pres, p, level).report(level)
 
 
 @dataclass(frozen=True)
@@ -399,6 +496,16 @@ def local_isomorphism_check(d: RootDatum, p: EvalPoint,
     surjection between spaces of equal dimension, hence an isomorphism.
     The support must be connected, otherwise no subtorus centralizer
     controls the point and the comparison is refused.
+
+    Each side is expanded around the point once, as one shifted Macaulay
+    echelon at degree j_max (see _MacaulayEchelon), and every level is
+    read off the degree < j prefix of it.  Dimensions over Q are the
+    non-pivot counts times [kappa:Q], as in truncated_quotient.  The map
+    sends the source's shifted variables to the restriction images
+    expanded around the point, with the u-variables going to truncated
+    geometric-series inverses; surjectivity is the rank of the reduced
+    images of the source's non-pivot monomials.  Either side's Macaulay
+    matrix is capped at MACAULAY_COLUMN_CAP columns (ResourceCapError).
     """
     if j_max < 1:
         raise ValueError("need at least one truncation level")
@@ -415,26 +522,39 @@ def local_isomorphism_check(d: RootDatum, p: EvalPoint,
     valid = all(target.to_laurent(r) == img
                 for r, img in zip(rest, source.images))
 
-    m_source = point_ideal(source, p)
-    m_target = point_ideal(target, p)
+    for pres in (source, target):
+        _macaulay_width(pres, j_max)
+    src = _MacaulayEchelon(source, p, j_max)
+    tgt = _MacaulayEchelon(target, p, j_max)
+    # Images of the source's shifted variables, expanded around the point
+    # in the target's: the restriction images for the y-variables, their
+    # inverses for the u-variables, each minus the source value.
+    var_images = [_expand(r, tgt.shift, j_max) for r in rest]
+    target_nonzero = bool(tgt.free)
+    for i in source.inverted:
+        var_images.append(_series_inverse(var_images[i - 1], j_max, target_nonzero))
+    t_images = [img - v for img, v in zip(var_images, src.values)]
+    images: dict[Monomial, LaurentPoly] = {}
+    for e in src.columns:
+        k = next((k for k, x in enumerate(e) if x), None)
+        if k is None:
+            images[e] = LaurentPoly.one(target.num_vars)
+        else:
+            prev = tuple(x - (i == k) for i, x in enumerate(e))
+            images[e] = _cut(images[prev] * t_images[k], j_max)
+    coords = [tgt.normal_form(images[src.columns[i]]) for i in src.free]
     levels = []
     for j in range(1, j_max + 1):
-        trunc_s = truncated_quotient(source, m_source, j)
-        trunc_t = truncated_quotient(target, m_target, j)
-        # Variable images in the target quotient: restriction images for
-        # the y-variables, their quotient inverses for the u-variables.
-        var_images = list(rest)
-        for i in source.inverted:
-            var_images.append(_quotient_inverse(rest[i - 1], trunc_t.basis,
-                                                trunc_t.monomials))
-        rows = []
-        for e in trunc_s.monomials:
-            mono = Poly(source.num_vars, {e: Fraction(1)})
-            mapped = mono.substitute(var_images)
-            if isinstance(mapped, (int, Fraction)):
-                mapped = Poly.constant(target.num_vars, Fraction(mapped))
-            rows.append(_quotient_coords(mapped, trunc_t.basis, trunc_t.monomials))
-        surj = matrix_rank(rows) == trunc_t.dimension
+        trunc_s = src.report(j)
+        trunc_t = tgt.report(j)
+        width = len(trunc_t.monomials)
+        rows = [row[:width] for row in coords[:len(trunc_s.monomials)]]
+        # Over Q(zeta) both sides split into Galois-conjugate factors, and
+        # the map is surjective exactly when it is on the factor at v.  A
+        # local ring cannot map onto a product of several nonzero factors,
+        # so a target with more conjugates than the source is not reached.
+        surj = matrix_rank(rows) == width and (
+            width == 0 or src.kappa_degree == tgt.kappa_degree)
         levels.append(LevelReport(level=j, dim_source=trunc_s.dimension,
                                   dim_target=trunc_t.dimension,
                                   surjective=surj))

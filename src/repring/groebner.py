@@ -8,8 +8,10 @@ are capped and raise ResourceCapError rather than running open-ended.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 from .errors import ResourceCapError
 from .poly import Monomial, Poly, grevlex_key
@@ -83,29 +85,35 @@ def groebner_basis(gens: list[Poly], key=grevlex_key,
         if g.nvars != nvars:
             raise ValueError("generators live in different polynomial rings")
     basis = [g * (1 / leading_term(g, key)[1]) for g in basis]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
+    lts = [leading_term(g, key)[0] for g in basis]
+    # Normal selection: smallest lcm of leading terms first, ties in the
+    # order the pairs were made.
+    pairs: list = []
+    made = count()
+
+    def push_pairs(i: int) -> None:
+        for j in range(i):
+            lcm_e = tuple(max(a, b) for a, b in zip(lts[i], lts[j]))
+            heapq.heappush(pairs, (key(lcm_e), next(made), i, j))
+
+    for i in range(len(basis)):
+        push_pairs(i)
     processed = 0
     while pairs:
-        # Normal selection: smallest lcm of leading terms first.
-        pairs.sort(key=lambda ij: key(tuple(
-            max(a, b) for a, b in zip(leading_term(basis[ij[0]], key)[0],
-                                      leading_term(basis[ij[1]], key)[0]))),
-            reverse=True)
-        i, j = pairs.pop()
+        _, _, i, j = heapq.heappop(pairs)
         processed += 1
         if processed > pair_cap:
             raise ResourceCapError(f"Groebner pair processing exceeded cap {pair_cap}")
-        ei = leading_term(basis[i], key)[0]
-        ej = leading_term(basis[j], key)[0]
-        if all(a == 0 or b == 0 for a, b in zip(ei, ej)):
+        if all(a == 0 or b == 0 for a, b in zip(lts[i], lts[j])):
             continue  # coprime leading terms reduce to zero
         s = s_polynomial(basis[i], basis[j], key)
         r = reduce_poly(s, basis, key)
         if r.is_zero():
             continue
-        r = r * (1 / leading_term(r, key)[1])
-        basis.append(r)
-        pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
+        e, c = leading_term(r, key)
+        basis.append(r * (1 / c))
+        lts.append(e)
+        push_pairs(len(basis) - 1)
     return _interreduce(basis, key)
 
 

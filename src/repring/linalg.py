@@ -12,42 +12,56 @@ from .cyclotomic import coeff_is_zero
 
 
 class RowSpace:
-    """An incrementally built row space with exact membership tests."""
+    """An incrementally built row space with exact membership tests.
+
+    The stored rows are in reduced echelon form: each is normalized to 1
+    at its pivot, the first nonzero column of the vector when it was
+    added, and zero at every other row's pivot.  Arithmetic only touches
+    the nonzero columns of each stored row.
+    """
 
     def __init__(self, width: int) -> None:
         self.width = width
         self.rows: list[list] = []      # reduced rows, pivot normalized to 1
         self.pivots: list[int] = []
+        self._support: list[list[int]] = []   # nonzero columns of each row
 
-    def _reduce(self, vec: list) -> list:
+    def reduce(self, vec) -> list:
+        """The normal form of a vector: zero at every pivot column."""
         v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
+        for row, p, support in zip(self.rows, self.pivots, self._support):
             c = v[p]
             if not coeff_is_zero(c):
-                v = [a - c * b for a, b in zip(v, row)]
+                for k in support:
+                    v[k] = v[k] - c * row[k]
         return v
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True if it enlarged the space."""
         if len(vec) != self.width:
             raise ValueError("row width mismatch")
-        v = self._reduce(vec)
-        piv = next((i for i, x in enumerate(v) if not coeff_is_zero(x)), None)
-        if piv is None:
+        v = self.reduce(vec)
+        support = [i for i, x in enumerate(v) if not coeff_is_zero(x)]
+        if not support:
             return False
-        head = v[piv]
-        inv = Fraction(1) / head if isinstance(head, (int, Fraction)) else head.inverse()
-        v = [x * inv for x in v]
-        for row in self.rows:
+        piv = support[0]
+        inv = Fraction(1) / v[piv]
+        for k in support:
+            v[k] = v[k] * inv
+        for row, row_support in zip(self.rows, self._support):
             c = row[piv]
             if not coeff_is_zero(c):
-                row[:] = [a - c * b for a, b in zip(row, v)]
+                for k in support:
+                    row[k] = row[k] - c * v[k]
+                row_support[:] = [k for k in sorted(set(row_support).union(support))
+                                  if not coeff_is_zero(row[k])]
         self.rows.append(v)
         self.pivots.append(piv)
+        self._support.append(support)
         return True
 
     def contains(self, vec) -> bool:
-        v = self._reduce(list(vec))
+        v = self.reduce(list(vec))
         return all(coeff_is_zero(x) for x in v)
 
     @property

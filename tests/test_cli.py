@@ -5,11 +5,14 @@ order, so any change to the JSON envelope shows up as a diff here.
 """
 
 import json
+import math
 import pathlib
+import time
 
 import pytest
 
 from repring.cli import run
+from repring.completion import MACAULAY_COLUMN_CAP
 
 SL3_CASE = str(pathlib.Path(__file__).resolve().parent.parent
                / "cases" / "sl3_levi.json")
@@ -126,6 +129,54 @@ def test_nal_check_j_max_override(capsys):
     assert code == 0
     doc = json.loads(out)
     assert len(doc["result"]["levels"]) == 1
+
+
+def test_nal_check_macaulay_cap_exits_3(capsys):
+    t0 = time.monotonic()
+    code, out, err = invoke(capsys, [
+        "nal-check", "--case", SL3_CASE, "--j-max", "40"])
+    assert time.monotonic() - t0 < 5.0
+    assert code == 3
+    assert out == ""
+    assert f"MACAULAY_COLUMN_CAP = {MACAULAY_COLUMN_CAP}" in err
+
+
+def test_nal_check_levels_through_j6(capsys):
+    t0 = time.monotonic()
+    code, out, _ = invoke(capsys, [
+        "nal-check", "--case", SL3_CASE, "--j-max", "6"])
+    elapsed = time.monotonic() - t0
+    assert code == 0
+    levels = json.loads(out)["result"]["levels"]
+    assert [(lv["dim_source"], lv["dim_target"]) for lv in levels] == [
+        (j * (j + 1) // 2, j * (j + 1) // 2) for j in range(1, 7)]
+    assert all(lv["isomorphic"] for lv in levels)
+    assert elapsed < 0.2
+
+
+def test_nal_check_j_max_10_is_under_the_cap(capsys):
+    # The case's larger side has three variables (y1, y2, u2).
+    assert math.comb(3 + 10 - 1, 3) <= MACAULAY_COLUMN_CAP
+    code, out, _ = invoke(capsys, [
+        "nal-check", "--case", SL3_CASE, "--j-max", "10"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["all_passed"] is True
+    assert [lv["dim_target"] for lv in result["levels"]] == [
+        j * (j + 1) // 2 for j in range(1, 11)]
+
+
+def test_nal_check_non_invertible_image_exits_2(capsys, tmp_path):
+    torus = {"images": [{"monomial": [1]}], "inverted": [1]}
+    case = {"datum": {"type": "A", "rank": 1}, "point": ["2"],
+            "source_presentation": torus, "target_presentation": torus,
+            "restriction": ["y1 - 2"], "j_max": 2}
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(case))
+    code, out, err = invoke(capsys, ["nal-check", "--case", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "not invertible in the truncated quotient" in err
 
 
 def test_validate_basic(capsys):

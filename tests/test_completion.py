@@ -4,7 +4,9 @@ Point ideals with root-of-unity values are checked through reduced
 Groebner bases, which are unique for a fixed order, so ideal equality
 is decided exactly.  Truncation dimensions are compared against the
 closed forms for smooth points: dim R/m^j = j in one variable and
-j(j+1)/2 in two.
+j(j+1)/2 in two.  The shifted Macaulay echelon behind the local
+comparison is checked level by level against the Groebner path in
+`groebner_oracle`.
 """
 
 import pathlib
@@ -19,13 +21,15 @@ from repring.completion import (LocalIsoReport, Presentation,
                                 inversion_relations, load_case_config,
                                 local_isomorphism_check, point_ideal,
                                 presentation_from_config, truncated_quotient,
-                                validate_presentation, _quotient_inverse)
+                                validate_presentation)
 from repring.groebner import groebner, ideal_membership, reduce_poly
 from repring.invariants import orbit_sum
 from repring.laurent import LaurentPoly
 from repring.poly import Poly, parse_poly
 from repring.rootdata import standard_datum, torus_datum, weyl_group
 from repring.spectrum import EvalPoint, parse_point
+
+from groebner_oracle import groebner_levels, groebner_truncation, quotient_inverse
 
 
 def sl2_presentation():
@@ -125,9 +129,8 @@ def test_point_ideal_rank_mismatch():
 
 def test_truncated_dimensions_one_variable():
     pres = sl2_presentation()
-    m = point_ideal(pres, parse_point("2", 1))
     for j in range(1, 5):
-        rep = truncated_quotient(pres, m, j)
+        rep = truncated_quotient(pres, parse_point("2", 1), j)
         assert rep.dimension == j
         assert len(rep.monomials) == j
 
@@ -140,17 +143,16 @@ def test_truncated_dimensions_two_variables():
         Poly.variable(2, 1) - Poly.constant(2, 5),
     ]
     for j in range(1, 4):
-        rep = truncated_quotient(pres, m, j)
+        rep = truncated_quotient(pres, parse_point("2,4", 2), j)
         assert rep.dimension == j * (j + 1) // 2
 
 
 def test_truncated_quotient_validation():
     pres = sl2_presentation()
-    m = point_ideal(pres, parse_point("2", 1))
     with pytest.raises(ValueError):
-        truncated_quotient(pres, m, 0)
+        truncated_quotient(pres, parse_point("2", 1), 0)
     with pytest.raises(ValueError):
-        truncated_quotient(pres, [Poly.variable(3, 0)], 1)
+        truncated_quotient(pres, EvalPoint.all_ones(3), 1)
 
 
 def test_quotient_inverse_frozen():
@@ -158,12 +160,12 @@ def test_quotient_inverse_frozen():
     gb = groebner([parse_poly("y1^2 - 4*y1 + 4", names)])
     from repring.groebner import standard_monomials
     monos = tuple(standard_monomials(gb))
-    inv = _quotient_inverse(parse_poly("y1", names), gb, monos)
+    inv = quotient_inverse(parse_poly("y1", names), gb, monos)
     assert inv == parse_poly("1 - 1/4*y1", names)
     prod = reduce_poly(inv * parse_poly("y1", names), list(gb.polys))
     assert prod == Poly.constant(1, 1)
     with pytest.raises(ValueError):
-        _quotient_inverse(parse_poly("y1 - 2", names), gb, monos)
+        quotient_inverse(parse_poly("y1 - 2", names), gb, monos)
 
 
 def test_validate_presentation_sl2():
@@ -296,3 +298,128 @@ def test_curated_levi_case():
     dims = [(lvl.dim_source, lvl.dim_target) for lvl in report.levels]
     assert dims == [(1, 1), (3, 3), (6, 6)]
     assert report.all_passed
+
+
+def levels_of(report):
+    return [(lv.dim_source, lv.dim_target, lv.surjective) for lv in report.levels]
+
+
+def test_macaulay_matches_groebner_on_curated_case():
+    case = load_case_config(str(CASES_DIR / "sl3_levi.json"))
+    args = (case["source"], case["target"], case["point"], case["restriction"], 5)
+    report = local_isomorphism_check(case["datum"], case["point"],
+                                     case["source"], case["target"],
+                                     case["restriction"], 5)
+    assert levels_of(report) == groebner_levels(*args)
+
+
+@pytest.mark.parametrize("datum, source, target, point, restriction, valid, j_max", [
+    ("A1", "sl2", "torus", "2", ["y1 + u1"], True, 4),
+    ("T1", "torus", "torus", "2", ["y1"], True, 4),
+    ("A1", "sl2", "torus", "2", ["y1"], False, 3),
+    ("A1", "sl2", "torus", "zeta(3)^1*2", ["y1 + u1"], True, 4),
+    ("A1", "sl2", "torus", "zeta(5)^2*2", ["y1 + u1"], True, 3),
+    ("T1", "torus", "torus", "zeta(4)^1*3", ["y1"], True, 4),
+])
+def test_macaulay_matches_groebner_rank_one(datum, source, target, point,
+                                            restriction, valid, j_max):
+    d = standard_datum("A", 1) if datum == "A1" else torus_datum(1)
+    pres = {"sl2": sl2_presentation(), "torus": torus_presentation()}
+    p = parse_point(point, 1)
+    report = local_isomorphism_check(d, p, pres[source], pres[target],
+                                     restriction, j_max)
+    got = levels_of(report)
+    assert got == groebner_levels(pres[source], pres[target], p,
+                                  restriction, j_max)
+    # Closed forms: one smooth variable over a residue field of degree
+    # [kappa:Q] = 1, 2 or 4.
+    degree = {"2": 1, "zeta(3)^1*2": 2, "zeta(5)^2*2": 4, "zeta(4)^1*3": 2}[point]
+    assert [(s, t) for s, t, _ in got] == [(degree * j, degree * j)
+                                           for j in range(1, j_max + 1)]
+    assert report.restriction_valid == valid
+
+
+def test_macaulay_matches_groebner_rank_two_cyclotomic():
+    d = torus_datum(2)
+    p = parse_point("zeta(3)^1*2,zeta(3)^2*3", 2)
+    torus = Presentation(rank=2, images=(LaurentPoly.monomial([1, 0]),
+                                         LaurentPoly.monomial([0, 1])),
+                         inverted=(1, 2),
+                         relations=tuple(inversion_relations(2, (1, 2))))
+    report = local_isomorphism_check(d, p, torus, torus, ["y1", "y2"], 3)
+    assert levels_of(report) == [(2, 2, True), (6, 6, True), (12, 12, True)]
+    # The Groebner oracle's elimination is slow here, so it checks two levels.
+    assert levels_of(report)[:2] == groebner_levels(torus, torus, p, ["y1", "y2"], 2)
+    # The source's value y1*y2 = 6 is rational while the target's are not:
+    # the target has two conjugate factors, so the map cannot be onto.
+    line = Presentation(rank=2, images=(LaurentPoly.monomial([1, 1]),),
+                        inverted=(1,),
+                        relations=tuple(inversion_relations(1, (1,))))
+    report = local_isomorphism_check(d, p, line, torus, ["y1*y2"], 3)
+    assert report.restriction_valid
+    assert levels_of(report) == [(1, 2, False), (2, 6, False), (3, 12, False)]
+    assert levels_of(report)[:2] == groebner_levels(line, torus, p, ["y1*y2"], 2)
+
+
+def test_truncated_quotient_matches_standard_monomial_counts():
+    case = load_case_config(str(CASES_DIR / "sl3_levi.json"))
+    for pres in (case["source"], case["target"]):
+        m = point_ideal(pres, case["point"])
+        for j in range(1, 5):
+            rep = truncated_quotient(pres, case["point"], j)
+            assert rep.level == j
+            assert rep.dimension == len(groebner_truncation(pres, m, j)[1])
+            assert list(rep.monomials) == sorted(rep.monomials, key=sum)
+    pres = torus_presentation()
+    p = parse_point("zeta(5)^2*2", 1)
+    rep = truncated_quotient(pres, p, 3)
+    assert rep.dimension == 4 * len(rep.monomials) == 12
+    assert rep.dimension == len(groebner_truncation(pres, point_ideal(pres, p), 3)[1])
+
+
+def test_non_invertible_restriction_image_is_input_error():
+    # The image y1 - 2 of the inverted source generator vanishes at the
+    # point, so it lies in the maximal ideal and has no inverse.
+    d = torus_datum(1)
+    pres = torus_presentation()
+    p = parse_point("2", 1)
+    with pytest.raises(ValueError, match="not invertible in the truncated quotient"):
+        local_isomorphism_check(d, p, pres, pres, ["y1 - 2"], 2)
+    with pytest.raises(ValueError, match="not invertible in the truncated quotient"):
+        groebner_levels(pres, pres, p, ["y1 - 2"], 2)
+
+
+def test_truncation_matches_groebner_on_random_singular_relations():
+    # Extra relations in m or m^2 make the local rings non-smooth, so the
+    # prefix reading is checked where relations start above degree one.
+    rng = random.Random(2024)
+    values = ["2", "3/2", "1", "zeta(3)^1*2", "zeta(4)^1*3", "zeta(6)^1*5"]
+    for _ in range(30):
+        rank = rng.choice([1, 2])
+        images = []
+        for _ in range(rank):
+            e = tuple(rng.randint(-1, 1) for _ in range(rank))
+            if not any(e):
+                e = (1,) + (0,) * (rank - 1)
+            images.append(LaurentPoly.monomial(list(e)) if rng.random() < 0.5
+                          else LaurentPoly(rank, {e: 1, tuple(-x for x in e): 1}))
+        inverted = tuple(i + 1 for i, img in enumerate(images)
+                         if len(img.terms) == 1 and rng.random() < 0.5)
+        base = Presentation(rank=rank, images=tuple(images), inverted=inverted,
+                            relations=tuple(inversion_relations(rank, inverted)))
+        p = parse_point(",".join(rng.choice(values) for _ in range(rank)), rank)
+        m = point_ideal(base, p)
+        nv = base.num_vars
+        extra = []
+        for _ in range(rng.randint(1, 2)):
+            f = Poly.variable(nv, rng.randrange(nv)) + rng.randint(-2, 2)
+            f = f * rng.choice(m)
+            if rng.random() < 0.5:
+                f = f * rng.choice(m)
+            if not f.is_zero():
+                extra.append(f)
+        pres = Presentation(rank=rank, images=base.images, inverted=inverted,
+                            relations=base.relations + tuple(extra))
+        for j in range(1, 4 if nv <= 2 else 3):
+            assert (truncated_quotient(pres, p, j).dimension
+                    == len(groebner_truncation(pres, m, j)[1]))
