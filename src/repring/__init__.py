@@ -12,7 +12,7 @@ from .errors import ResourceCapError
 from .lattice import (FinAbGroup, Sublattice, full_lattice,
                       hermite_normal_form, kernel, quotient_group, saturate,
                       smith_normal_form)
-from .cyclotomic import Cyclo, cyclotomic_polynomial, euler_phi
+from .cyclotomic import Cyclo, cyclotomic_polynomial, euler_phi, prime_factors
 from .laurent import (LaurentPoly, augmentation, exact_divide,
                       inverse_monomial, render, weyl_act)
 from .rootdata import (LeviDatum, RootDatum, WeylGroup, all_roots,
@@ -20,7 +20,8 @@ from .rootdata import (LeviDatum, RootDatum, WeylGroup, all_roots,
                        dominant_representative, fundamental_group, gl_datum,
                        is_derived_simply_connected, is_dominant, orbit,
                        positive_roots, product, reflection_subgroup,
-                       standard_datum, torus_datum, vector_orbit, weyl_group)
+                       simple_reflections, standard_datum, torus_datum,
+                       weyl_group)
 from .invariants import (CharacterBasisReport, InvariantElement,
                          character_dimension, decompose_into_orbit_sums,
                          dominance_leq, dominant_weights_in_box,

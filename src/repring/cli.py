@@ -22,8 +22,8 @@ from .lattice import FinAbGroup, Sublattice
 from .laurent import render
 from .rootdata import (RootDatum, all_roots, centralizer_subsystem,
                        datum_from_dict, dominant_representative,
-                       fundamental_group, standard_datum, vector_orbit,
-                       weyl_group)
+                       fundamental_group, orbit, simple_reflections,
+                       standard_datum, weyl_group)
 from .spectrum import (fiber_over_RG, parse_point, render_point,
                        stabilizer_check, support)
 from .twist import twist_augmentation_check, twist_multiplicativity_check
@@ -139,7 +139,7 @@ def _cmd_roots(args) -> tuple[dict, dict]:
 def _cmd_orbit(args) -> tuple[dict, dict]:
     d = _resolve_datum(args)
     w = _parse_weight(args.weight, d.rank)
-    pts = vector_orbit(d, w)
+    pts = orbit(simple_reflections(d), w)
     return {"datum": d.name, "weight": args.weight}, {
         "size": len(pts),
         "orbit": [list(v) for v in pts],

@@ -18,12 +18,12 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 from .cyclotomic import Cyclo, coeff_is_zero, cyclotomic_polynomial
 from .errors import ResourceCapError
 from .groebner import groebner
-from .laurent import LaurentPoly, inverse_monomial, weyl_act
+from .laurent import LaurentPoly, coefficient_row, inverse_monomial, weyl_act
 from .linalg import RowSpace, rank as matrix_rank
 from .poly import Monomial, Poly, grevlex_key, make_elim_key, parse_poly
 from .rootdata import (LeviDatum, RootDatum, WeylGroup, centralizer_subsystem,
@@ -128,7 +128,7 @@ def _image_from_spec(spec: dict, rank: int, group: WeylGroup | None) -> LaurentP
     if key == "orbit_sum":
         if group is None:
             raise ValueError("orbit_sum image spec needs a Weyl group")
-        pts = orbit(group, value)
+        pts = orbit(group.generators, value)
         return LaurentPoly(rank, {e: Fraction(1) for e in pts})
     raise ValueError(f"unknown image spec kind {key!r}")
 
@@ -176,7 +176,7 @@ def validate_presentation(pres: Presentation, group: WeylGroup,
     the generators are inadequate at that degree, not merely that the
     search stopped early.
     """
-    invariant = all(weyl_act([list(r) for r in g], img) == img
+    invariant = all(weyl_act(g, img) == img
                     for img in pres.images for g in group.generators)
     vanish = all(pres.to_laurent(rel).is_zero() for rel in pres.relations)
 
@@ -184,36 +184,24 @@ def validate_presentation(pres: Presentation, group: WeylGroup,
     bound = height_bound * (1 + max_h)
     values = pres.laurent_values()
 
-    products: list[LaurentPoly] = []
-
-    def rec(i: int, left: int, prod: LaurentPoly) -> None:
-        if i == len(values):
-            products.append(prod)
-            return
-        cur = prod
-        for k in range(left + 1):
-            rec(i + 1, left - k, cur)
-            if k < left:
-                cur = cur * values[i]
-
-    rec(0, bound, LaurentPoly.one(pres.rank))
+    # Variable monomials of total degree at most the bound, each built
+    # from the one of lower degree that drops its last variable.
+    prods = {(): LaurentPoly.one(pres.rank)}
+    for deg in range(1, bound + 1):
+        for combo in combinations_with_replacement(range(len(values)), deg):
+            prods[combo] = prods[combo[:-1]] * values[combo[-1]]
+    products = list(prods.values())
 
     # Orbit sums of height at most the bound, one per orbit.  Every such
     # orbit meets the coordinate box, so scanning the box finds them all;
     # orbits that leave the box are filtered out by their actual height.
     reps: set[tuple[int, ...]] = set()
-
-    def gen_box(prefix: list[int]) -> None:
-        if len(prefix) == pres.rank:
-            pts = orbit(group, prefix)
-            if max((abs(x) for e in pts for x in e), default=0) <= height_bound:
-                reps.add(pts[0])
-            return
-        for v in range(-height_bound, height_bound + 1):
-            gen_box(prefix + [v])
-
-    gen_box([])
-    targets = [LaurentPoly(pres.rank, {e: Fraction(1) for e in orbit(group, rep)})
+    for v in product(range(-height_bound, height_bound + 1), repeat=pres.rank):
+        pts = orbit(group.generators, v)
+        if max((abs(x) for e in pts for x in e), default=0) <= height_bound:
+            reps.add(pts[0])
+    targets = [LaurentPoly(pres.rank,
+                           {e: Fraction(1) for e in orbit(group.generators, rep)})
                for rep in sorted(reps)]
 
     index: dict[tuple[int, ...], int] = {}
@@ -222,16 +210,10 @@ def validate_presentation(pres: Presentation, group: WeylGroup,
             if e not in index:
                 index[e] = len(index)
 
-    def coords(f: LaurentPoly) -> list[Fraction]:
-        row = [Fraction(0)] * len(index)
-        for e, c in f.terms.items():
-            row[index[e]] = c
-        return row
-
     space = RowSpace(len(index))
     for f in products:
-        space.add(coords(f))
-    spans = all(space.contains(coords(t)) for t in targets)
+        space.add(coefficient_row(f, index))
+    spans = all(space.contains(coefficient_row(t, index)) for t in targets)
 
     ok = invariant and vanish and spans
     return PresentationReport(images_invariant=invariant,
@@ -429,10 +411,7 @@ class _MacaulayEchelon:
 
     def normal_form(self, f: LaurentPoly) -> list:
         """Coordinates of f, cut below the bound, on the non-pivot columns."""
-        row = [0] * len(self.columns)
-        for e, c in f.terms.items():
-            row[self.index[e]] = c
-        reduced = self.space.reduce(row)
+        reduced = self.space.reduce(coefficient_row(f, self.index))
         return [reduced[i] for i in self.free]
 
 

@@ -12,23 +12,45 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import ResourceCapError
+
 _CYCLO_CACHE: dict[int, list[int]] = {}
+
+# Largest trial divisor prime_factors tries; numbers up to its square
+# factor completely.
+TRIAL_DIVISION_CAP = 10 ** 6
+
+
+def prime_factors(n: int):
+    """The prime factors of a positive integer, smallest first and with
+    multiplicity, by trial division.
+
+    Each factor is yielded as soon as it is found, so a caller that needs
+    only the smallest stops early.  Raises ResourceCapError once the trial
+    divisor passes TRIAL_DIVISION_CAP with a cofactor still unsplit.
+    """
+    if n < 1:
+        raise ValueError("only positive integers have prime factors")
+    p = 2
+    while p * p <= n:
+        if p > TRIAL_DIVISION_CAP:
+            raise ResourceCapError(
+                f"trial division passed TRIAL_DIVISION_CAP = {TRIAL_DIVISION_CAP} "
+                f"with the cofactor {n} unsplit")
+        while n % p == 0:
+            yield p
+            n //= p
+        p += 1
+    if n > 1:
+        yield n
 
 
 def euler_phi(m: int) -> int:
     if m < 1:
         raise ValueError("order must be positive")
     result = m
-    n = m
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
+    for p in set(prime_factors(m)):
+        result -= result // p
     return result
 
 
@@ -71,8 +93,9 @@ def cyclotomic_polynomial(m: int) -> list[int]:
     return poly
 
 
-def _reduce_mod_cyclotomic(coeffs: list[Fraction], m: int) -> list[Fraction]:
-    """Reduce a coefficient list modulo the m-th cyclotomic polynomial."""
+def _reduce_mod_cyclotomic(coeffs: list, m: int) -> list:
+    """Reduce a coefficient list (Fractions or ints) modulo the m-th
+    cyclotomic polynomial."""
     phi_m = cyclotomic_polynomial(m)
     deg = len(phi_m) - 1
     work = coeffs[:]
@@ -80,7 +103,8 @@ def _reduce_mod_cyclotomic(coeffs: list[Fraction], m: int) -> list[Fraction]:
         c = work[i]
         if c:
             for j, d in enumerate(phi_m):
-                work[i - deg + j] -= c * d
+                if d:
+                    work[i - deg + j] -= c * d
     work = work[:deg]
     while len(work) < deg:
         work.append(Fraction(0))
@@ -111,10 +135,10 @@ class Cyclo:
 
     @classmethod
     def zeta(cls, order: int, power: int = 1) -> "Cyclo":
+        # Reduce x^power in integers: in Fractions this took half of a
+        # fiber computation at a point of torsion order 30.
         power %= order
-        coords = [Fraction(0)] * (power + 1)
-        coords[power] = Fraction(1)
-        return cls(order, coords)
+        return cls(order, _reduce_mod_cyclotomic([0] * power + [1], order))
 
     def promote(self, order: int) -> "Cyclo":
         """Rewrite in Q(zeta_order); order must be a multiple of self.order."""
@@ -161,7 +185,7 @@ class Cyclo:
             return NotImplemented
         if isinstance(other, (Fraction, int)):
             f = Fraction(other)
-            return Cyclo(self.order, [c * f for c in self.coords])
+            return Cyclo(self.order, [c * f if c else c for c in self.coords])
         a, b = Cyclo._pair(self, other)
         prod = [Fraction(0)] * (2 * len(a.coords))
         for i, x in enumerate(a.coords):
@@ -318,9 +342,3 @@ def coeff_is_zero(value) -> bool:
     if isinstance(value, Cyclo):
         return value.is_zero()
     return value == 0
-
-
-def coeff_str(value) -> str:
-    if isinstance(value, Cyclo):
-        return str(value)
-    return str(Fraction(value))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, product
 
 from .errors import ResourceCapError
 from .poly import Monomial, Poly, grevlex_key
@@ -186,17 +186,9 @@ def standard_monomials(gb: GroebnerBasis, key=grevlex_key,
                              f"of variable {v} in the leading-term ideal")
         bounds.append(min(pure))
     out: list[Monomial] = []
-
-    def rec(prefix: list[int]) -> None:
+    for e in product(*(range(b) for b in bounds)):
         if len(out) > cap:
             raise ResourceCapError(f"standard monomial enumeration exceeded cap {cap}")
-        if len(prefix) == nvars:
-            e = tuple(prefix)
-            if not any(_divides(lt, e) for lt in lts):
-                out.append(e)
-            return
-        for k in range(bounds[len(prefix)]):
-            rec(prefix + [k])
-
-    rec([])
+        if not any(_divides(lt, e) for lt in lts):
+            out.append(e)
     return sorted(out, key=key)

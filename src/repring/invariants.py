@@ -12,12 +12,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
-from .lattice import det
-from .laurent import LaurentPoly, augmentation, exact_divide, weyl_act
+from .lattice import det, mat_vec
+from .laurent import (LaurentPoly, augmentation, coefficient_row, exact_divide,
+                      weyl_act)
 from .linalg import RowSpace, solve_coordinates
-from .rootdata import (RootDatum, dominant_representative, is_dominant,
-                       simple_reflections, two_rho, vector_orbit, weyl_group)
+from .rootdata import (RootDatum, dominant_representative, is_dominant, orbit,
+                       simple_reflections, two_rho, weyl_group)
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,7 @@ class InvariantElement:
 
 
 def _check_invariant(d: RootDatum, f: LaurentPoly) -> bool:
-    return all(weyl_act([list(r) for r in s], f) == f for s in simple_reflections(d))
+    return all(weyl_act(s, f) == f for s in simple_reflections(d))
 
 
 def orbit_sum(d: RootDatum, weight) -> InvariantElement:
@@ -46,7 +48,7 @@ def orbit_sum(d: RootDatum, weight) -> InvariantElement:
     lam = tuple(map(int, weight))
     if not is_dominant(d, lam):
         raise ValueError(f"weight {lam} is not dominant")
-    terms = {mu: Fraction(1) for mu in vector_orbit(d, lam)}
+    terms = {mu: Fraction(1) for mu in orbit(simple_reflections(d), lam)}
     poly = LaurentPoly(d.rank, terms)
     return InvariantElement(d, poly, certified_invariant=_check_invariant(d, poly))
 
@@ -69,8 +71,8 @@ def weyl_character(d: RootDatum, weight) -> InvariantElement:
     def alternating(mu) -> LaurentPoly:
         terms: dict[tuple[int, ...], Fraction] = {}
         for m in w.elements:
-            ex = tuple(sum(m[i][j] * mu[j] for j in range(d.rank)) for i in range(d.rank))
-            s = Fraction(det([list(r) for r in m]))
+            ex = tuple(mat_vec(m, mu))
+            s = Fraction(det(m))
             terms[ex] = terms.get(ex, Fraction(0)) + s
         return LaurentPoly(d.rank, terms)
 
@@ -97,19 +99,12 @@ def dominant_weights_in_box(d: RootDatum, height_bound: int) -> list[tuple[int, 
     the bound, in sorted order."""
     if height_bound < 0:
         raise ValueError("height bound must be nonnegative")
-    out = []
-    span = range(-height_bound, height_bound + 1)
+    return [e for e in _box(d.rank, height_bound) if is_dominant(d, e)]
 
-    def rec(prefix: list[int]) -> None:
-        if len(prefix) == d.rank:
-            if is_dominant(d, prefix):
-                out.append(tuple(prefix))
-            return
-        for x in span:
-            rec(prefix + [x])
 
-    rec([])
-    return sorted(out)
+def _box(rank: int, height_bound: int):
+    """The exponent vectors with entries in [-bound, bound], in sorted order."""
+    return product(range(-height_bound, height_bound + 1), repeat=rank)
 
 
 def decompose_into_orbit_sums(d: RootDatum, f: LaurentPoly) -> dict[tuple[int, ...], Fraction]:
@@ -147,24 +142,14 @@ def invariants_basis_probe(d: RootDatum, height_bound: int) -> list[tuple[int, .
     """
     weights = dominant_weights_in_box(d, height_bound)
     rng = random.Random(99173)
-    box = []
-    span = range(-height_bound, height_bound + 1)
-
-    def rec(prefix: list[int]) -> None:
-        if len(prefix) == d.rank:
-            box.append(tuple(prefix))
-            return
-        for x in span:
-            rec(prefix + [x])
-
-    rec([])
+    box = list(_box(d.rank, height_bound))
     support_size = min(len(box), 6)
     chosen = rng.sample(box, support_size)
     f = LaurentPoly(d.rank, {e: Fraction(rng.randint(1, 9)) for e in chosen})
     w = weyl_group(d)
     g = LaurentPoly.zero(d.rank)
     for m in w.elements:
-        g = g + weyl_act([list(r) for r in m], f)
+        g = g + weyl_act(m, f)
     dec = decompose_into_orbit_sums(d, g)
     allowed = set(weights)
     for lam in dec:
@@ -172,13 +157,6 @@ def invariants_basis_probe(d: RootDatum, height_bound: int) -> list[tuple[int, .
             raise AssertionError(
                 f"symmetrized box polynomial needed orbit sum {lam} outside the box")
     return weights
-
-
-def _poly_row(f: LaurentPoly, index: dict[tuple[int, ...], int], width: int) -> list[Fraction]:
-    row = [Fraction(0)] * width
-    for e, c in f.terms.items():
-        row[index[e]] = c
-    return row
 
 
 @dataclass(frozen=True)
@@ -219,17 +197,8 @@ def fundamental_character_probe(d: RootDatum, degree_bound: int) -> CharacterBas
         e[i] = 1
         fundamentals.append(weyl_character(d, e).poly)
 
-    weights = []
-
-    def rec(prefix: list[int], remaining: int) -> None:
-        if len(prefix) == d.rank:
-            weights.append(tuple(prefix))
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k)
-
-    rec([], degree_bound)
-    weights.sort()
+    weights = [k for k in product(range(degree_bound + 1), repeat=d.rank)
+               if sum(k) <= degree_bound]
 
     monomials = {}
     for k in weights:
@@ -241,18 +210,17 @@ def fundamental_character_probe(d: RootDatum, degree_bound: int) -> CharacterBas
 
     supports = sorted({e for f in monomials.values() for e in f.terms})
     index = {e: i for i, e in enumerate(supports)}
-    width = len(supports)
-    space = RowSpace(width)
-    independent = all(space.add(_poly_row(monomials[k], index, width)) for k in weights)
+    space = RowSpace(len(index))
+    independent = all(space.add(coefficient_row(monomials[k], index)) for k in weights)
 
     spanning = True
-    rows = [_poly_row(monomials[k], index, width) for k in weights]
+    rows = [coefficient_row(monomials[k], index) for k in weights]
     for lam in weights:
         os_poly = orbit_sum(d, lam).poly
         if any(e not in index for e in os_poly.terms):
             spanning = False
             break
-        if solve_coordinates(rows, _poly_row(os_poly, index, width)) is None:
+        if solve_coordinates(rows, coefficient_row(os_poly, index)) is None:
             spanning = False
             break
 
@@ -274,17 +242,8 @@ def dominance_leq(d: RootDatum, lower, upper) -> bool:
     """Whether upper - lower is a nonnegative rational combination of the
     simple roots."""
     diff = [u - l for u, l in zip(upper, lower)]
-    from .rootdata import root_coefficients
-    try:
-        coeffs = root_coefficients(d, diff)
-    except ValueError:
-        return False
-    recomposed = [Fraction(0)] * d.rank
-    for c, a in zip(coeffs, d.simple_roots):
-        recomposed = [x + c * y for x, y in zip(recomposed, a)]
-    if recomposed != [Fraction(x) for x in diff]:
-        return False
-    return all(c >= 0 for c in coeffs)
+    coeffs = solve_coordinates(d.simple_roots, diff)
+    return coeffs is not None and all(c >= 0 for c in coeffs)
 
 
 def finiteness_probe(d: RootDatum, module_gens: list[LaurentPoly], height_bound: int) -> bool:
@@ -309,27 +268,13 @@ def finiteness_probe(d: RootDatum, module_gens: list[LaurentPoly], height_bound:
             products.append(os_poly * g)
     supports = sorted({e for f in products for e in f.terms})
     index = {e: i for i, e in enumerate(supports)}
-    width = len(supports)
-    space = RowSpace(width)
+    space = RowSpace(len(index))
     for f in products:
-        space.add(_poly_row(f, index, width))
+        space.add(coefficient_row(f, index))
 
-    targets = []
-    span = range(-height_bound, height_bound + 1)
-
-    def rec(prefix: list[int]) -> None:
-        if len(prefix) == d.rank:
-            targets.append(tuple(prefix))
-            return
-        for x in span:
-            rec(prefix + [x])
-
-    rec([])
-    for e in targets:
+    for e in _box(d.rank, height_bound):
         if e not in index:
             return False
-        row = [Fraction(0)] * width
-        row[index[e]] = Fraction(1)
-        if not space.contains(row):
+        if not space.contains(coefficient_row(LaurentPoly.monomial(e), index)):
             return False
     return True

@@ -1,16 +1,19 @@
 """Exact arithmetic with integer matrices and sublattices of Z^n.
 
-Matrices are plain row-major ``list[list[int]]`` with arbitrary-precision
-entries.  The module provides the two classical normal forms (Smith and
-Hermite) together with the lattice operations built on top of them:
-kernels, saturation, membership tests, and finitely generated abelian
-quotients in invariant-factor form.
+Matrices are row-major sequences of integer rows with arbitrary-precision
+entries: lists and tuples are both accepted, and results are lists.  The
+module provides the two classical normal forms (Smith and Hermite)
+together with the lattice operations built on top of them: kernels,
+saturation, membership tests, and finitely generated abelian quotients
+in invariant-factor form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
+
+from .linalg import RowSpace
 
 Matrix = list[list[int]]
 Vector = list[int]
@@ -34,14 +37,15 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     rb, cb = _shape(b)
     if ca != rb:
         raise ValueError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    return [[sum(a[i][k] * b[k][j] for k in range(ca)) for j in range(cb)] for i in range(ra)]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    rows, cols = _shape(a)
+    _, cols = _shape(a)
     if len(v) != cols:
         raise ValueError("vector length does not match matrix width")
-    return [sum(a[i][k] * v[k] for k in range(cols)) for i in range(rows)]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -56,7 +60,7 @@ def det(a: Matrix) -> int:
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return 1
-    w = [row[:] for row in a]
+    w = [list(row) for row in a]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -79,34 +83,23 @@ def det(a: Matrix) -> int:
 def mat_inverse_unimodular(a: Matrix) -> Matrix:
     """Invert an integer matrix with determinant +-1.
 
-    Raises ValueError if the matrix is not unimodular (the inverse would
-    not be integral).
+    The inverse is read off the reduced echelon form of [a | I], whose
+    row with pivot p carries row p of the inverse.  Raises ValueError if
+    the matrix is singular or not unimodular (the inverse would not be
+    integral).
     """
     n, m = _shape(a)
     if n != m:
         raise ValueError("cannot invert a non-square matrix")
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if work[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for i in range(n):
-            if i != col and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    out = []
-    for row in work:
-        ints = []
-        for x in row[n:]:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular; inverse is not integral")
-            ints.append(int(x))
-        out.append(ints)
-    return out
+    space = RowSpace(2 * n)
+    for i, row in enumerate(a):
+        space.add(list(row) + [int(i == j) for j in range(n)])
+    if any(p >= n for p in space.pivots):
+        raise ValueError("matrix is singular")
+    inverse = [row[n:] for _, row in sorted(zip(space.pivots, space.rows))]
+    if any(x % 1 for row in inverse for x in row):
+        raise ValueError("matrix is not unimodular; inverse is not integral")
+    return [[int(x) for x in row] for row in inverse]
 
 
 def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -118,7 +111,7 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     small matrices this package works with.
     """
     m, n = _shape(a)
-    d = [row[:] for row in a]
+    d = [list(row) for row in a]
     u = identity_matrix(m)
     v = identity_matrix(n)
 
@@ -201,7 +194,7 @@ def hermite_normal_form(a: Matrix) -> tuple[Matrix, Matrix]:
     the bottom.  This is the canonical form used for sublattice equality.
     """
     m, n = _shape(a)
-    h = [row[:] for row in a]
+    h = [list(row) for row in a]
     u = identity_matrix(m)
 
     def add_row(dst: int, src: int, q: int) -> None:
@@ -339,10 +332,10 @@ def saturate(s: Sublattice) -> Sublattice:
     n = s.ambient_rank
     if not s.hnf_rows:
         return Sublattice(n, [])
-    ortho = kernel([list(r) for r in s.hnf_rows])
+    ortho = kernel(s.hnf_rows)
     if not ortho.hnf_rows:
         return full_lattice(n)
-    return kernel([list(r) for r in ortho.hnf_rows])
+    return kernel(ortho.hnf_rows)
 
 
 def quotient_group(ambient_rank: int, s: Sublattice) -> FinAbGroup:
@@ -351,7 +344,7 @@ def quotient_group(ambient_rank: int, s: Sublattice) -> FinAbGroup:
         raise ValueError("sublattice lives in a different ambient rank")
     if not s.hnf_rows:
         return FinAbGroup(ambient_rank, ())
-    _, d, _ = smith_normal_form([list(r) for r in s.hnf_rows])
+    _, d, _ = smith_normal_form(s.hnf_rows)
     k = len(s.hnf_rows)
     diag = [d[i][i] for i in range(min(k, ambient_rank))]
     nonzero = [x for x in diag if x != 0]
@@ -361,19 +354,7 @@ def quotient_group(ambient_rank: int, s: Sublattice) -> FinAbGroup:
 
 def is_member(s: Sublattice, v) -> bool:
     """Whether the integer vector v lies in the sublattice s."""
-    w = list(map(int, v))
-    if len(w) != s.ambient_rank:
-        raise ValueError("vector length does not match ambient rank")
-    for row in s.hnf_rows:
-        piv = next(j for j, x in enumerate(row) if x != 0)
-        if any(w[j] != 0 for j in range(piv)):
-            return False
-        if w[piv] % row[piv] != 0:
-            return False
-        q = w[piv] // row[piv]
-        if q:
-            w = [x - q * y for x, y in zip(w, row)]
-    return not any(w)
+    return not any(coset_representative(s, v))
 
 
 def coset_representative(s: Sublattice, v) -> tuple[int, ...]:

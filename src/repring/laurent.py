@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import Cyclo, coeff_is_zero, coeff_str, demote
+from .cyclotomic import Cyclo, coeff_is_zero, demote
 from .lattice import Matrix, mat_vec
 
 
@@ -24,7 +24,11 @@ def _normalize_coeff(c):
 
 
 class LaurentPoly:
-    """A Laurent polynomial in rank variables, keyed by exponent vector."""
+    """A Laurent polynomial in rank variables, keyed by exponent vector.
+
+    Arithmetic builds results of type(self), so a subclass that restricts
+    exponents or coefficients (poly.Poly) inherits it unchanged.
+    """
 
     __slots__ = ("rank", "terms")
 
@@ -62,9 +66,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def copy_terms(self) -> dict:
-        return dict(self.terms)
-
     def coefficient(self, exponents):
         return self.terms.get(tuple(map(int, exponents)), Fraction(0))
 
@@ -87,13 +88,13 @@ class LaurentPoly:
                     out.pop(e, None)
                 else:
                     out[e] = s
-            return LaurentPoly(self.rank, out)
+            return type(self)(self.rank, out)
         return self._binary(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.rank, {e: -c for e, c in self.terms.items()})
+        return type(self)(self.rank, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -107,8 +108,8 @@ class LaurentPoly:
         if isinstance(other, (int, Fraction, Cyclo)):
             c0 = _normalize_coeff(other)
             if coeff_is_zero(c0):
-                return LaurentPoly.zero(self.rank)
-            return LaurentPoly(self.rank, {e: c * c0 for e, c in self.terms.items()})
+                return type(self).zero(self.rank)
+            return type(self)(self.rank, {e: c * c0 for e, c in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if other.rank != self.rank:
@@ -124,7 +125,7 @@ class LaurentPoly:
                     out.pop(e, None)
                 else:
                     out[e] = s
-        return LaurentPoly(self.rank, out)
+        return type(self)(self.rank, out)
 
     __rmul__ = __mul__
 
@@ -136,7 +137,7 @@ class LaurentPoly:
             n = -n
         else:
             base = self
-        result = LaurentPoly.one(self.rank)
+        result = type(self).one(self.rank)
         while n:
             if n & 1:
                 result = result * base
@@ -165,7 +166,7 @@ class LaurentPoly:
         return h
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({self.rank}, {self.terms!r})"
+        return f"{type(self).__name__}({self.rank}, {self.terms!r})"
 
     def __str__(self) -> str:
         return render(self)
@@ -216,6 +217,14 @@ def weyl_act(matrix: Matrix, f: LaurentPoly) -> LaurentPoly:
         else:
             out[e2] = s
     return LaurentPoly(f.rank, out)
+
+
+def coefficient_row(f: LaurentPoly, index: dict) -> list:
+    """The coefficients of f as a dense row, one column per exponent of index."""
+    row = [Fraction(0)] * len(index)
+    for e, c in f.terms.items():
+        row[index[e]] = c
+    return row
 
 
 def augmentation(f: LaurentPoly):

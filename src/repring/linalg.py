@@ -94,26 +94,20 @@ def solve_coordinates(rows: list[list], target: list) -> list[Fraction] | None:
     if not rows:
         return None if any(not coeff_is_zero(x) for x in target) else []
     width = len(rows[0])
+    n = len(rows)
     # Augment each row with an indicator so elimination tracks the
     # combination that produced it.
-    n = len(rows)
-    aug = []
+    space = RowSpace(width + n)
     for i, r in enumerate(rows):
         if len(r) != width:
             raise ValueError("row width mismatch")
-        ind = [Fraction(0)] * n
-        ind[i] = Fraction(1)
-        aug.append(list(r) + ind)
-    space = RowSpace(width + n)
-    for r in aug:
-        space.add(r)
+        space.add(list(r) + [int(i == k) for k in range(n)])
     v = list(target) + [Fraction(0)] * n
-    for row, p in zip(space.rows, space.pivots):
-        if p >= width:
-            continue
+    for row, p, support in zip(space.rows, space.pivots, space._support):
         c = v[p]
-        if not coeff_is_zero(c):
-            v = [a - c * b for a, b in zip(v, row)]
+        if p < width and not coeff_is_zero(c):
+            for k in support:
+                v[k] = v[k] - c * row[k]
     if any(not coeff_is_zero(x) for x in v[:width]):
         return None
     return [-x for x in v[width:]]

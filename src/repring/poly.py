@@ -1,10 +1,12 @@
 """Multivariate polynomials over Q with pluggable monomial orders.
 
-These are ordinary (nonnegative-exponent) polynomials used by the
-Groebner-basis machinery.  Monomial orders are key functions mapping an
-exponent tuple to a sortable value; graded reverse lexicographic is the
-default everywhere, and a block order eliminating a leading variable
-group supports the point-ideal computation.
+These are ordinary (nonnegative-exponent, rational) polynomials used by
+presentations and the Groebner-basis machinery: the special case of the
+Laurent polynomials of the laurent module whose arithmetic they share.
+Monomial orders are key functions mapping an exponent tuple to a
+sortable value; graded reverse lexicographic is the default everywhere,
+and a block order eliminating a leading variable group supports the
+point-ideal computation.
 """
 
 from __future__ import annotations
@@ -12,36 +14,30 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .cyclotomic import Cyclo
+from .laurent import LaurentPoly
+
 Monomial = tuple[int, ...]
 
 
-class Poly:
-    """A polynomial in nvars variables with Fraction coefficients."""
+class Poly(LaurentPoly):
+    """A polynomial in nvars variables with Fraction coefficients: the
+    LaurentPoly with nonnegative exponents and rational coefficients,
+    whose arithmetic it inherits."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ()
 
     def __init__(self, nvars: int, terms=None) -> None:
-        self.nvars = nvars
-        clean: dict[Monomial, Fraction] = {}
-        for exps, c in (terms or {}).items():
-            e = tuple(map(int, exps))
-            if len(e) != nvars:
-                raise ValueError("exponent length mismatch")
-            if any(x < 0 for x in e):
-                raise ValueError("negative exponent in a polynomial")
-            c = Fraction(c)
-            if c:
-                acc = clean.get(e)
-                s = c if acc is None else acc + c
-                if s:
-                    clean[e] = s
-                else:
-                    clean.pop(e, None)
-        self.terms = clean
+        terms = terms or {}
+        if any(x < 0 for e in terms for x in e):
+            raise ValueError("negative exponent in a polynomial")
+        super().__init__(nvars, terms)
+        if any(isinstance(c, Cyclo) for c in self.terms.values()):
+            raise ValueError("polynomial coefficients must be rational")
 
-    @classmethod
-    def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars, {})
+    @property
+    def nvars(self) -> int:
+        return self.rank
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Poly":
@@ -53,77 +49,10 @@ class Poly:
         e[i] = 1
         return cls(nvars, {tuple(e): Fraction(1)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.nvars, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Poly(self.nvars, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.nvars, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c0 = Fraction(other)
-            return Poly(self.nvars, {e: c * c0 for e, c in self.terms.items()})
-        if not isinstance(other, Poly):
-            return NotImplemented
-        out: dict[Monomial, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Poly(self.nvars, out)
-
-    __rmul__ = __mul__
-
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = Poly.constant(self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.nvars, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    __hash__ = None  # type: ignore[assignment]
+        return super().__pow__(n)
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
@@ -164,9 +93,6 @@ class Poly:
         for p in parts[1:]:
             out += " - " + p[1:] if p.startswith("-") else " + " + p
         return out
-
-    def __repr__(self) -> str:
-        return f"Poly({self.nvars}, {self.terms!r})"
 
 
 def grevlex_key(e: Monomial):

@@ -18,6 +18,7 @@ from fractions import Fraction
 from .errors import ResourceCapError
 from .lattice import (FinAbGroup, Sublattice, det, is_member, mat_mul, mat_vec,
                       quotient_group, saturate)
+from .linalg import solve_coordinates
 
 MatrixT = tuple[tuple[int, ...], ...]
 
@@ -45,6 +46,13 @@ class RootDatum:
                 raise ValueError("root/coroot length does not match rank")
             if sum(x * y for x, y in zip(a, av)) != 2:
                 raise ValueError(f"dot(root, coroot) must be 2, got {a} . {av}")
+        c = self.cartan_matrix()
+        for i, row in enumerate(c):
+            for j, x in enumerate(row):
+                if i != j and (x > 0 or (x == 0) != (c[j][i] == 0)):
+                    raise ValueError(
+                        f"pairings do not form a generalized Cartan matrix: "
+                        f"entry ({i}, {j}) is {x} and ({j}, {i}) is {c[j][i]}")
 
     @property
     def num_simple(self) -> int:
@@ -201,8 +209,8 @@ def all_roots(d: RootDatum, cap: int = ROOT_CLOSURE_CAP) -> list[tuple[tuple[int
     while queue:
         a, av = queue.pop()
         for s, sv in zip(refl, dual):
-            b = tuple(mat_vec([list(r) for r in s], list(a)))
-            bv = tuple(mat_vec([list(r) for r in sv], list(av)))
+            b = tuple(mat_vec(s, a))
+            bv = tuple(mat_vec(sv, av))
             known = found.get(b)
             if known is None:
                 if len(found) >= cap:
@@ -210,7 +218,8 @@ def all_roots(d: RootDatum, cap: int = ROOT_CLOSURE_CAP) -> list[tuple[tuple[int
                 found[b] = bv
                 queue.append((b, bv))
             elif known != bv:
-                raise AssertionError("inconsistent coroot produced by reflection closure")
+                raise ValueError("inconsistent coroot produced by reflection closure; "
+                                 "the datum is not of finite type")
     return sorted(found.items())
 
 
@@ -238,8 +247,7 @@ def _close_group(rank: int, generators: list[MatrixT], cap: int) -> WeylGroup:
         nxt = []
         for m in frontier:
             for g in generators:
-                prod = tuple(tuple(r) for r in mat_mul([list(r) for r in m],
-                                                       [list(r) for r in g]))
+                prod = tuple(tuple(r) for r in mat_mul(m, g))
                 if prod not in seen:
                     if len(seen) >= cap:
                         raise ResourceCapError(f"group enumeration exceeded cap {cap}")
@@ -260,23 +268,22 @@ def reflection_subgroup(rank: int, pairs, cap: int = WEYL_ORDER_CAP) -> WeylGrou
     return _close_group(rank, gens, cap)
 
 
-def orbit(w: WeylGroup, v) -> list[tuple[int, ...]]:
-    """The orbit of a character vector, sorted."""
-    vec = list(map(int, v))
-    return sorted({tuple(mat_vec([list(r) for r in m], vec)) for m in w.elements})
-
-
-def vector_orbit(d: RootDatum, v) -> list[tuple[int, ...]]:
-    """Orbit of v via reflection closure, without enumerating the group."""
-    refl = [[list(r) for r in s] for s in simple_reflections(d)]
+def orbit(generators, v) -> list[tuple[int, ...]]:
+    """The orbit of a character vector under the group generated by the
+    given matrices, sorted: a closure under the generators, without
+    enumerating the group.  Capped at WEYL_ORDER_CAP points, since an
+    infinite reflection group has infinite orbits."""
     start = tuple(map(int, v))
     seen = {start}
     queue = [start]
     while queue:
         x = queue.pop()
-        for s in refl:
-            y = tuple(mat_vec(s, list(x)))
+        for g in generators:
+            y = tuple(mat_vec(g, x))
             if y not in seen:
+                if len(seen) >= WEYL_ORDER_CAP:
+                    raise ResourceCapError(
+                        f"orbit closure exceeded WEYL_ORDER_CAP = {WEYL_ORDER_CAP} points")
                 seen.add(y)
                 queue.append(y)
     return sorted(seen)
@@ -285,12 +292,12 @@ def vector_orbit(d: RootDatum, v) -> list[tuple[int, ...]]:
 def stabilizer(w: WeylGroup, v) -> WeylGroup:
     vec = list(map(int, v))
     elems = tuple(sorted(m for m in w.elements
-                         if tuple(mat_vec([list(r) for r in m], vec)) == tuple(vec)))
+                         if mat_vec(m, vec) == vec))
     return WeylGroup(w.rank, elems, elems)
 
 
 def sign(m: MatrixT) -> int:
-    s = det([list(r) for r in m])
+    s = det(m)
     if s not in (1, -1):
         raise ValueError("matrix is not orthogonal-unimodular")
     return s
@@ -316,7 +323,7 @@ def dominant_representative(d: RootDatum, v) -> tuple[int, ...]:
 def coroot_lattice(d: RootDatum) -> Sublattice:
     """Sublattice of the cocharacter lattice spanned by all coroots."""
     pairs = all_roots(d)
-    return Sublattice(d.rank, [list(av) for _, av in pairs])
+    return Sublattice(d.rank, [av for _, av in pairs])
 
 
 def fundamental_group(d: RootDatum) -> FinAbGroup:
@@ -340,29 +347,12 @@ def positive_roots(d: RootDatum) -> list[tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def root_coefficients(d: RootDatum, root) -> list[Fraction]:
-    """Coefficients of a root over the simple roots (exact, via the
-    nonsingular Cartan pairing)."""
-    n = d.num_simple
-    if n == 0:
-        raise ValueError("datum has no simple roots")
-    # Solve sum_i c_i <alpha_i, alpha_j^v> = <root, alpha_j^v> for c.
-    a = [[Fraction(d.pairing(d.simple_roots[i], d.simple_coroots[j]))
-          for j in range(n)] for i in range(n)]
-    b = [Fraction(d.pairing(root, d.simple_coroots[j])) for j in range(n)]
-    # Gaussian elimination on the transposed system c @ A = b.
-    m = [[a[i][j] for i in range(n)] + [b[j]] for j in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("Cartan pairing matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
+    """Coefficients of a root over the simple roots (exact).  Raises
+    ValueError when the vector is outside their span."""
+    coeffs = solve_coordinates(d.simple_roots, list(root))
+    if coeffs is None:
+        raise ValueError(f"{tuple(root)} is not in the span of the simple roots")
+    return coeffs
 
 
 def two_rho(d: RootDatum) -> tuple[int, ...]:

@@ -16,35 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cyclotomic import Cyclo, demote
-from .lattice import (FinAbGroup, Sublattice, full_lattice, is_member, kernel,
-                      mat_inverse_unimodular, quotient_group, transpose)
+from .cyclotomic import Cyclo, coeff_is_zero, demote, prime_factors
+from .lattice import (FinAbGroup, Sublattice, is_member, kernel,
+                      mat_inverse_unimodular, mat_vec, quotient_group, transpose)
 from .laurent import LaurentPoly
 from .rootdata import RootDatum, WeylGroup, centralizer_subsystem, weyl_group
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
-
-
-def _factor(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    return n >= 2 and next(prime_factors(n)) == n
 
 
 @dataclass(frozen=True)
@@ -179,10 +159,10 @@ def parse_coordinate(text: str) -> tuple[Fraction, dict[int, int]]:
             num *= n
             continue
         raise ValueError(f"cannot parse point factor {tok!r}")
-    for p, e in _factor(num).items():
-        exps[p] = exps.get(p, 0) + e
-    for p, e in _factor(den).items():
-        exps[p] = exps.get(p, 0) - e
+    for p in prime_factors(num):
+        exps[p] = exps.get(p, 0) + 1
+    for p in prime_factors(den):
+        exps[p] = exps.get(p, 0) - 1
     return torsion, {p: e for p, e in exps.items() if e != 0}
 
 
@@ -286,8 +266,7 @@ def support(p: EvalPoint, _modulus_multiplier: int = 1) -> SupportDesc:
         row = [dict(coord).get(prime, 0) for coord in p.rational]
         rows.append(row + [0])
     ker = kernel(rows)
-    gens = [list(g[:r]) for g in ker.hnf_rows]
-    lat = Sublattice(r, gens)
+    lat = Sublattice(r, [g[:r] for g in ker.hnf_rows])
     quot = quotient_group(r, lat)
     return SupportDesc(kernel_lattice=lat, quotient=quot,
                        connected=quot.is_torsion_free)
@@ -350,18 +329,15 @@ def weyl_translate(w, p: EvalPoint) -> EvalPoint:
     Torsion and prime-exponent rows transform by the inverse-transpose
     of the integer matrix w.
     """
-    mat = [list(r) for r in w]
-    if len(mat) != p.rank:
+    if len(w) != p.rank:
         raise ValueError("matrix size does not match point rank")
-    inv_t = transpose(mat_inverse_unimodular(mat))
-    torsion = [sum(Fraction(inv_t[j][i]) * p.torsion[i] for i in range(p.rank)) % 1
-               for j in range(p.rank)]
+    inv_t = transpose(mat_inverse_unimodular(w))
+    torsion = [t % 1 for t in mat_vec(inv_t, p.torsion)]
     primes = sorted({prime for coord in p.rational for prime, _ in coord})
     maps: list[dict[int, int]] = [{} for _ in range(p.rank)]
     for prime in primes:
         vec = [dict(coord).get(prime, 0) for coord in p.rational]
-        new_vec = [sum(inv_t[j][i] * vec[i] for i in range(p.rank)) for j in range(p.rank)]
-        for j, e in enumerate(new_vec):
+        for j, e in enumerate(mat_vec(inv_t, vec)):
             if e:
                 maps[j][prime] = e
     return EvalPoint.from_parts(torsion, maps)
@@ -405,16 +381,9 @@ def fiber_over_RG(d: RootDatum, p: EvalPoint) -> list[MaxIdealDesc]:
     for q in translates:
         for f, val in zip(probes, base_vals):
             got = evaluate_poly(q, f)
-            if not _values_equal(got, val):
+            if not coeff_is_zero(got - val):
                 raise AssertionError("fiber member disagrees on an invariant probe")
     return out
-
-
-def _values_equal(a, b) -> bool:
-    diff = a - b
-    if isinstance(diff, Cyclo):
-        return diff.is_zero()
-    return diff == 0
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,8 @@ classes modulo a sublattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .cyclotomic import Cyclo
+from .cyclotomic import coeff_is_zero
 from .lattice import Sublattice, coset_representative
 from .laurent import LaurentPoly, augmentation
 from .spectrum import EvalPoint, evaluate_char, evaluate_poly
@@ -69,13 +68,6 @@ def twist_element(f: LaurentPoly, p: EvalPoint) -> TwistedElement:
     return TwistedElement(point=p, poly=LaurentPoly(f.rank, out))
 
 
-def _eq_values(a, b) -> bool:
-    diff = a - b
-    if isinstance(diff, Cyclo):
-        return diff.is_zero()
-    return diff == 0
-
-
 def twist_augmentation_check(f: LaurentPoly, p: EvalPoint) -> bool:
     """Augmentation after twisting must equal direct evaluation at p.
 
@@ -85,7 +77,7 @@ def twist_augmentation_check(f: LaurentPoly, p: EvalPoint) -> bool:
     """
     left = augmentation(twist_element(f, p).poly)
     right = evaluate_poly(p, f)
-    return _eq_values(left, right)
+    return coeff_is_zero(left - right)
 
 
 def twist_multiplicativity_check(f: LaurentPoly, g: LaurentPoly, p: EvalPoint) -> bool:

@@ -296,3 +296,54 @@ def test_console_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["result"] == {"free_rank": 0, "invariant_factors": []}
+
+
+AFFINE_A1 = {"name": "affine-A1", "rank": 2,
+             "simple_roots": [[2, -2], [-2, 2]],
+             "simple_coroots": [[1, 0], [0, 1]]}
+
+
+def test_orbit_of_an_infinite_reflection_group_exits_3(tmp_path, capsys):
+    path = tmp_path / "affine.json"
+    path.write_text(json.dumps(AFFINE_A1))
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, [
+        "orbit", "--datum-file", str(path), "--weight", "1,0"])
+    assert time.perf_counter() - start < 30.0
+    assert code == 3
+    assert out == ""
+    assert "WEYL_ORDER_CAP = 1000000" in err
+
+
+def test_roots_of_an_affine_datum_exits_2(tmp_path, capsys):
+    path = tmp_path / "affine.json"
+    path.write_text(json.dumps(AFFINE_A1))
+    code, out, err = invoke(capsys, ["roots", "--datum-file", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "inconsistent coroot" in err
+
+
+def test_pi1_rejects_a_non_cartan_datum_with_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"rank": 2, "simple_roots": [[2, 1], [3, 2]],
+                                "simple_coroots": [[1, 0], [0, 1]]}))
+    code, out, err = invoke(capsys, ["pi1", "--datum-file", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "generalized Cartan matrix" in err
+
+
+def test_support_at_a_large_prime_exits_3_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, [
+        "support", "--type", "A", "--rank", "1", "--point", "10000000000000061"])
+    assert time.perf_counter() - start < 5.0
+    assert code == 3
+    assert out == ""
+    assert "TRIAL_DIVISION_CAP = 1000000" in err
+    # A composite power base is refused at its smallest factor, under the cap.
+    code, out, err = invoke(capsys, [
+        "support", "--type", "A", "--rank", "1", "--point", "20000000000000122^1"])
+    assert code == 2
+    assert "must be prime" in err

@@ -8,12 +8,15 @@ Galois-automorphism homomorphism properties on seeded random elements.
 
 import random
 from fractions import Fraction
+import math
 from math import gcd
 
 import pytest
 
+from repring import cyclotomic
 from repring.cyclotomic import (Cyclo, coeff_is_zero, cyclotomic_polynomial,
-                                demote, euler_phi)
+                                demote, euler_phi, prime_factors)
+from repring.errors import ResourceCapError
 
 
 def poly_mul_int(a, b):
@@ -28,6 +31,20 @@ def test_euler_phi_against_coprime_counting():
     for n in range(1, 80):
         count = sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
         assert euler_phi(n) == count
+
+
+def test_prime_factors_multiply_back_and_are_capped(monkeypatch):
+    for n in range(1, 500):
+        f = list(prime_factors(n))
+        assert math.prod(f) == n and f == sorted(f)
+        assert all(list(prime_factors(p)) == [p] for p in f)
+    assert list(prime_factors(2 ** 5 * 999983)) == [2] * 5 + [999983]
+    monkeypatch.setattr(cyclotomic, "TRIAL_DIVISION_CAP", 100)
+    assert list(prime_factors(97 * 101)) == [97, 101]
+    # The smallest factor comes before the cap is reached.
+    assert next(prime_factors(2 * 101 * 103)) == 2
+    with pytest.raises(ResourceCapError, match="TRIAL_DIVISION_CAP = 100"):
+        list(prime_factors(101 * 103))
 
 
 def test_cyclotomic_polynomials_frozen():
@@ -68,6 +85,17 @@ def test_primitive_root_sums():
         total = total * z5 + z5
     # zeta^4 + zeta^3 + zeta^2 + zeta = -1
     assert total == Fraction(-1)
+
+
+def test_zeta_powers_match_repeated_multiplication():
+    for m in (5, 12, 30, 60):
+        z = Cyclo.zeta(m)
+        acc = Cyclo.from_rational(1, m)
+        for k in range(2 * m + 1):
+            got = Cyclo.zeta(m, k)
+            assert got.coords == acc.coords, (m, k)
+            assert all(type(c) is Fraction for c in got.coords)
+            acc = acc * z
 
 
 def test_rationality_detection_and_demote():

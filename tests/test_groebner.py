@@ -16,6 +16,7 @@ from repring.errors import ResourceCapError
 from repring.groebner import (GroebnerBasis, groebner, groebner_basis,
                               ideal_membership, leading_term, reduce_poly,
                               s_polynomial, standard_monomials)
+from repring.laurent import LaurentPoly
 from repring.poly import Poly, grevlex_key, make_elim_key, parse_poly
 
 
@@ -48,6 +49,17 @@ def test_poly_arithmetic_basics():
 def test_poly_rejects_negative_exponents():
     with pytest.raises(ValueError):
         Poly(1, {(-1,): 1})
+
+
+def test_poly_arithmetic_stays_in_poly():
+    x = Poly.variable(2, 0)
+    y = Poly.variable(2, 1)
+    for value in (x + y, x - y, x * y, x ** 3, 1 + x, 2 - y, -x, x * Fraction(1, 2)):
+        assert type(value) is Poly
+    assert (x * y).nvars == 2
+    with pytest.raises(ValueError, match="nonnegative"):
+        x ** -1
+    assert x * y == LaurentPoly(2, {(1, 1): 1})
 
 
 def test_parse_poly_frozen():

@@ -11,8 +11,9 @@ import random
 
 import pytest
 
+from repring import rootdata
 from repring.errors import ResourceCapError
-from repring.lattice import Sublattice, full_lattice
+from repring.lattice import Sublattice, full_lattice, mat_vec
 from repring.rootdata import (RootDatum, all_roots, centralizer_subsystem,
                               datum_from_dict, dominant_representative,
                               dual_reflection_matrix, fundamental_group,
@@ -20,7 +21,7 @@ from repring.rootdata import (RootDatum, all_roots, centralizer_subsystem,
                               is_dominant, orbit, positive_roots, product,
                               reflection_matrix, root_coefficients, sign,
                               simple_reflections, stabilizer, standard_datum,
-                              torus_datum, two_rho, vector_orbit, weyl_group)
+                              torus_datum, two_rho, weyl_group)
 
 
 def test_cartan_matrices_frozen():
@@ -179,12 +180,15 @@ def test_orbit_stabilizer_identity():
     for label, rank in [("A", 2), ("B", 2), ("G", 2), ("A", 3)]:
         d = standard_datum(label, rank)
         w = weyl_group(d)
-        for _ in range(12):
-            v = [rng.randint(-3, 3) for _ in range(rank)]
-            orb = orbit(w, v)
-            stab = stabilizer(w, v)
-            assert len(orb) * stab.order == w.order
-            assert vector_orbit(d, v) == orb
+        # A centralizer's Weyl group, generated by all its reflections.
+        sub = centralizer_subsystem(d, Sublattice(rank, d.simple_roots[:-1])).weyl_subgroup
+        for group, gens in ((w, simple_reflections(d)), (sub, sub.generators)):
+            for _ in range(12):
+                v = [rng.randint(-3, 3) for _ in range(rank)]
+                orb = sorted({tuple(mat_vec(m, v)) for m in group.elements})
+                stab = stabilizer(group, v)
+                assert len(orb) * stab.order == group.order
+                assert orbit(gens, v) == orb
 
 
 def test_dominant_representative_is_the_unique_dominant_orbit_point():
@@ -195,7 +199,7 @@ def test_dominant_representative_is_the_unique_dominant_orbit_point():
         v = [rng.randint(-4, 4) for _ in range(2)]
         rep = dominant_representative(d, v)
         assert is_dominant(d, rep)
-        orb = orbit(w, v)
+        orb = sorted({tuple(mat_vec(m, v)) for m in w.elements})
         assert rep in orb
         assert [x for x in orb if is_dominant(d, x)] == [rep]
 
@@ -280,3 +284,38 @@ def test_resource_caps_raise():
         weyl_group(d, cap=3)
     with pytest.raises(ResourceCapError):
         all_roots(d, cap=2)
+
+
+def test_orbit_closure_is_capped(monkeypatch):
+    # The affine A1 datum generates an infinite reflection group.
+    d = RootDatum(2, ((2, -2), (-2, 2)), ((1, 0), (0, 1)))
+    monkeypatch.setattr(rootdata, "WEYL_ORDER_CAP", 50)
+    with pytest.raises(ResourceCapError, match="WEYL_ORDER_CAP = 50"):
+        orbit(simple_reflections(d), (1, 0))
+    # A finite orbit of exactly the cap's size still closes.
+    b2 = standard_datum("B", 2)
+    monkeypatch.setattr(rootdata, "WEYL_ORDER_CAP", 8)
+    assert len(orbit(simple_reflections(b2), (1, 1))) == 8
+    monkeypatch.setattr(rootdata, "WEYL_ORDER_CAP", 7)
+    with pytest.raises(ResourceCapError):
+        orbit(simple_reflections(b2), (1, 1))
+
+
+def test_generalized_cartan_sign_conditions_are_enforced():
+    with pytest.raises(ValueError, match="generalized Cartan matrix"):
+        RootDatum(2, ((2, 1), (3, 2)), ((1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="generalized Cartan matrix"):
+        RootDatum(2, ((2, 0), (-1, 2)), ((1, 0), (0, 1)))
+    # Affine type passes the sign conditions; its root closure is refused.
+    affine = RootDatum(2, ((2, -2), (-2, 2)), ((1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="inconsistent coroot"):
+        all_roots(affine)
+
+
+def test_root_coefficients_outside_the_root_span():
+    d = gl_datum(3)
+    assert root_coefficients(d, (1, 0, -1)) == [1, 1]
+    with pytest.raises(ValueError, match="not in the span"):
+        root_coefficients(d, (1, 0, 0))
+    with pytest.raises(ValueError, match="not in the span"):
+        root_coefficients(torus_datum(2), (0, 1))
