@@ -16,14 +16,13 @@ from fractions import Fraction
 from .completion import load_case_config, local_isomorphism_check, \
     presentation_from_config, validate_presentation
 from .errors import ResourceCapError
-from .invariants import character_dimension, dominant_weights_in_box, \
-    orbit_sum, weyl_character
+from .invariants import dominant_weights_in_box, orbit_sum, weyl_character
 from .lattice import FinAbGroup, Sublattice
-from .laurent import render
+from .laurent import augmentation, render
 from .rootdata import (RootDatum, all_roots, centralizer_subsystem,
                        datum_from_dict, dominant_representative,
                        fundamental_group, orbit, simple_reflections,
-                       standard_datum, weyl_group)
+                       standard_datum, two_rho, weyl_group)
 from .spectrum import (fiber_over_RG, parse_point, render_point,
                        stabilizer_check, support)
 from .twist import twist_augmentation_check, twist_multiplicativity_check
@@ -197,7 +196,7 @@ def _cmd_character(args) -> tuple[dict, dict]:
     d = _resolve_datum(args)
     w = _parse_weight(args.weight, d.rank)
     chi = weyl_character(d, w)
-    dim = character_dimension(d, w)
+    dim = augmentation(chi.poly)
     assert Fraction(dim).denominator == 1
     return {"datum": d.name, "weight": args.weight}, {
         "dimension": int(dim),
@@ -241,18 +240,20 @@ def _cmd_nal_check(args) -> tuple[dict, dict]:
 
 def _cmd_validate(args) -> tuple[dict, dict]:
     d = _resolve_datum(args)
-    if args.cap is None:
-        pairs = all_roots(d)
-        w = weyl_group(d)
-    else:
-        pairs = all_roots(d, cap=args.cap)
-        w = weyl_group(d, cap=args.cap)
+    try:
+        pairs = all_roots(d) if args.cap is None else all_roots(d, cap=args.cap)
+        # 2 rho is strictly dominant, so its orbit is free (Humphreys 10.3).
+        weyl_order = len(orbit(simple_reflections(d), two_rho(d), args.cap))
+    except ResourceCapError as exc:
+        if args.cap is None:
+            raise
+        raise ResourceCapError(f"{exc} (--cap = {args.cap})") from None
     echo = {"datum": d.name}
     result = {
         "datum_ok": True,
         "rank": d.rank,
         "roots_count": len(pairs),
-        "weyl_order": w.order,
+        "weyl_order": weyl_order,
         "fundamental_group": _group_doc(fundamental_group(d)),
     }
     if args.presentation_file:
@@ -260,6 +261,7 @@ def _cmd_validate(args) -> tuple[dict, dict]:
         echo["height"] = args.height
         with open(args.presentation_file, encoding="utf-8") as fh:
             cfg = json.load(fh)
+        w = weyl_group(d, cap=weyl_order)   # |W| is known, so this cap cannot fire
         pres = presentation_from_config(cfg, d.rank, w)
         rep = validate_presentation(pres, w, args.height)
         result["presentation"] = {

@@ -2,9 +2,10 @@
 
 The invariant ring is handled through two computational bases: orbit
 sums (one per dominant weight) and products of the characters attached
-to the standard basis weights.  Characters come from the alternating-sum
-quotient evaluated in an index-doubled lattice, so the half-sum of
-positive roots never leaves the integers.
+to the standard basis weights.  Characters come from Freudenthal's
+multiplicity formula on the dominant weights below the highest weight,
+with the invariant form written through pairings with coroots, so
+nothing enumerates the Weyl group.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import add, mul, sub
 
-from .lattice import det, mat_vec
-from .laurent import (LaurentPoly, augmentation, coefficient_row, exact_divide,
-                      weyl_act)
+from .laurent import LaurentPoly, augmentation, coefficient_row, weyl_act
 from .linalg import RowSpace, solve_coordinates
 from .rootdata import (RootDatum, dominant_representative, is_dominant, orbit,
-                       simple_reflections, two_rho, weyl_group)
+                       positive_roots, simple_reflections, two_rho,
+                       weyl_group)
 
 
 @dataclass(frozen=True)
@@ -54,37 +55,59 @@ def orbit_sum(d: RootDatum, weight) -> InvariantElement:
 
 
 def weyl_character(d: RootDatum, weight) -> InvariantElement:
-    """The character with a given dominant highest weight.
+    """The character with a given dominant highest weight, by Freudenthal's
+    formula (Humphreys 22.3) on the dominant weights mu below lam:
 
-    Both alternating sums are formed with doubled exponents (so the Weyl
-    vector appears as the integral sum of positive roots), divided
-    exactly, and the quotient is halved back.  The result is verified
-    invariant before being certified.
+        (|lam+rho|^2 - |mu+rho|^2) m(mu) = 2 sum_{a>0, k>=1} (mu+ka, a) m(mu+ka),
+
+    m(nu) read at the dominant representative of nu, strings stopped at
+    their first zero, with the integral invariant form (x, y) = sum of
+    <x, b><y, b> over positive coroots b (Bourbaki VI.1.12).  Subtracting
+    positive roots from lam, keeping dominant results, reaches every mu
+    (Stembridge); solving by decreasing |mu+rho|^2 puts the weights above
+    mu first.  Multiplicities are spread over orbits, and the result is
+    verified invariant before being certified.
     """
     lam = tuple(map(int, weight))
     if not is_dominant(d, lam):
         raise ValueError(f"weight {lam} is not dominant")
-    w = weyl_group(d)
+    pos = positive_roots(d)
+    coroots = [av for _, av in pos]
+
+    def flat(x) -> list[int]:
+        # The covector (x, .) of the canonical form.
+        ks = [d.pairing(x, bv) for bv in coroots]
+        return [sum(map(mul, ks, col)) for col in zip(*coroots)]
+
+    flats = [(a, flat(a)) for a, _ in pos]
+    weights = {lam}
+    frontier = [lam]
+    while frontier:
+        mu = frontier.pop()
+        for a, _ in flats:
+            nu = tuple(map(sub, mu, a))
+            if nu not in weights and is_dominant(d, nu):
+                weights.add(nu)
+                frontier.append(nu)
     rho2 = two_rho(d)
-    top = tuple(2 * x + y for x, y in zip(lam, rho2))
+    gap = {mu: sum(map(mul, flat(tuple(map(sub, lam, mu))),
+                       [x + y + z for x, y, z in zip(lam, mu, rho2)]))
+           for mu in weights}
 
-    def alternating(mu) -> LaurentPoly:
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for m in w.elements:
-            ex = tuple(mat_vec(m, mu))
-            s = Fraction(det(m))
-            terms[ex] = terms.get(ex, Fraction(0)) + s
-        return LaurentPoly(d.rank, terms)
+    mult = {lam: 1}
+    for mu in sorted(weights - {lam}, key=lambda mu: (gap[mu], mu)):
+        rhs = 0
+        for a, a_flat in flats:
+            nu = tuple(map(add, mu, a))
+            while (m_nu := mult.get(dominant_representative(d, nu), 0)):
+                rhs += sum(map(mul, nu, a_flat)) * m_nu
+                nu = tuple(map(add, nu, a))
+        mult[mu], rem = divmod(2 * rhs, gap[mu])
+        if rem:
+            raise AssertionError("Freudenthal's formula gave a non-integral multiplicity")
 
-    numerator = alternating(top)
-    denominator = alternating(rho2)
-    doubled = exact_divide(numerator, denominator)
-    halved: dict[tuple[int, ...], Fraction] = {}
-    for e, c in doubled.terms.items():
-        if any(x % 2 for x in e):
-            raise AssertionError("character quotient left the doubled lattice")
-        halved[tuple(x // 2 for x in e)] = c
-    poly = LaurentPoly(d.rank, halved)
+    poly = LaurentPoly(d.rank, {nu: m for mu, m in mult.items()
+                                for nu in orbit(simple_reflections(d), mu)})
     if not _check_invariant(d, poly):
         raise AssertionError("character failed the invariance check")
     return InvariantElement(d, poly, certified_invariant=True)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import ResourceCapError
 from .lattice import (FinAbGroup, Sublattice, det, is_member, mat_mul, mat_vec,
-                      quotient_group, saturate)
+                      quotient_group, saturate, transpose)
 from .linalg import solve_coordinates
 
 MatrixT = tuple[tuple[int, ...], ...]
@@ -225,11 +225,13 @@ def all_roots(d: RootDatum, cap: int = ROOT_CLOSURE_CAP) -> list[tuple[tuple[int
 
 @dataclass(frozen=True)
 class WeylGroup:
-    """A finite reflection group given by explicit matrices."""
+    """A finite reflection group given by explicit matrices; one closed from
+    its generators also carries inverse_transposes[i] = elements[i]^-T."""
 
     rank: int
     elements: tuple[MatrixT, ...]
     generators: tuple[MatrixT, ...]
+    inverse_transposes: tuple[MatrixT, ...] = ()
 
     @property
     def order(self) -> int:
@@ -240,25 +242,30 @@ class WeylGroup:
 
 
 def _close_group(rank: int, generators: list[MatrixT], cap: int) -> WeylGroup:
+    """Close the reflections, carrying inverse-transposes: (m g)^-T = m^-T g^T,
+    since a reflection is its own inverse."""
     ident: MatrixT = tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
-    seen = {ident}
+    gen_inv_t = [transpose(g) for g in generators]
+    seen = {ident: ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for m in frontier:
-            for g in generators:
+            for g, g_inv_t in zip(generators, gen_inv_t):
                 prod = tuple(tuple(r) for r in mat_mul(m, g))
                 if prod not in seen:
                     if len(seen) >= cap:
                         raise ResourceCapError(f"group enumeration exceeded cap {cap}")
-                    seen.add(prod)
+                    seen[prod] = tuple(tuple(r) for r in mat_mul(seen[m], g_inv_t))
                     nxt.append(prod)
         frontier = nxt
     elements = tuple(sorted(seen))
-    return WeylGroup(rank, elements, tuple(generators))
+    return WeylGroup(rank, elements, tuple(generators),
+                     tuple(seen[m] for m in elements))
 
 
 def weyl_group(d: RootDatum, cap: int = WEYL_ORDER_CAP) -> WeylGroup:
+    all_roots(d)  # refuses a datum of infinite type before closing its group
     return _close_group(d.rank, simple_reflections(d), cap)
 
 
@@ -268,11 +275,13 @@ def reflection_subgroup(rank: int, pairs, cap: int = WEYL_ORDER_CAP) -> WeylGrou
     return _close_group(rank, gens, cap)
 
 
-def orbit(generators, v) -> list[tuple[int, ...]]:
+def orbit(generators, v, cap: int | None = None) -> list[tuple[int, ...]]:
     """The orbit of a character vector under the group generated by the
     given matrices, sorted: a closure under the generators, without
-    enumerating the group.  Capped at WEYL_ORDER_CAP points, since an
-    infinite reflection group has infinite orbits."""
+    enumerating the group.  Capped at cap points (WEYL_ORDER_CAP, read
+    at call time, when not given), since an infinite reflection group has
+    infinite orbits."""
+    limit = WEYL_ORDER_CAP if cap is None else cap
     start = tuple(map(int, v))
     seen = {start}
     queue = [start]
@@ -281,9 +290,9 @@ def orbit(generators, v) -> list[tuple[int, ...]]:
         for g in generators:
             y = tuple(mat_vec(g, x))
             if y not in seen:
-                if len(seen) >= WEYL_ORDER_CAP:
-                    raise ResourceCapError(
-                        f"orbit closure exceeded WEYL_ORDER_CAP = {WEYL_ORDER_CAP} points")
+                if len(seen) >= limit:
+                    name = "WEYL_ORDER_CAP = " if cap is None else ""
+                    raise ResourceCapError(f"orbit closure exceeded {name}{limit} points")
                 seen.add(y)
                 queue.append(y)
     return sorted(seen)
@@ -337,13 +346,21 @@ def is_derived_simply_connected(d: RootDatum) -> bool:
 
 def positive_roots(d: RootDatum) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The (root, coroot) pairs whose root is a nonnegative combination
-    of the simple roots."""
-    out = []
-    for a, av in all_roots(d):
-        coeffs = root_coefficients(d, a)
-        if all(c >= 0 for c in coeffs):
-            out.append((a, av))
-    return out
+    of the simple roots.  These roots are the closure of the simple ones
+    under s_i applied to roots other than a_i, since s_i permutes those
+    positive roots and every positive root descends to a simple one that
+    way (Humphreys 10.2); all_roots runs first to refuse infinite type."""
+    pairs = all_roots(d)
+    steps = list(zip(d.simple_roots, simple_reflections(d)))
+    pos = set(d.simple_roots)
+    stack = list(pos)
+    while stack:
+        b = stack.pop()
+        for c in (tuple(mat_vec(s, b)) for a, s in steps if a != b):
+            if c not in pos:
+                pos.add(c)
+                stack.append(c)
+    return [(a, av) for a, av in pairs if a in pos]
 
 
 def root_coefficients(d: RootDatum, root) -> list[Fraction]:
@@ -394,11 +411,7 @@ def centralizer_subsystem(d: RootDatum, k: Sublattice) -> LeviDatum:
     pairs = all_roots(d)
     subset = tuple(i for i, (a, _) in enumerate(pairs) if is_member(sat, a))
     sub_pairs = [pairs[i] for i in subset]
-    pos = []
-    for a, av in sub_pairs:
-        coeffs = root_coefficients(d, a)
-        if all(c >= 0 for c in coeffs):
-            pos.append((a, av))
+    pos = [(a, av) for a, av in positive_roots(d) if is_member(sat, a)]
     pos_set = {a for a, _ in pos}
     base = []
     for a, av in pos:

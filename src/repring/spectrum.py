@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .cyclotomic import Cyclo, coeff_is_zero, demote, prime_factors
 from .lattice import (FinAbGroup, Sublattice, is_member, kernel,
@@ -223,13 +224,33 @@ def evaluate_char(p: EvalPoint, n) -> Fraction | Cyclo:
 
 
 def evaluate_poly(p: EvalPoint, f: LaurentPoly) -> Fraction | Cyclo:
-    """Evaluate a Laurent polynomial at the point, term by term."""
+    """Evaluate a Laurent polynomial at the point in one pass: each term's
+    rational part (from integer prime exponents) times a rational
+    coefficient goes into the slot of its power of zeta_m, m the torsion
+    order, reduced once as one Cyclo; Cyclo coefficients multiply out."""
     if f.rank != p.rank:
         raise ValueError("polynomial rank does not match point rank")
-    total: object = Fraction(0)
-    for e, c in sorted(f.terms.items()):
-        total = total + c * evaluate_char(p, e)
-    return demote(total)
+    m = p.torsion_order
+    zeta_row = [t.numerator * (m // t.denominator) for t in p.torsion]
+    primes = sorted({prime for coord in p.rational for prime, _ in coord})
+    prime_rows = [(prime, [dict(coord).get(prime, 0) for coord in p.rational])
+                  for prime in primes]
+    slots = [Fraction(0)] * m
+    rest: object = Fraction(0)
+    for e, c in f.terms.items():
+        num = den = 1
+        for prime, row in prime_rows:
+            x = sum(map(mul, row, e))
+            if x > 0:
+                num *= prime ** x
+            elif x < 0:
+                den *= prime ** -x
+        k = sum(map(mul, zeta_row, e)) % m
+        if isinstance(c, Cyclo):
+            rest = rest + c * Cyclo.zeta(m, k) * Fraction(num, den)
+        else:
+            slots[k] += c * Fraction(num, den)
+    return demote(Cyclo(m, slots) + rest)
 
 
 @dataclass(frozen=True)
@@ -292,9 +313,7 @@ class MaxIdealDesc:
         return ideal_equal(self, other)
 
     def __hash__(self) -> int:
-        # Hash on Galois-invariant data only.
-        return hash((self.point.rational,
-                     tuple(t.denominator for t in self.point.torsion)))
+        return hash(_galois_key(self.point))
 
 
 def ideal_equal(p, q) -> bool:
@@ -323,15 +342,23 @@ def ideal_equal(p, q) -> bool:
     return False
 
 
-def weyl_translate(w, p: EvalPoint) -> EvalPoint:
+def _galois_key(p: EvalPoint) -> tuple:
+    """A hashable key equal for two points exactly when ideal_equal holds:
+    the rational part and the least unit multiple of the torsion vector."""
+    m = p.torsion_order
+    return p.rational, min(tuple((k * t) % 1 for t in p.torsion)
+                           for k in range(1, m + 1) if gcd(k, m) == 1)
+
+
+def weyl_translate(w, p: EvalPoint, inverse_transpose=None) -> EvalPoint:
     """The translated point (w . p)(n) = p(w^{-1} n).
 
     Torsion and prime-exponent rows transform by the inverse-transpose
-    of the integer matrix w.
+    of the integer matrix w (computed here unless given).
     """
     if len(w) != p.rank:
         raise ValueError("matrix size does not match point rank")
-    inv_t = transpose(mat_inverse_unimodular(w))
+    inv_t = inverse_transpose or transpose(mat_inverse_unimodular(w))
     torsion = [t % 1 for t in mat_vec(inv_t, p.torsion)]
     primes = sorted({prime for coord in p.rational for prime, _ in coord})
     maps: list[dict[int, int]] = [{} for _ in range(p.rank)]
@@ -362,28 +389,26 @@ def _invariant_probe(d: RootDatum) -> list[LaurentPoly]:
 def fiber_over_RG(d: RootDatum, p: EvalPoint) -> list[MaxIdealDesc]:
     """The distinct maximal ideals over the invariant-ring ideal of p.
 
-    Enumerates the Weyl orbit of the point and deduplicates up to Galois
-    conjugacy.  As a consistency check, all members must evaluate a
-    probe set of invariants identically; a violation raises.
+    Enumerates the Weyl orbit of the point in sorted group order and
+    keeps the first translate of each Galois class.  As a consistency
+    check, all members must evaluate a probe set of invariants
+    identically; a violation raises.
     """
     if d.rank != p.rank:
         raise ValueError("datum and point rank differ")
     w = weyl_group(d)
-    out: list[MaxIdealDesc] = []
-    translates: list[EvalPoint] = []
-    for m in w.elements:
-        q = weyl_translate(m, p)
-        if not any(ideal_equal(q, seen) for seen in out):
-            out.append(MaxIdealDesc(q))
-            translates.append(q)
+    classes: dict[tuple, EvalPoint] = {}
+    for m, inv_t in zip(w.elements, w.inverse_transposes):
+        q = weyl_translate(m, p, inv_t)
+        classes.setdefault(_galois_key(q), q)
     probes = _invariant_probe(d)
     base_vals = [evaluate_poly(p, f) for f in probes]
-    for q in translates:
+    for q in classes.values():
         for f, val in zip(probes, base_vals):
             got = evaluate_poly(q, f)
             if not coeff_is_zero(got - val):
                 raise AssertionError("fiber member disagrees on an invariant probe")
-    return out
+    return [MaxIdealDesc(q) for q in classes.values()]
 
 
 @dataclass(frozen=True)
@@ -406,8 +431,8 @@ def stabilizer_check(d: RootDatum, p: EvalPoint) -> StabilizerReport:
     w = weyl_group(d)
     geo = []
     idl = []
-    for m in w.elements:
-        q = weyl_translate(m, p)
+    for m, inv_t in zip(w.elements, w.inverse_transposes):
+        q = weyl_translate(m, p, inv_t)
         if q == p:
             geo.append(m)
         if ideal_equal(q, p):

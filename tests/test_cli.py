@@ -347,3 +347,42 @@ def test_support_at_a_large_prime_exits_3_quickly(capsys):
         "support", "--type", "A", "--rank", "1", "--point", "20000000000000122^1"])
     assert code == 2
     assert "must be prime" in err
+
+
+@pytest.mark.parametrize("args", [["character", "--weight", "0,0"],
+                                  ["fiber", "--point", "2,3"],
+                                  ["stabilizer", "--point", "2,3"]])
+def test_affine_datum_exits_2_quickly(tmp_path, capsys, args):
+    path = tmp_path / "affine.json"
+    path.write_text(json.dumps(AFFINE_A1))
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, args[:1] + ["--datum-file", str(path)] + args[1:])
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert out == ""
+    assert "inconsistent coroot" in err
+
+
+def test_validate_cap_counts_the_weyl_group_not_the_roots(capsys):
+    # B3 has 18 roots, under the cap, but |W| = 48 is over it.
+    code, out, err = invoke(capsys, [
+        "validate", "--type", "B", "--rank", "3", "--cap", "20"])
+    assert code == 3
+    assert out == ""
+    assert "--cap = 20" in err
+
+
+def test_validate_weyl_order_matches_the_closed_form(capsys):
+    orders = {"A": lambda n: math.factorial(n + 1),
+              "B": lambda n: 2 ** n * math.factorial(n),
+              "C": lambda n: 2 ** n * math.factorial(n),
+              "D": lambda n: 2 ** (n - 1) * math.factorial(n),
+              "G": lambda n: 12}
+    for label, rank in [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                        ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4),
+                        ("G", 2)]:
+        for variant in ("simply_connected", "adjoint"):
+            code, out, _ = invoke(capsys, ["validate", "--type", label, "--rank",
+                                           str(rank), "--variant", variant])
+            assert code == 0
+            assert json.loads(out)["result"]["weyl_order"] == orders[label](rank)

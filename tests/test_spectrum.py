@@ -306,3 +306,52 @@ def test_unique_lift_rejects_noncentral():
     d = standard_datum("A", 1)
     with pytest.raises(ValueError):
         unique_lift_check(d, parse_point("2", 1))
+
+
+def test_evaluate_poly_is_the_sum_of_character_values():
+    from math import gcd
+    from repring.cyclotomic import demote
+    rng = random.Random(4242)
+    for m in list(range(1, 13)) + [30]:
+        for _ in range(4):
+            units = [a for a in range(m) if gcd(a, m) == 1]
+            torsion = [Fraction(rng.choice(units), m)]
+            torsion += [Fraction(rng.randrange(m), m) for _ in range(2)]
+            rational = [{q: rng.choice([-2, -1, 1, 2]) for q in (2, 3, 5)
+                         if rng.random() < 0.4} for _ in range(3)]
+            p = EvalPoint.from_parts(torsion, rational)
+            assert p.torsion_order == m
+            terms = {tuple(rng.randint(-3, 3) for _ in range(3)):
+                     Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(8)}
+            cyclo_terms = dict(terms)
+            cyclo_terms[(1, 0, -1)] = Cyclo.zeta(5, 2) * Fraction(3, 2)
+            cyclo_terms[(0, 2, 1)] = Cyclo.zeta(m, 1) - Fraction(1, 3)
+            for f, rational_coeffs in ((LaurentPoly(3, terms), True),
+                                       (LaurentPoly(3, cyclo_terms), False)):
+                total = Fraction(0)
+                for e, c in f.terms.items():
+                    total = total + c * evaluate_char(p, e)
+                expected = demote(total)
+                got = evaluate_poly(p, f)
+                assert got == expected
+                assert isinstance(got, Fraction) == isinstance(expected, Fraction)
+                if rational_coeffs and isinstance(got, Cyclo):
+                    assert got.order == m
+
+
+def test_galois_key_is_equal_exactly_for_equal_ideals():
+    from math import gcd
+    from repring.spectrum import _galois_key
+    rng = random.Random(2718)
+    for _ in range(200):
+        rank = rng.randint(1, 3)
+        p = random_point(rng, rank)
+        m = p.torsion_order
+        k = rng.choice([k for k in range(1, m + 1) if gcd(k, m) == 1])
+        conjugate = EvalPoint(tuple((k * t) % 1 for t in p.torsion), p.rational)
+        others = [conjugate, random_point(rng, rank),
+                  EvalPoint(tuple((rng.randrange(1, 4) * t) % 1 for t in p.torsion), p.rational),
+                  EvalPoint(conjugate.torsion, random_point(rng, rank, False).rational)]
+        assert ideal_equal(p, conjugate)
+        for q in others:
+            assert (_galois_key(p) == _galois_key(q)) == ideal_equal(p, q)
