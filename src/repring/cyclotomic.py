@@ -54,23 +54,22 @@ def euler_phi(m: int) -> int:
     return result
 
 
-def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Exact division of integer polynomials with monic divisor."""
-    num = num[:]
-    q = [0] * max(len(num) - len(den) + 1, 0)
-    while len(num) >= len(den) and any(num):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) < len(den):
-            break
-        shift = len(num) - len(den)
-        c = num[-1]
-        q[shift] = c
-        for i, d in enumerate(den):
-            num[shift + i] -= c * d
-    while num and num[-1] == 0:
-        num.pop()
-    return q, num
+def _divide_monic(num: list, den: list[int]) -> tuple[list, list]:
+    """(quotient, remainder) of num by the monic integer polynomial den,
+    both coefficient lists low to high; the remainder has len(den) - 1
+    entries when num has at least that many.  Zero coefficients are
+    skipped."""
+    deg = len(den) - 1
+    work = list(num)
+    q = [0] * max(len(work) - deg, 0)
+    for i in range(len(work) - 1, deg - 1, -1):
+        c = work[i]
+        if c:
+            q[i - deg] = c
+            for j, dj in enumerate(den):
+                if dj:
+                    work[i - deg + j] -= c * dj
+    return q, work[:deg]
 
 
 def cyclotomic_polynomial(m: int) -> list[int]:
@@ -85,30 +84,12 @@ def cyclotomic_polynomial(m: int) -> list[int]:
         num[m] = 1
         for d in range(1, m):
             if m % d == 0:
-                num, rem = _poly_divmod_int(num, cyclotomic_polynomial(d))
-                if rem:
+                num, rem = _divide_monic(num, cyclotomic_polynomial(d))
+                if any(rem):
                     raise AssertionError("cyclotomic division left a remainder")
         poly = num
     _CYCLO_CACHE[m] = poly
     return poly
-
-
-def _reduce_mod_cyclotomic(coeffs: list, m: int) -> list:
-    """Reduce a coefficient list (Fractions or ints) modulo the m-th
-    cyclotomic polynomial."""
-    phi_m = cyclotomic_polynomial(m)
-    deg = len(phi_m) - 1
-    work = coeffs[:]
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
-        if c:
-            for j, d in enumerate(phi_m):
-                if d:
-                    work[i - deg + j] -= c * d
-    work = work[:deg]
-    while len(work) < deg:
-        work.append(Fraction(0))
-    return work
 
 
 class Cyclo:
@@ -122,7 +103,7 @@ class Cyclo:
         deg = euler_phi(order)
         cs = [Fraction(c) for c in coords]
         if len(cs) > deg:
-            cs = _reduce_mod_cyclotomic(cs, order)
+            cs = _divide_monic(cs, cyclotomic_polynomial(order))[1]
         while len(cs) < deg:
             cs.append(Fraction(0))
         self.order = order
@@ -138,7 +119,7 @@ class Cyclo:
         # Reduce x^power in integers: in Fractions this took half of a
         # fiber computation at a point of torsion order 30.
         power %= order
-        return cls(order, _reduce_mod_cyclotomic([0] * power + [1], order))
+        return cls(order, _divide_monic([0] * power + [1], cyclotomic_polynomial(order))[1])
 
     def promote(self, order: int) -> "Cyclo":
         """Rewrite in Q(zeta_order); order must be a multiple of self.order."""
@@ -198,30 +179,17 @@ class Cyclo:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse: the product of the other Galois
+        conjugates over the norm, which is the rational product of all of
+        them (Cohen, A Course in Computational Algebraic Number Theory,
+        section 4.3)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        mod = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = mod, list(self.coords)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def trim(p):
-            while p and not p[-1]:
-                p.pop()
-            return p
-
-        r1 = trim(r1)
-        while True:
-            r1 = trim(r1)
-            if not r1:
-                raise AssertionError("cyclotomic polynomial should be irreducible over Q")
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                return Cyclo(self.order, [c * inv for c in s1])
-            q, r = _poly_divmod_frac(r0, r1)
-            s_new = _poly_sub(s0, _poly_mul(q, s1))
-            r0, r1 = r1, r
-            s0, s1 = s1, s_new
+        others = Cyclo.from_rational(1, self.order)
+        for k in range(2, self.order):
+            if gcd(k, self.order) == 1:
+                others = others * self.galois(k)
+        return others / (self * others).as_rational()
 
     def __truediv__(self, other):
         if isinstance(other, (Fraction, int)):
@@ -258,11 +226,11 @@ class Cyclo:
         """Apply the automorphism zeta -> zeta^k; k must be coprime to the order."""
         if gcd(k, self.order) != 1:
             raise ValueError("galois exponent must be coprime to the order")
-        acc = Cyclo.from_rational(0, self.order)
+        slots = [Fraction(0)] * self.order
         for i, c in enumerate(self.coords):
             if c:
-                acc = acc + Cyclo.zeta(self.order, (i * k) % self.order) * c
-        return acc
+                slots[i * k % self.order] += c
+        return Cyclo(self.order, slots)
 
     def __repr__(self) -> str:
         return f"Cyclo({self.order}, {list(self.coords)})"
@@ -287,48 +255,6 @@ class Cyclo:
         for neg, body in parts[1:]:
             out += (" - " if neg else " + ") + body
         return out
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _poly_divmod_frac(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    num = num[:]
-    while num and not num[-1]:
-        num.pop()
-    if not den or not den[-1]:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    while len(num) >= len(den):
-        c = num[-1] / den[-1]
-        shift = len(num) - len(den)
-        q[shift] = c
-        for i, d in enumerate(den):
-            num[shift + i] -= c * d
-        while num and not num[-1]:
-            num.pop()
-    return q, num
 
 
 def demote(value):

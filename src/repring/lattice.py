@@ -2,10 +2,11 @@
 
 Matrices are row-major sequences of integer rows with arbitrary-precision
 entries: lists and tuples are both accepted, and results are lists.  The
-module provides the two classical normal forms (Smith and Hermite)
-together with the lattice operations built on top of them: kernels,
-saturation, membership tests, and finitely generated abelian quotients
-in invariant-factor form.
+row Hermite form is the one integer elimination: the Smith form, the
+unimodular inverse and kernels are read off Hermite forms, and so are
+the lattice operations built on top of them: saturation, membership
+tests, and finitely generated abelian quotients in invariant-factor
+form.  Bareiss's fraction-free determinant stands beside it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .linalg import RowSpace
 
 Matrix = list[list[int]]
 Vector = list[int]
@@ -83,107 +83,48 @@ def det(a: Matrix) -> int:
 def mat_inverse_unimodular(a: Matrix) -> Matrix:
     """Invert an integer matrix with determinant +-1.
 
-    The inverse is read off the reduced echelon form of [a | I], whose
-    row with pivot p carries row p of the inverse.  Raises ValueError if
-    the matrix is singular or not unimodular (the inverse would not be
-    integral).
+    The inverse is the U of the Hermite form U * a = I.  Raises
+    ValueError if the matrix is singular or not unimodular (the inverse
+    would not be integral).
     """
     n, m = _shape(a)
     if n != m:
         raise ValueError("cannot invert a non-square matrix")
-    space = RowSpace(2 * n)
-    for i, row in enumerate(a):
-        space.add(list(row) + [int(i == j) for j in range(n)])
-    if any(p >= n for p in space.pivots):
+    h, u = hermite_normal_form(a)
+    if n and not any(h[-1]):
         raise ValueError("matrix is singular")
-    inverse = [row[n:] for _, row in sorted(zip(space.pivots, space.rows))]
-    if any(x % 1 for row in inverse for x in row):
+    if h != identity_matrix(n):
         raise ValueError("matrix is not unimodular; inverse is not integral")
-    return [[int(x) for x in row] for row in inverse]
+    return u
 
 
 def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Return (U, D, V) with D = U * a * V diagonal.
 
     U and V are unimodular.  The diagonal of D is nonnegative and each
-    entry divides the next.  Pivots are chosen by smallest nonzero
-    absolute value, which keeps intermediate entries small on the dense
-    small matrices this package works with.
+    entry divides the next.  Row and column Hermite forms alternate until
+    the matrix is diagonal (Kannan & Bachem 1979).  A diagonal entry that
+    does not divide the next gets the next column added to its own, and
+    the alternation resumes: the next row Hermite form puts their gcd in
+    its place.  (Adding the next row instead would be reduced away by
+    that same row Hermite form.)
     """
     m, n = _shape(a)
-    d = [list(row) for row in a]
-    u = identity_matrix(m)
-    v = identity_matrix(n)
-
-    def add_row(dst: int, src: int, q: int) -> None:
-        d[dst] = [x + q * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst: int, src: int, q: int) -> None:
-        for row in d:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def swap_rows(i: int, j: int) -> None:
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def negate_row(i: int) -> None:
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
-    for k in range(min(m, n)):
-        while True:
-            best = None
-            for i in range(k, m):
-                for j in range(k, n):
-                    if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                break
-            if best[0] != k:
-                swap_rows(k, best[0])
-            if best[1] != k:
-                swap_cols(k, best[1])
-            if d[k][k] < 0:
-                negate_row(k)
-            piv = d[k][k]
-            clean = True
-            for i in range(k + 1, m):
-                if d[i][k] != 0:
-                    add_row(i, k, -(d[i][k] // piv))
-                    if d[i][k] != 0:
-                        clean = False
-            for j in range(k + 1, n):
-                if d[k][j] != 0:
-                    add_col(j, k, -(d[k][j] // piv))
-                    if d[k][j] != 0:
-                        clean = False
-            if not clean:
-                continue
-            # Column and row are clear; enforce divisibility of the
-            # trailing block by the pivot.
-            offender = None
-            for i in range(k + 1, m):
-                for j in range(k + 1, n):
-                    if d[i][j] % piv != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(k, offender, 1)
-        if k < min(m, n) and d[k][k] == 0:
-            break
-    return u, d, v
+    d, u, v = [list(row) for row in a], identity_matrix(m), identity_matrix(n)
+    if not (m and n):
+        return u, d, v
+    while True:
+        d, p = hermite_normal_form(d)
+        dt, q = hermite_normal_form(transpose(d))
+        d, u, v = transpose(dt), mat_mul(p, u), mat_mul(v, transpose(q))
+        if any(d[i][j] for i in range(m) for j in range(n) if i != j):
+            continue
+        k = next((i for i in range(min(m, n) - 1)
+                  if d[i][i] and d[i + 1][i + 1] % d[i][i]), None)
+        if k is None:
+            return u, d, v
+        for row in (*d, *v):
+            row[k] += row[k + 1]
 
 
 def hermite_normal_form(a: Matrix) -> tuple[Matrix, Matrix]:
@@ -313,18 +254,14 @@ def full_lattice(ambient_rank: int) -> Sublattice:
 
 
 def kernel(a: Matrix) -> Sublattice:
-    """The saturated sublattice {v : a @ v = 0} of Z^ncols."""
+    """The saturated sublattice {v : a @ v = 0} of Z^ncols: the rows of
+    U, where U * a^T = H is the Hermite form, that meet zero rows of H."""
     m, n = _shape(a)
     if m == 0:
         raise ValueError("kernel of an empty matrix needs an explicit width; "
                          "use full_lattice instead")
-    _, d, v = smith_normal_form(a)
-    gens = []
-    for j in range(n):
-        dj = d[j][j] if j < min(m, n) else 0
-        if dj == 0:
-            gens.append([v[i][j] for i in range(n)])
-    return Sublattice(n, gens)
+    h, u = hermite_normal_form(transpose(a))
+    return Sublattice(n, [row for row, hrow in zip(u, h) if not any(hrow)])
 
 
 def saturate(s: Sublattice) -> Sublattice:

@@ -54,9 +54,6 @@ class Poly(LaurentPoly):
             raise ValueError("polynomial powers must be nonnegative integers")
         return super().__pow__(n)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def substitute(self, values: list) -> object:
         """Evaluate with arbitrary ring elements (anything with + and *)."""
         if len(values) != self.nvars:

@@ -317,9 +317,14 @@ def is_dominant(d: RootDatum, v) -> bool:
 
 
 def dominant_representative(d: RootDatum, v) -> tuple[int, ...]:
-    """The unique dominant vector in the orbit of v, by descent."""
+    """The unique dominant vector in the orbit of v, by descent.
+
+    A datum of finite type needs at most one step per positive root; the
+    descent stops after ROOT_CLOSURE_CAP steps with ResourceCapError,
+    which on a datum of infinite type it would otherwise never leave.
+    """
     cur = list(map(int, v))
-    while True:
+    for _ in range(ROOT_CLOSURE_CAP + 1):
         for a, av in zip(d.simple_roots, d.simple_coroots):
             k = d.pairing(cur, av)
             if k < 0:
@@ -327,6 +332,8 @@ def dominant_representative(d: RootDatum, v) -> tuple[int, ...]:
                 break
         else:
             return tuple(cur)
+    raise ResourceCapError(f"dominant descent exceeded ROOT_CLOSURE_CAP = "
+                           f"{ROOT_CLOSURE_CAP} steps")
 
 
 def coroot_lattice(d: RootDatum) -> Sublattice:

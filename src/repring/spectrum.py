@@ -81,19 +81,6 @@ class EvalPoint:
     def rational_maps(self) -> list[dict[int, int]]:
         return [dict(coord) for coord in self.rational]
 
-    def coordinate_value(self, i: int):
-        """Coordinate i as an exact Fraction or Cyclo."""
-        q = Fraction(1)
-        for p, e in self.rational[i]:
-            q *= Fraction(p) ** e
-        t = self.torsion[i]
-        if t == 0:
-            return q
-        return demote(Cyclo.zeta(t.denominator, t.numerator) * q)
-
-    def is_trivial(self) -> bool:
-        return all(t == 0 for t in self.torsion) and all(not r for r in self.rational)
-
 
 _ZETA_RE = re.compile(r"^zeta\((\d+)\)(?:\^(-?\d+))?$")
 _POW_RE = re.compile(r"^(\d+)\^(-?\d+)$")
@@ -317,37 +304,23 @@ class MaxIdealDesc:
 
 
 def ideal_equal(p, q) -> bool:
-    """Whether two points define the same maximal ideal of evaluation.
-
-    True when the rational parts agree coordinatewise and some unit k
-    modulo the common torsion order rescales one torsion vector onto the
-    other (the Galois action on roots of unity).
-    """
+    """Whether two points define the same maximal ideal of evaluation:
+    equal ranks and equal Galois keys, that is, equal rational parts and
+    torsion vectors related by a unit multiplier (the Galois action on
+    roots of unity)."""
     a = p.point if isinstance(p, MaxIdealDesc) else p
     b = q.point if isinstance(q, MaxIdealDesc) else q
-    if a.rank != b.rank:
-        return False
-    if a.rational != b.rational:
-        return False
-    if tuple(t.denominator for t in a.torsion) != tuple(t.denominator for t in b.torsion):
-        return False
-    m = a.torsion_order
-    if m == 1:
-        return True
-    for k in range(1, m):
-        if gcd(k, m) != 1:
-            continue
-        if all((k * t) % 1 == s for t, s in zip(a.torsion, b.torsion)):
-            return True
-    return False
+    return a.rank == b.rank and _galois_key(a) == _galois_key(b)
 
 
 def _galois_key(p: EvalPoint) -> tuple:
-    """A hashable key equal for two points exactly when ideal_equal holds:
-    the rational part and the least unit multiple of the torsion vector."""
+    """A hashable Galois-normal key of a point: the rational part, the
+    torsion order m, and the least unit multiple of the torsion vector
+    written in integers over m."""
     m = p.torsion_order
-    return p.rational, min(tuple((k * t) % 1 for t in p.torsion)
-                           for k in range(1, m + 1) if gcd(k, m) == 1)
+    top = [t.numerator * (m // t.denominator) for t in p.torsion]
+    return p.rational, m, min(tuple(k * a % m for a in top)
+                              for k in range(1, m + 1) if gcd(k, m) == 1)
 
 
 def weyl_translate(w, p: EvalPoint, inverse_transpose=None) -> EvalPoint:

@@ -8,11 +8,14 @@ simple-root coefficients.
 
 import math
 import random
+import threading
 
 import pytest
 
 from repring import rootdata
 from repring.errors import ResourceCapError
+from repring.invariants import decompose_into_orbit_sums
+from repring.laurent import LaurentPoly
 from repring.lattice import Sublattice, full_lattice, mat_vec
 from repring.rootdata import (RootDatum, all_roots, centralizer_subsystem,
                               datum_from_dict, dominant_representative,
@@ -299,6 +302,42 @@ def test_orbit_closure_is_capped(monkeypatch):
     monkeypatch.setattr(rootdata, "WEYL_ORDER_CAP", 7)
     with pytest.raises(ResourceCapError):
         orbit(simple_reflections(b2), (1, 1))
+
+
+def test_dominant_descent_is_capped_on_an_infinite_datum():
+    # On the affine A1 datum the descent from (-1, 0) never reaches a
+    # dominant vector.  Each call runs in a daemon thread, so that a
+    # descent that does not stop fails the test instead of hanging it.
+    d = RootDatum(2, ((2, -2), (-2, 2)), ((1, 0), (0, 1)))
+    for call in (lambda: dominant_representative(d, (-1, 0)),
+                 lambda: decompose_into_orbit_sums(d, LaurentPoly(2, {(-1, 0): 1}))):
+        errors = []
+
+        def descend():
+            try:
+                call()
+            except ResourceCapError as exc:
+                errors.append(str(exc))
+
+        worker = threading.Thread(target=descend, daemon=True)
+        worker.start()
+        worker.join(2.0)
+        assert not worker.is_alive(), "the descent was still running after 2 s"
+        assert errors == ["dominant descent exceeded ROOT_CLOSURE_CAP = 10000 steps"]
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)])
+def test_dominant_descent_takes_one_step_per_positive_root(monkeypatch, family, rank):
+    # -2 rho is regular and antidominant: its descent is a reduced word of
+    # the longest element, which has one letter per positive root.
+    d = standard_datum(family, rank)
+    steps = len(positive_roots(d))
+    start = tuple(-x for x in two_rho(d))
+    monkeypatch.setattr(rootdata, "ROOT_CLOSURE_CAP", steps)
+    assert dominant_representative(d, start) == two_rho(d)
+    monkeypatch.setattr(rootdata, "ROOT_CLOSURE_CAP", steps - 1)
+    with pytest.raises(ResourceCapError, match="ROOT_CLOSURE_CAP"):
+        dominant_representative(d, start)
 
 
 def test_generalized_cartan_sign_conditions_are_enforced():

@@ -7,6 +7,7 @@ ideals against explicit unit multipliers.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -309,7 +310,6 @@ def test_unique_lift_rejects_noncentral():
 
 
 def test_evaluate_poly_is_the_sum_of_character_values():
-    from math import gcd
     from repring.cyclotomic import demote
     rng = random.Random(4242)
     for m in list(range(1, 13)) + [30]:
@@ -339,8 +339,18 @@ def test_evaluate_poly_is_the_sum_of_character_values():
                     assert got.order == m
 
 
+def ideal_equal_by_unit_search(p, q):
+    """Independent oracle for Galois equality: equal ranks and rational
+    parts, and some unit k modulo the torsion order of p that rescales
+    the torsion vector of p onto that of q."""
+    if p.rank != q.rank or p.rational != q.rational:
+        return False
+    m = p.torsion_order
+    return any(all((k * t) % 1 == s for t, s in zip(p.torsion, q.torsion))
+               for k in range(1, m + 1) if gcd(k, m) == 1)
+
+
 def test_galois_key_is_equal_exactly_for_equal_ideals():
-    from math import gcd
     from repring.spectrum import _galois_key
     rng = random.Random(2718)
     for _ in range(200):
@@ -351,7 +361,10 @@ def test_galois_key_is_equal_exactly_for_equal_ideals():
         conjugate = EvalPoint(tuple((k * t) % 1 for t in p.torsion), p.rational)
         others = [conjugate, random_point(rng, rank),
                   EvalPoint(tuple((rng.randrange(1, 4) * t) % 1 for t in p.torsion), p.rational),
-                  EvalPoint(conjugate.torsion, random_point(rng, rank, False).rational)]
-        assert ideal_equal(p, conjugate)
+                  EvalPoint(conjugate.torsion, random_point(rng, rank, False).rational),
+                  random_point(rng, rank + 1)]
+        assert ideal_equal_by_unit_search(p, conjugate)
         for q in others:
-            assert (_galois_key(p) == _galois_key(q)) == ideal_equal(p, q)
+            expected = ideal_equal_by_unit_search(p, q)
+            assert (_galois_key(p) == _galois_key(q)) == expected
+            assert ideal_equal(p, q) == expected
