@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
-from .cyclotomic import Cyclo, coeff_is_zero, cyclotomic_polynomial
+from .cyclotomic import Cyclo, cyclotomic_polynomial
 from .errors import ResourceCapError
 from .groebner import groebner
 from .laurent import LaurentPoly, coefficient_row, inverse_monomial, weyl_act
@@ -102,6 +102,13 @@ class Presentation:
         return parse_poly(text, self.var_names)
 
 
+def _strings(value, field: str) -> list[str]:
+    """A config field that must be a JSON list of strings."""
+    if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
+        raise ValueError(f'"{field}" must be a list of strings')
+    return value
+
+
 def inversion_relations(num_gens: int, inverted: tuple[int, ...]) -> list[Poly]:
     nv = num_gens + len(inverted)
     rels = []
@@ -117,20 +124,19 @@ def _image_from_spec(spec: dict, rank: int, group: WeylGroup | None) -> LaurentP
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ValueError(f"image spec must be a one-key object, got {spec!r}")
     key, value = next(iter(spec.items()))
+    if key not in ("monomial", "terms", "orbit_sum"):
+        raise ValueError(f"unknown image spec kind {key!r}")
+    try:
+        if key == "terms":
+            return LaurentPoly(rank, [(exps, Fraction(str(c))) for c, exps in value])
+        vec = tuple(map(int, value))
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed {key} image spec: {exc}") from None
     if key == "monomial":
-        return LaurentPoly.monomial(value, rank=rank)
-    if key == "terms":
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for coeff_text, exps in value:
-            e = tuple(map(int, exps))
-            terms[e] = terms.get(e, Fraction(0)) + Fraction(str(coeff_text))
-        return LaurentPoly(rank, terms)
-    if key == "orbit_sum":
-        if group is None:
-            raise ValueError("orbit_sum image spec needs a Weyl group")
-        pts = orbit(group.generators, value)
-        return LaurentPoly(rank, {e: Fraction(1) for e in pts})
-    raise ValueError(f"unknown image spec kind {key!r}")
+        return LaurentPoly.monomial(vec, rank=rank)
+    if group is None:
+        raise ValueError("orbit_sum image spec needs a Weyl group")
+    return LaurentPoly(rank, {e: Fraction(1) for e in orbit(group.generators, vec)})
 
 
 def presentation_from_config(cfg: dict, rank: int,
@@ -142,11 +148,18 @@ def presentation_from_config(cfg: dict, rank: int,
     generator indices, and optional "relations" strings over y1..yg and
     the u-variables.  Orbit sums are taken over the supplied group.
     """
+    if not isinstance(cfg, dict) or not isinstance(cfg.get("images"), list):
+        raise ValueError('a presentation must be a JSON object with an "images" list')
     images = tuple(_image_from_spec(s, rank, group) for s in cfg["images"])
-    inverted = tuple(sorted(int(i) for i in cfg.get("inverted", [])))
+    try:
+        inverted = tuple(sorted(int(i) for i in cfg.get("inverted", [])))
+    except TypeError as exc:
+        raise ValueError(f'malformed "inverted": {exc}') from None
+    if not all(1 <= i <= len(images) for i in inverted):
+        raise ValueError(f'"inverted" indices must lie in 1..{len(images)}')
     names = ([f"y{i + 1}" for i in range(len(images))]
              + [f"u{i}" for i in inverted])
-    rels = [parse_poly(t, names) for t in cfg.get("relations", [])]
+    rels = [parse_poly(t, names) for t in _strings(cfg.get("relations", []), "relations")]
     rels.extend(inversion_relations(len(images), inverted))
     return Presentation(rank=rank, images=images, inverted=inverted,
                         relations=tuple(rels))
@@ -318,7 +331,7 @@ def _series_inverse(f: LaurentPoly, bound: int, nonzero_ring: bool) -> LaurentPo
     the quotient is the zero ring.
     """
     c = f.coefficient((0,) * f.rank)
-    if coeff_is_zero(c):
+    if not c:
         if nonzero_ring:
             raise ValueError("element is not invertible in the truncated quotient")
         return LaurentPoly.zero(f.rank)
@@ -551,9 +564,15 @@ def load_case_config(path: str) -> dict:
     """
     with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict) or not isinstance(cfg.get("datum"), dict):
+        raise ValueError('a case must be a JSON object with a "datum" object')
     dd = cfg["datum"]
-    d = standard_datum(dd["type"], int(dd["rank"]), dd.get("variant", "simply_connected"))
-    p = parse_point(",".join(cfg["point"]), d.rank)
+    try:
+        rank, j_max = int(dd["rank"]), int(cfg["j_max"])
+    except TypeError as exc:
+        raise ValueError(f"malformed case: {exc}") from None
+    d = standard_datum(str(dd["type"]), rank, str(dd.get("variant", "simply_connected")))
+    p = parse_point(",".join(_strings(cfg["point"], "point")), d.rank)
     big = weyl_group(d)
     source = presentation_from_config(cfg["source_presentation"], d.rank, big)
     sup = support(p)
@@ -568,6 +587,6 @@ def load_case_config(path: str) -> dict:
         "source": source,
         "target": target,
         "levi": levi,
-        "restriction": list(cfg["restriction"]),
-        "j_max": int(cfg["j_max"]),
+        "restriction": _strings(cfg["restriction"], "restriction"),
+        "j_max": j_max,
     }

@@ -3,8 +3,9 @@
 An element of order M is stored by its coordinates over the power basis
 1, zeta_M, ..., zeta_M^(phi(M)-1), reduced modulo the M-th cyclotomic
 polynomial.  Elements of different orders promote to the lcm order when
-combined.  Plain rationals interoperate freely; a coefficient that is
-actually rational can be demoted back to Fraction with as_rational().
+combined.  Plain rationals interoperate freely.  demote() is the normal
+form of an exact coefficient everywhere in the package: a Fraction, or
+a Cyclo that is not rational.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ class Cyclo:
         conjugates over the norm, which is the rational product of all of
         them (Cohen, A Course in Computational Algebraic Number Theory,
         section 4.3)."""
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("inverse of zero")
         others = Cyclo.from_rational(1, self.order)
         for k in range(2, self.order):
@@ -211,8 +212,8 @@ class Cyclo:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def is_zero(self) -> bool:
-        return not any(self.coords)
+    def __bool__(self) -> bool:
+        return any(self.coords)
 
     def is_rational(self) -> bool:
         return not any(self.coords[1:])
@@ -258,13 +259,12 @@ class Cyclo:
 
 
 def demote(value):
-    """Collapse a Cyclo that happens to be rational down to a Fraction."""
-    if isinstance(value, Cyclo) and value.is_rational():
-        return value.as_rational()
-    return value
-
-
-def coeff_is_zero(value) -> bool:
+    """The normal form of a coefficient: a Fraction as it is, an int as a
+    Fraction, and a Cyclo that happens to be rational as its Fraction."""
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, Cyclo):
-        return value.is_zero()
-    return value == 0
+        return value.coords[0] if value.is_rational() else value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"unsupported coefficient type {type(value).__name__}")

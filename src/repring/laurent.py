@@ -10,24 +10,21 @@ leading-term cancellation recovers quotients such as Weyl characters.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from operator import add, sub
 
-from .cyclotomic import Cyclo, coeff_is_zero, demote
+from .cyclotomic import Cyclo, demote
 from .lattice import Matrix, mat_vec
-
-
-def _normalize_coeff(c):
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, (Fraction, Cyclo)):
-        return demote(c)
-    raise TypeError(f"unsupported coefficient type {type(c).__name__}")
 
 
 class LaurentPoly:
     """A Laurent polynomial in rank variables, keyed by exponent vector.
 
-    Arithmetic builds results of type(self), so a subclass that restricts
-    exponents or coefficients (poly.Poly) inherits it unchanged.
+    terms is a dict from exponent vectors to coefficients, or an iterable
+    of (exponent, coefficient) pairs whose coefficients sum over equal
+    exponents.  Arithmetic builds results of type(self), so a subclass
+    that restricts exponents or coefficients (poly.Poly) inherits it
+    unchanged.
     """
 
     __slots__ = ("rank", "terms")
@@ -36,18 +33,8 @@ class LaurentPoly:
         if rank < 0:
             raise ValueError("rank must be nonnegative")
         self.rank = rank
-        clean: dict[tuple[int, ...], object] = {}
-        for exps, c in (terms or {}).items():
-            e = tuple(map(int, exps))
-            if len(e) != rank:
-                raise ValueError("exponent length does not match rank")
-            c = _normalize_coeff(c)
-            if not coeff_is_zero(c):
-                acc = clean.get(e)
-                clean[e] = c if acc is None else acc + c
-                if coeff_is_zero(clean[e]):
-                    del clean[e]
-        self.terms = clean
+        self.terms = _sum_terms({}, terms.items() if isinstance(terms, dict) else terms or (),
+                                rank)
 
     @classmethod
     def zero(cls, rank: int) -> "LaurentPoly":
@@ -79,17 +66,8 @@ class LaurentPoly:
         return op(other)
 
     def __add__(self, other):
-        def add(o):
-            out = dict(self.terms)
-            for e, c in o.terms.items():
-                acc = out.get(e)
-                s = c if acc is None else acc + c
-                if coeff_is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-            return type(self)(self.rank, out)
-        return self._binary(other, add)
+        return self._binary(other, lambda o: type(self)(
+            self.rank, chain(self.terms.items(), o.terms.items())))
 
     __radd__ = __add__
 
@@ -106,26 +84,15 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclo)):
-            c0 = _normalize_coeff(other)
-            if coeff_is_zero(c0):
-                return type(self).zero(self.rank)
-            return type(self)(self.rank, {e: c * c0 for e, c in self.terms.items()})
+            c0 = demote(other)
+            return type(self)(self.rank, ((e, c * c0) for e, c in self.terms.items()))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if other.rank != self.rank:
             raise ValueError("rank mismatch")
-        out: dict[tuple[int, ...], object] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                acc = out.get(e)
-                s = prod if acc is None else acc + prod
-                if coeff_is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return type(self)(self.rank, out)
+        return type(self)(self.rank, ((tuple(map(add, e1, e2)), c1 * c2)
+                                      for e1, c1 in self.terms.items()
+                                      for e2, c2 in other.terms.items()))
 
     __rmul__ = __mul__
 
@@ -150,9 +117,7 @@ class LaurentPoly:
             other = LaurentPoly(self.rank, {(0,) * self.rank: other})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if self.rank != other.rank or set(self.terms) != set(other.terms):
-            return False
-        return all(coeff_is_zero(self.terms[e] - other.terms[e]) for e in self.terms)
+        return self.rank == other.rank and self.terms == other.terms
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -205,18 +170,26 @@ def render(f: LaurentPoly) -> str:
     return out
 
 
+def _sum_terms(out: dict, pairs, rank: int) -> dict:
+    """Add (exponent, coefficient) pairs into out, the one place where
+    terms are summed: each coefficient is kept in the normal form of
+    cyclotomic.demote, and those that sum to zero are dropped."""
+    for exps, c in pairs:
+        e = tuple(map(int, exps))
+        if len(e) != rank:
+            raise ValueError("exponent length does not match rank")
+        acc = out.get(e)
+        c = demote(c if acc is None else acc + c)
+        if c:
+            out[e] = c
+        elif acc is not None:
+            del out[e]
+    return out
+
+
 def weyl_act(matrix: Matrix, f: LaurentPoly) -> LaurentPoly:
     """Relabel exponents by an integer matrix: e^n -> e^(matrix @ n)."""
-    out: dict[tuple[int, ...], object] = {}
-    for e, c in f.terms.items():
-        e2 = tuple(mat_vec(matrix, list(e)))
-        acc = out.get(e2)
-        s = c if acc is None else acc + c
-        if coeff_is_zero(s):
-            out.pop(e2, None)
-        else:
-            out[e2] = s
-    return LaurentPoly(f.rank, out)
+    return LaurentPoly(f.rank, ((mat_vec(matrix, e), c) for e, c in f.terms.items()))
 
 
 def coefficient_row(f: LaurentPoly, index: dict) -> list:
@@ -229,10 +202,7 @@ def coefficient_row(f: LaurentPoly, index: dict) -> list:
 
 def augmentation(f: LaurentPoly):
     """Sum of coefficients; the ring map killing every monomial to 1."""
-    total: object = Fraction(0)
-    for c in f.terms.values():
-        total = total + c
-    return demote(total)
+    return demote(sum(f.terms.values(), Fraction(0)))
 
 
 def inverse_monomial(f: LaurentPoly) -> LaurentPoly:
@@ -240,8 +210,7 @@ def inverse_monomial(f: LaurentPoly) -> LaurentPoly:
     if len(f.terms) != 1:
         raise ValueError("only monomials are invertible in the Laurent ring")
     (e, c), = f.terms.items()
-    inv = (1 / c) if isinstance(c, Fraction) else c.inverse()
-    return LaurentPoly(f.rank, {tuple(-x for x in e): inv})
+    return LaurentPoly(f.rank, {tuple(-x for x in e): 1 / c})
 
 
 def exact_divide(num: LaurentPoly, den: LaurentPoly, step_cap: int = 200_000) -> LaurentPoly:
@@ -259,29 +228,21 @@ def exact_divide(num: LaurentPoly, den: LaurentPoly, step_cap: int = 200_000) ->
     if num.is_zero():
         return LaurentPoly.zero(num.rank)
     den_lead = max(den.terms)
-    den_lead_coeff = den.terms[den_lead]
-    lower_bound = tuple(a - b for a, b in zip(min(num.terms), min(den.terms)))
+    inv = 1 / den.terms[den_lead]
+    lower_bound = tuple(map(sub, min(num.terms), min(den.terms)))
     rem = dict(num.terms)
+    minus_den = [(e, -c) for e, c in den.terms.items()]
     quot: dict[tuple[int, ...], object] = {}
     for _ in range(step_cap):
         if not rem:
             return LaurentPoly(num.rank, quot)
         lead = max(rem)
-        q_exp = tuple(a - b for a, b in zip(lead, den_lead))
+        q_exp = tuple(map(sub, lead, den_lead))
         if q_exp < lower_bound:
             raise ValueError("not divisible: quotient term fell below the exponent bound")
-        inv = (1 / den_lead_coeff) if isinstance(den_lead_coeff, Fraction) \
-            else den_lead_coeff.inverse()
         q_coeff = rem[lead] * inv
         quot[q_exp] = q_coeff
-        for e, c in den.terms.items():
-            e2 = tuple(a + b for a, b in zip(q_exp, e))
-            delta = q_coeff * c
-            acc = rem.get(e2)
-            s = -delta if acc is None else acc - delta
-            if coeff_is_zero(s):
-                rem.pop(e2, None)
-            else:
-                rem[e2] = s
+        _sum_terms(rem, ((tuple(map(add, q_exp, e)), q_coeff * c) for e, c in minus_den),
+                   num.rank)
     raise ValueError("division did not terminate within the step cap; "
                      "inputs are most likely not divisible")

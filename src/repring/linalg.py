@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import coeff_is_zero
-
 
 class RowSpace:
     """An incrementally built row space with exact membership tests.
@@ -31,7 +29,7 @@ class RowSpace:
         v = list(vec)
         for row, p, support in zip(self.rows, self.pivots, self._support):
             c = v[p]
-            if not coeff_is_zero(c):
+            if c:
                 for k in support:
                     v[k] = v[k] - c * row[k]
         return v
@@ -41,7 +39,7 @@ class RowSpace:
         if len(vec) != self.width:
             raise ValueError("row width mismatch")
         v = self.reduce(vec)
-        support = [i for i, x in enumerate(v) if not coeff_is_zero(x)]
+        support = [i for i, x in enumerate(v) if x]
         if not support:
             return False
         piv = support[0]
@@ -50,11 +48,11 @@ class RowSpace:
             v[k] = v[k] * inv
         for row, row_support in zip(self.rows, self._support):
             c = row[piv]
-            if not coeff_is_zero(c):
+            if c:
                 for k in support:
                     row[k] = row[k] - c * v[k]
                 row_support[:] = [k for k in sorted(set(row_support).union(support))
-                                  if not coeff_is_zero(row[k])]
+                                  if row[k]]
         self.rows.append(v)
         self.pivots.append(piv)
         self._support.append(support)
@@ -62,7 +60,7 @@ class RowSpace:
 
     def contains(self, vec) -> bool:
         v = self.reduce(list(vec))
-        return all(coeff_is_zero(x) for x in v)
+        return not any(v)
 
     @property
     def rank(self) -> int:
@@ -92,7 +90,7 @@ def solve_coordinates(rows: list[list], target: list) -> list[Fraction] | None:
     span.  Coefficients correspond to rows in the order given.
     """
     if not rows:
-        return None if any(not coeff_is_zero(x) for x in target) else []
+        return None if any(target) else []
     width = len(rows[0])
     n = len(rows)
     # Augment each row with an indicator so elimination tracks the
@@ -105,9 +103,9 @@ def solve_coordinates(rows: list[list], target: list) -> list[Fraction] | None:
     v = list(target) + [Fraction(0)] * n
     for row, p, support in zip(space.rows, space.pivots, space._support):
         c = v[p]
-        if p < width and not coeff_is_zero(c):
+        if p < width and c:
             for k in support:
                 v[k] = v[k] - c * row[k]
-    if any(not coeff_is_zero(x) for x in v[:width]):
+    if any(v[:width]):
         return None
     return [-x for x in v[width:]]

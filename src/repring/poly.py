@@ -28,10 +28,9 @@ class Poly(LaurentPoly):
     __slots__ = ()
 
     def __init__(self, nvars: int, terms=None) -> None:
-        terms = terms or {}
-        if any(x < 0 for e in terms for x in e):
-            raise ValueError("negative exponent in a polynomial")
         super().__init__(nvars, terms)
+        if any(x < 0 for e in self.terms for x in e):
+            raise ValueError("negative exponent in a polynomial")
         if any(isinstance(c, Cyclo) for c in self.terms.values()):
             raise ValueError("polynomial coefficients must be rational")
 

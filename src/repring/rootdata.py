@@ -131,11 +131,17 @@ def datum_from_dict(data: dict) -> RootDatum:
     """Build a datum from plain data: rank, simple roots, simple coroots.
 
     This is the on-disk JSON shape for custom data; name and variant are
-    optional.  All root-datum axioms are checked by the constructor.
+    optional.  All root-datum axioms are checked by the constructor; data
+    of the wrong shape raise ValueError.
     """
-    rank = int(data["rank"])
-    roots = tuple(tuple(map(int, v)) for v in data["simple_roots"])
-    coroots = tuple(tuple(map(int, v)) for v in data["simple_coroots"])
+    if not isinstance(data, dict):
+        raise ValueError("a datum must be a JSON object")
+    try:
+        rank = int(data["rank"])
+        roots = tuple(tuple(map(int, v)) for v in data["simple_roots"])
+        coroots = tuple(tuple(map(int, v)) for v in data["simple_coroots"])
+    except TypeError as exc:
+        raise ValueError(f"malformed datum: {exc}") from None
     return RootDatum(rank, roots, coroots,
                      name=str(data.get("name", "custom")),
                      variant=data.get("variant"))

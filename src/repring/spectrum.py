@@ -14,10 +14,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-from .cyclotomic import Cyclo, coeff_is_zero, demote, prime_factors
+from .cyclotomic import Cyclo, demote, prime_factors
 from .lattice import (FinAbGroup, Sublattice, is_member, kernel,
                       mat_inverse_unimodular, mat_vec, quotient_group, transpose)
 from .laurent import LaurentPoly
@@ -34,7 +35,9 @@ class EvalPoint:
 
     torsion[i] is a reduced fraction a/m in [0, 1) meaning the root of
     unity zeta_m^a; rational[i] is a sorted tuple of (prime, exponent)
-    pairs with nonzero exponents, encoding a positive rational.
+    pairs with nonzero exponents, encoding a positive rational.  The same
+    data in integers, zeta_row and prime_rows, are computed once per point;
+    evaluation, supports, Galois keys and Weyl translates read them.
     """
 
     torsion: tuple[Fraction, ...]
@@ -60,12 +63,23 @@ class EvalPoint:
     def rank(self) -> int:
         return len(self.torsion)
 
-    @property
+    @cached_property
     def torsion_order(self) -> int:
-        m = 1
-        for t in self.torsion:
-            m = lcm(m, t.denominator)
-        return m
+        return lcm(*(t.denominator for t in self.torsion))
+
+    @cached_property
+    def zeta_row(self) -> tuple[int, ...]:
+        """The torsion part over m = torsion_order: coordinate i is zeta_m^zeta_row[i]."""
+        m = self.torsion_order
+        return tuple(t.numerator * (m // t.denominator) for t in self.torsion)
+
+    @cached_property
+    def prime_rows(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The rational part as (prime, exponent at each coordinate), one
+        row per prime that occurs, primes ascending."""
+        primes = sorted({prime for coord in self.rational for prime, _ in coord})
+        return tuple((prime, tuple(dict(coord).get(prime, 0) for coord in self.rational))
+                     for prime in primes)
 
     @classmethod
     def from_parts(cls, torsion, rational_maps) -> "EvalPoint":
@@ -77,9 +91,6 @@ class EvalPoint:
     @classmethod
     def all_ones(cls, rank: int) -> "EvalPoint":
         return cls((Fraction(0),) * rank, ((),) * rank)
-
-    def rational_maps(self) -> list[dict[int, int]]:
-        return [dict(coord) for coord in self.rational]
 
 
 _ZETA_RE = re.compile(r"^zeta\((\d+)\)(?:\^(-?\d+))?$")
@@ -189,54 +200,44 @@ def render_point(p: EvalPoint) -> str:
     return ",".join(out)
 
 
+def _character(p: EvalPoint, n) -> tuple[int, Fraction]:
+    """The point's value on e^n as (k, q): zeta_m^k times the positive
+    rational q, m the torsion order."""
+    num = den = 1
+    for prime, row in p.prime_rows:
+        x = sum(map(mul, row, n))
+        if x > 0:
+            num *= prime ** x
+        elif x < 0:
+            den *= prime ** -x
+    return sum(map(mul, p.zeta_row, n)) % p.torsion_order, Fraction(num, den)
+
+
 def evaluate_char(p: EvalPoint, n) -> Fraction | Cyclo:
     """Value of the point on the lattice character with exponent vector n."""
     vec = list(map(int, n))
     if len(vec) != p.rank:
         raise ValueError("exponent length does not match point rank")
-    m = p.torsion_order
-    zeta_exp = 0
-    for t, ni in zip(p.torsion, vec):
-        if t != 0 and ni != 0:
-            zeta_exp += ni * t.numerator * (m // t.denominator)
-    zeta_exp %= m
-    q = Fraction(1)
-    for coord, ni in zip(p.rational, vec):
-        if ni:
-            for prime, e in coord:
-                q *= Fraction(prime) ** (e * ni)
-    if zeta_exp == 0:
-        return q
-    return demote(Cyclo.zeta(m, zeta_exp) * q)
+    k, q = _character(p, vec)
+    return demote(Cyclo.zeta(p.torsion_order, k) * q) if k else q
 
 
 def evaluate_poly(p: EvalPoint, f: LaurentPoly) -> Fraction | Cyclo:
     """Evaluate a Laurent polynomial at the point in one pass: each term's
-    rational part (from integer prime exponents) times a rational
-    coefficient goes into the slot of its power of zeta_m, m the torsion
-    order, reduced once as one Cyclo; Cyclo coefficients multiply out."""
+    rational part times a rational coefficient goes into the slot of its
+    power of zeta_m, m the torsion order, reduced once as one Cyclo;
+    Cyclo coefficients multiply out."""
     if f.rank != p.rank:
         raise ValueError("polynomial rank does not match point rank")
     m = p.torsion_order
-    zeta_row = [t.numerator * (m // t.denominator) for t in p.torsion]
-    primes = sorted({prime for coord in p.rational for prime, _ in coord})
-    prime_rows = [(prime, [dict(coord).get(prime, 0) for coord in p.rational])
-                  for prime in primes]
     slots = [Fraction(0)] * m
     rest: object = Fraction(0)
     for e, c in f.terms.items():
-        num = den = 1
-        for prime, row in prime_rows:
-            x = sum(map(mul, row, e))
-            if x > 0:
-                num *= prime ** x
-            elif x < 0:
-                den *= prime ** -x
-        k = sum(map(mul, zeta_row, e)) % m
+        k, q = _character(p, e)
         if isinstance(c, Cyclo):
-            rest = rest + c * Cyclo.zeta(m, k) * Fraction(num, den)
+            rest = rest + c * Cyclo.zeta(m, k) * q
         else:
-            slots[k] += c * Fraction(num, den)
+            slots[k] += c * q
     return demote(Cyclo(m, slots) + rest)
 
 
@@ -249,30 +250,16 @@ class SupportDesc:
     connected: bool
 
 
-def support(p: EvalPoint, _modulus_multiplier: int = 1) -> SupportDesc:
+def support(p: EvalPoint) -> SupportDesc:
     """Characters killed by the point, as a sublattice of Z^rank.
 
-    The torsion parts contribute one congruence row (handled through an
-    auxiliary modulus column that is projected away), and each prime
-    appearing in the rational parts contributes one exact integer row.
-    The support is connected exactly when the quotient is torsion-free.
-    The modulus multiplier widens the congruence modulus and must not
-    change the result; it exists so tests can check that stability.
+    The torsion part contributes one congruence row modulo the torsion
+    order m (through an auxiliary column that is projected away), and
+    each prime of the rational part one exact integer row.  The support
+    is connected exactly when the quotient is torsion-free.
     """
     r = p.rank
-    if _modulus_multiplier < 1:
-        raise ValueError("modulus multiplier must be positive")
-    m = p.torsion_order * _modulus_multiplier
-    rows: list[list[int]] = []
-    if any(t != 0 for t in p.torsion):
-        cong = [t.numerator * (m // t.denominator) for t in p.torsion]
-        rows.append(cong + [m])
-    else:
-        rows.append([0] * r + [1])
-    primes = sorted({prime for coord in p.rational for prime, _ in coord})
-    for prime in primes:
-        row = [dict(coord).get(prime, 0) for coord in p.rational]
-        rows.append(row + [0])
+    rows = [[*p.zeta_row, p.torsion_order]] + [[*row, 0] for _, row in p.prime_rows]
     ker = kernel(rows)
     lat = Sublattice(r, [g[:r] for g in ker.hnf_rows])
     quot = quotient_group(r, lat)
@@ -318,29 +305,28 @@ def _galois_key(p: EvalPoint) -> tuple:
     torsion order m, and the least unit multiple of the torsion vector
     written in integers over m."""
     m = p.torsion_order
-    top = [t.numerator * (m // t.denominator) for t in p.torsion]
-    return p.rational, m, min(tuple(k * a % m for a in top)
+    return p.rational, m, min(tuple(k * a % m for a in p.zeta_row)
                               for k in range(1, m + 1) if gcd(k, m) == 1)
 
 
 def weyl_translate(w, p: EvalPoint, inverse_transpose=None) -> EvalPoint:
     """The translated point (w . p)(n) = p(w^{-1} n).
 
-    Torsion and prime-exponent rows transform by the inverse-transpose
-    of the integer matrix w (computed here unless given).
+    The integer rows of the point, zeta_row and prime_rows, transform by
+    the inverse-transpose of the integer matrix w (computed here unless
+    given); the torsion order stays the same.
     """
     if len(w) != p.rank:
         raise ValueError("matrix size does not match point rank")
     inv_t = inverse_transpose or transpose(mat_inverse_unimodular(w))
-    torsion = [t % 1 for t in mat_vec(inv_t, p.torsion)]
-    primes = sorted({prime for coord in p.rational for prime, _ in coord})
-    maps: list[dict[int, int]] = [{} for _ in range(p.rank)]
-    for prime in primes:
-        vec = [dict(coord).get(prime, 0) for coord in p.rational]
-        for j, e in enumerate(mat_vec(inv_t, vec)):
+    m = p.torsion_order
+    torsion = tuple(Fraction(a % m, m) for a in mat_vec(inv_t, p.zeta_row))
+    coords: list[list[tuple[int, int]]] = [[] for _ in range(p.rank)]
+    for prime, row in p.prime_rows:
+        for coord, e in zip(coords, mat_vec(inv_t, row)):
             if e:
-                maps[j][prime] = e
-    return EvalPoint.from_parts(torsion, maps)
+                coord.append((prime, e))
+    return EvalPoint(torsion, tuple(map(tuple, coords)))
 
 
 def _invariant_probe(d: RootDatum) -> list[LaurentPoly]:
@@ -378,8 +364,7 @@ def fiber_over_RG(d: RootDatum, p: EvalPoint) -> list[MaxIdealDesc]:
     base_vals = [evaluate_poly(p, f) for f in probes]
     for q in classes.values():
         for f, val in zip(probes, base_vals):
-            got = evaluate_poly(q, f)
-            if not coeff_is_zero(got - val):
+            if evaluate_poly(q, f) != val:
                 raise AssertionError("fiber member disagrees on an invariant probe")
     return [MaxIdealDesc(q) for q in classes.values()]
 

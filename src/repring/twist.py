@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import coeff_is_zero
 from .lattice import Sublattice, coset_representative
 from .laurent import LaurentPoly, augmentation
 from .spectrum import EvalPoint, evaluate_char, evaluate_poly
@@ -71,13 +70,13 @@ def twist_element(f: LaurentPoly, p: EvalPoint) -> TwistedElement:
 def twist_augmentation_check(f: LaurentPoly, p: EvalPoint) -> bool:
     """Augmentation after twisting must equal direct evaluation at p.
 
-    Both sides are computed exactly and independently: the left through
-    twist_element plus coefficient summation, the right through
-    term-by-term evaluation.
+    Both sides are computed exactly: the left through twist_element plus
+    coefficient summation, the right through evaluate_poly's slot sum.
+    Both read the point's value on each exponent from its integer form.
     """
     left = augmentation(twist_element(f, p).poly)
     right = evaluate_poly(p, f)
-    return coeff_is_zero(left - right)
+    return left == right
 
 
 def twist_multiplicativity_check(f: LaurentPoly, g: LaurentPoly, p: EvalPoint) -> bool:

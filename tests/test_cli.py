@@ -190,6 +190,43 @@ def test_validate_basic(capsys):
         "free_rank": 0, "invariant_factors": []}
 
 
+def _case_with(**fields):
+    case = json.loads(pathlib.Path(SL3_CASE).read_text(encoding="utf-8"))
+    case.update(fields)
+    return case
+
+
+@pytest.mark.parametrize("command, flag, content", [
+    ("pi1", "--datum-file", [1, 2]),
+    ("pi1", "--datum-file", {"rank": None, "simple_roots": [], "simple_coroots": []}),
+    ("pi1", "--datum-file", {"rank": 1, "simple_roots": 5, "simple_coroots": [[2]]}),
+    ("validate", "--presentation-file", {"images": 3}),
+    ("validate", "--presentation-file", {"images": [{"orbit_sum": [1]}], "relations": [5]}),
+    ("nal-check", "--case", _case_with(restriction=[5, 6])),
+    ("nal-check", "--case", _case_with(datum=["A", 2])),
+    ("nal-check", "--case", _case_with(point="2,4")),
+    ("nal-check", "--case", _case_with(datum={"type": "A", "rank": None})),
+    ("nal-check", "--case", _case_with(datum={"type": 5, "rank": 2})),
+    ("nal-check", "--case", _case_with(j_max=None)),
+    ("validate", "--presentation-file", {"images": [{"orbit_sum": [1]}], "inverted": 3}),
+    ("validate", "--presentation-file", {"images": [{"monomial": [1]}], "inverted": [0]}),
+    ("validate", "--presentation-file", {"images": [{"monomial": 5}]}),
+    ("validate", "--presentation-file", {"images": [{"terms": [["1/0", [1]]]}]}),
+    ("validate", "--presentation-file", {"images": [{"orbit_sum": 5}]}),
+])
+def test_valid_json_of_the_wrong_shape_exits_2(tmp_path, capsys, command, flag, content):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content), encoding="utf-8")
+    argv = [command, flag, str(path)]
+    if command == "validate":
+        argv += ["--type", "A", "--rank", "1"]
+    code, out, err = invoke(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input:") and err.count("\n") == 1
+    assert "coordinates" not in err
+
+
 def test_validate_with_presentation(tmp_path, capsys):
     cfg = {"images": [{"orbit_sum": [1]}]}
     path = tmp_path / "sl2_pres.json"

@@ -5,7 +5,11 @@ chain, kernels must be saturated null lattices of the right rank (the
 gcd of the maximal minors of a basis is 1), unimodular inverses must
 round-trip on products of elementary matrices, cyclotomic inverses must
 invert and Galois maps must be ring homomorphisms, and point literals
-must round-trip.  Every test is derandomized, so a run always draws the
+must round-trip.  The coefficient protocol is checked the same way: a
+Cyclo is true exactly when nonzero, Laurent polynomials compare by value
+whatever order their cyclotomic coefficients are stored at, division by
+a cyclotomic leading coefficient is exact, and reflections act as
+involutions.  Every test is derandomized, so a run always draws the
 same examples.
 """
 
@@ -20,12 +24,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repring.cyclotomic import Cyclo, euler_phi  # noqa: E402
+from repring.laurent import LaurentPoly, exact_divide, weyl_act  # noqa: E402
 from repring.lattice import (det, identity_matrix, kernel, mat_inverse_unimodular,  # noqa: E402
                              mat_mul, mat_vec, smith_normal_form)
 from repring.linalg import rank as q_rank  # noqa: E402
+from repring.rootdata import simple_reflections, standard_datum  # noqa: E402
 from repring.spectrum import EvalPoint, parse_point, render_point  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+REFLECTIONS = [s for label in "ABC" for s in simple_reflections(standard_datum(label, 3))]
 
 
 @st.composite
@@ -66,6 +74,27 @@ def cyclo_cases(draw, max_order=60):
     coords = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5),
                       min_size=0, max_size=2 * euler_phi(m))
     return m, Cyclo(m, draw(coords)), Cyclo(m, draw(coords)), draw(st.sampled_from(units(m)))
+
+
+@st.composite
+def nonrational_cyclos(draw, max_order=30):
+    """An element of Q(zeta_m), 3 <= m <= max_order, that is not rational."""
+    m = draw(st.integers(3, max_order))
+    a = Cyclo(m, draw(st.lists(FRACTIONS, max_size=euler_phi(m))))
+    return a + Cyclo.zeta(m) if a.is_rational() else a
+
+
+COEFFS = st.one_of(FRACTIONS, st.builds(lambda c, m, k: c * Cyclo.zeta(m, k), FRACTIONS,
+                                        st.integers(1, 12), st.integers(0, 11)))
+
+
+@st.composite
+def laurent_polys(draw, coeffs=COEFFS, min_size=0):
+    """Rank 3, up to five terms with exponents in [-2, 2]; by default each
+    coefficient is a Fraction or a Fraction times a root of unity of
+    order up to 12."""
+    exps = st.tuples(*[st.integers(-2, 2)] * 3)
+    return LaurentPoly(3, draw(st.dictionaries(exps, coeffs, min_size=min_size, max_size=5)))
 
 
 @st.composite
@@ -132,12 +161,49 @@ def test_unimodular_inverse_round_trips(a):
 @given(cyclo_cases())
 def test_cyclo_inverse_and_galois_homomorphism(case):
     m, a, b, k = case
-    if not a.is_zero():
+    if a:
         assert a * a.inverse() == 1
     assert (a + b).galois(k) == a.galois(k) + b.galois(k)
     assert (a * b).galois(k) == a.galois(k) * b.galois(k)
     assert Cyclo.zeta(m).galois(k) == Cyclo.zeta(m, k)
     assert a.galois(1) == a
+
+
+@settings(PROPERTY, max_examples=60)
+@given(cyclo_cases(max_order=30))
+def test_cyclo_is_true_exactly_when_nonzero_and_then_invertible(case):
+    _, a, _, _ = case
+    assert bool(a) == any(a.coords)
+    if a:
+        assert a * (1 / a) == 1
+    else:
+        with pytest.raises(ZeroDivisionError):
+            1 / a
+
+
+@PROPERTY
+@given(laurent_polys(FRACTIONS.filter(bool), min_size=1), st.integers(2, 5))
+def test_laurent_equality_ignores_the_order_of_a_stored_coefficient(f, k):
+    z3 = Cyclo.zeta(3)
+    at_3, at_3k = f * z3, f * z3.promote(3 * k)
+    assert {c.order for c in at_3.terms.values()} == {3}
+    assert {c.order for c in at_3k.terms.values()} == {3 * k}
+    assert at_3 == at_3k
+    assert at_3 != f * z3.promote(3 * k) * z3
+
+
+@settings(PROPERTY, max_examples=60)
+@given(laurent_polys(), laurent_polys(), nonrational_cyclos())
+def test_exact_division_by_a_cyclotomic_leading_coefficient(f, h, a):
+    g = h + LaurentPoly(3, {(3, 0, 0): a})
+    assert g.terms[max(g.terms)] == a
+    assert exact_divide(f * g, g) == f
+
+
+@PROPERTY
+@given(laurent_polys(), st.sampled_from(REFLECTIONS))
+def test_a_simple_reflection_acts_as_an_involution(f, s):
+    assert weyl_act(s, weyl_act(s, f)) == f
 
 
 @PROPERTY
