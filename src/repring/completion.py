@@ -245,14 +245,8 @@ def _value_to_z_poly(value, nvars: int, order: int) -> Poly:
     if isinstance(value, (int, Fraction)):
         return Poly.constant(nvars, Fraction(value))
     assert isinstance(value, Cyclo)
-    c = value.promote(order)
-    out = Poly.zero(nvars)
-    for k, q in enumerate(c.coords):
-        if q:
-            e = [0] * nvars
-            e[0] = k
-            out = out + Poly(nvars, {tuple(e): q})
-    return out
+    return Poly(nvars, {(k,) + (0,) * (nvars - 1): q
+                        for k, q in enumerate(value.promote(order).coords) if q})
 
 
 def point_ideal(pres: Presentation, p: EvalPoint) -> list[Poly]:
@@ -272,10 +266,7 @@ def point_ideal(pres: Presentation, p: EvalPoint) -> list[Poly]:
     if all(isinstance(v, (int, Fraction)) for v in values):
         return [Poly.variable(nv, i) - Poly.constant(nv, Fraction(v))
                 for i, v in enumerate(values)]
-    order = 1
-    for v in values:
-        if isinstance(v, Cyclo):
-            order = order * v.order // math.gcd(order, v.order)
+    order = math.lcm(*(v.order for v in values if isinstance(v, Cyclo)))
     total = nv + 1
     cyc = cyclotomic_polynomial(order)
     gens = [Poly(total, {

@@ -1,11 +1,12 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_M).
 
-An element of order M is stored by its coordinates over the power basis
-1, zeta_M, ..., zeta_M^(phi(M)-1), reduced modulo the M-th cyclotomic
-polynomial.  Elements of different orders promote to the lcm order when
-combined.  Plain rationals interoperate freely.  demote() is the normal
-form of an exact coefficient everywhere in the package: a Fraction, or
-a Cyclo that is not rational.
+An element of order M is stored by integer numerators over one common
+denominator: its coordinates over the power basis 1, zeta_M, ...,
+zeta_M^(phi(M)-1), reduced modulo the M-th cyclotomic polynomial.
+Elements of different orders promote to the lcm order when combined.
+Plain rationals interoperate freely.  demote() is the normal form of an
+exact coefficient everywhere in the package: a Fraction, or a Cyclo
+that is not rational.
 """
 
 from __future__ import annotations
@@ -94,33 +95,42 @@ def cyclotomic_polynomial(m: int) -> list[int]:
 
 
 class Cyclo:
-    """An element of the cyclotomic field Q(zeta_order)."""
+    """An element sum(nums[i] * zeta^i) / den of Q(zeta_order): integer
+    numerators reduced modulo the cyclotomic polynomial over one positive
+    denominator coprime to them (Cohen, A Course in Computational
+    Algebraic Number Theory, section 4.2)."""
 
-    __slots__ = ("order", "coords")
+    __slots__ = ("order", "nums", "den")
 
-    def __init__(self, order: int, coords) -> None:
+    def __init__(self, order: int, coords, den: int = 1) -> None:
+        """sum(coords[i] * zeta_order^i) / den: int or Fraction coords, int den > 0."""
         if order < 1:
             raise ValueError("order must be positive")
-        deg = euler_phi(order)
-        cs = [Fraction(c) for c in coords]
-        if len(cs) > deg:
-            cs = _divide_monic(cs, cyclotomic_polynomial(order))[1]
-        while len(cs) < deg:
-            cs.append(Fraction(0))
-        self.order = order
-        self.coords = tuple(cs)
+        coords = list(coords)
+        scale = lcm(*(c.denominator for c in coords))
+        nums = [c.numerator * (scale // c.denominator) for c in coords]
+        poly = cyclotomic_polynomial(order)
+        deg = len(poly) - 1
+        nums = _divide_monic(nums, poly)[1] if len(nums) > deg else nums + [0] * (deg - len(nums))
+        den *= scale
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = [x // g for x in nums], den // g
+        self.order, self.nums, self.den = order, tuple(nums), den
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> "Cyclo":
-        c = [Fraction(value)] + [Fraction(0)] * (euler_phi(order) - 1)
-        return cls(order, c)
+        q = Fraction(value)
+        return cls(order, [q.numerator], q.denominator)
 
     @classmethod
     def zeta(cls, order: int, power: int = 1) -> "Cyclo":
-        # Reduce x^power in integers: in Fractions this took half of a
-        # fiber computation at a point of torsion order 30.
-        power %= order
-        return cls(order, _divide_monic([0] * power + [1], cyclotomic_polynomial(order))[1])
+        return cls(order, [0] * (power % order) + [1])
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The coordinates over 1, zeta, ..., zeta^(phi(order) - 1)."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def promote(self, order: int) -> "Cyclo":
         """Rewrite in Q(zeta_order); order must be a multiple of self.order."""
@@ -129,10 +139,9 @@ class Cyclo:
         if order % self.order != 0:
             raise ValueError("can only promote to a multiple of the current order")
         step = order // self.order
-        coords = [Fraction(0)] * ((len(self.coords) - 1) * step + 1)
-        for i, c in enumerate(self.coords):
-            coords[i * step] = c
-        return Cyclo(order, coords)
+        nums = [0] * ((len(self.nums) - 1) * step + 1)
+        nums[::step] = self.nums
+        return Cyclo(order, nums, self.den)
 
     @staticmethod
     def _pair(a: "Cyclo | Fraction | int", b: "Cyclo | Fraction | int") -> tuple["Cyclo", "Cyclo"]:
@@ -147,12 +156,13 @@ class Cyclo:
         if not isinstance(other, (Cyclo, Fraction, int)):
             return NotImplemented
         a, b = Cyclo._pair(self, other)
-        return Cyclo(a.order, [x + y for x, y in zip(a.coords, b.coords)])
+        return Cyclo(a.order, [x * b.den + y * a.den for x, y in zip(a.nums, b.nums)],
+                     a.den * b.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo(self.order, [-x for x in self.coords])
+        return Cyclo(self.order, [-x for x in self.nums], self.den)
 
     def __sub__(self, other):
         if not isinstance(other, (Cyclo, Fraction, int)):
@@ -167,29 +177,36 @@ class Cyclo:
             return NotImplemented
         if isinstance(other, (Fraction, int)):
             f = Fraction(other)
-            return Cyclo(self.order, [c * f if c else c for c in self.coords])
+            return Cyclo(self.order, [x * f.numerator for x in self.nums],
+                                   self.den * f.denominator)
         a, b = Cyclo._pair(self, other)
-        prod = [Fraction(0)] * (2 * len(a.coords))
-        for i, x in enumerate(a.coords):
+        prod = [0] * (len(a.nums) + len(b.nums) - 1)
+        for i, x in enumerate(a.nums):
             if x:
-                for j, y in enumerate(b.coords):
+                for j, y in enumerate(b.nums):
                     if y:
                         prod[i + j] += x * y
-        return Cyclo(a.order, prod)
+        return Cyclo(a.order, prod, a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
-        """Multiplicative inverse: the product of the other Galois
-        conjugates over the norm, which is the rational product of all of
-        them (Cohen, A Course in Computational Algebraic Number Theory,
-        section 4.3)."""
+        """Multiplicative inverse: a rational element inverts as its
+        Fraction, any other as the product of its other conjugates in the
+        least Q(zeta_d), d | order, that holds it, over the rational norm
+        (Cohen 4.3).  It lies in Q(zeta_d) when every zeta -> zeta^k with
+        k = 1 mod d fixes it, and zeta -> zeta^k acts there by k mod d."""
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        others = Cyclo.from_rational(1, self.order)
-        for k in range(2, self.order):
-            if gcd(k, self.order) == 1:
-                others = others * self.galois(k)
+        m = self.order
+        if self.is_rational():
+            return Cyclo.from_rational(1 / self.as_rational(), m)
+        units = [k for k in range(1, m) if gcd(k, m) == 1]
+        d = next(d for d in range(2, m + 1) if m % d == 0 and all(
+            self.galois(k) == self for k in units if k % d == 1 and k > 1))
+        others = Cyclo.from_rational(1, m)
+        for k in {k % d: k for k in units if k % d != 1}.values():
+            others = others * self.galois(k)
         return others / (self * others).as_rational()
 
     def __truediv__(self, other):
@@ -204,34 +221,34 @@ class Cyclo:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (Fraction, int)):
-            return self.is_rational() and self.coords[0] == other
+            return self.is_rational() and self.as_rational() == other
         if isinstance(other, Cyclo):
             a, b = Cyclo._pair(self, other)
-            return a.coords == b.coords
+            return a.nums == b.nums and a.den == b.den
         return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]
 
     def __bool__(self) -> bool:
-        return any(self.coords)
+        return any(self.nums)
 
     def is_rational(self) -> bool:
-        return not any(self.coords[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coords[0]
+        return Fraction(self.nums[0], self.den)
 
     def galois(self, k: int) -> "Cyclo":
         """Apply the automorphism zeta -> zeta^k; k must be coprime to the order."""
         if gcd(k, self.order) != 1:
             raise ValueError("galois exponent must be coprime to the order")
-        slots = [Fraction(0)] * self.order
-        for i, c in enumerate(self.coords):
-            if c:
-                slots[i * k % self.order] += c
-        return Cyclo(self.order, slots)
+        slots = [0] * self.order
+        for i, x in enumerate(self.nums):
+            if x:
+                slots[i * k % self.order] += x
+        return Cyclo(self.order, slots, self.den)
 
     def __repr__(self) -> str:
         return f"Cyclo({self.order}, {list(self.coords)})"
@@ -264,7 +281,7 @@ def demote(value):
     if isinstance(value, Fraction):
         return value
     if isinstance(value, Cyclo):
-        return value.coords[0] if value.is_rational() else value
+        return value.as_rational() if value.is_rational() else value
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"unsupported coefficient type {type(value).__name__}")

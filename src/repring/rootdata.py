@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import mul, sub
 
 from .errors import ResourceCapError
-from .lattice import (FinAbGroup, Sublattice, det, is_member, mat_mul, mat_vec,
-                      quotient_group, saturate, transpose)
+from .lattice import (FinAbGroup, Sublattice, det, is_member, mat_vec,
+                      quotient_group, saturate)
 from .linalg import solve_coordinates
 
 MatrixT = tuple[tuple[int, ...], ...]
@@ -200,23 +202,28 @@ def dual_reflection_matrix(rank: int, root, coroot) -> MatrixT:
                  for r in range(rank))
 
 
+def _reflect(x: tuple[int, ...], root, coroot) -> tuple[int, ...]:
+    """x - <x, coroot> root, the reflection as a rank-one update; x itself
+    when the pairing is 0."""
+    k = sum(map(mul, x, coroot))
+    return tuple([xi - k * ri for xi, ri in zip(x, root)]) if k else x
+
+
 def all_roots(d: RootDatum, cap: int = ROOT_CLOSURE_CAP) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All (root, coroot) pairs: the closure of the simple pairs under
-    simple reflections.  Returned sorted by root vector."""
-    refl = simple_reflections(d)
-    dual = [dual_reflection_matrix(d.rank, a, av)
-            for a, av in zip(d.simple_roots, d.simple_coroots)]
+    simple reflections, which act on coroots by the dual reflections.
+    Returned sorted by root vector."""
+    simple = list(zip(d.simple_roots, d.simple_coroots))
     found: dict[tuple[int, ...], tuple[int, ...]] = {}
     queue: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for a, av in zip(d.simple_roots, d.simple_coroots):
+    for a, av in simple:
         if a not in found:
             found[a] = av
             queue.append((a, av))
     while queue:
         a, av = queue.pop()
-        for s, sv in zip(refl, dual):
-            b = tuple(mat_vec(s, a))
-            bv = tuple(mat_vec(sv, av))
+        for s, sv in simple:
+            b, bv = _reflect(a, s, sv), _reflect(av, sv, s)
             known = found.get(b)
             if known is None:
                 if len(found) >= cap:
@@ -247,54 +254,69 @@ class WeylGroup:
         return m in set(self.elements)
 
 
-def _close_group(rank: int, generators: list[MatrixT], cap: int) -> WeylGroup:
-    """Close the reflections, carrying inverse-transposes: (m g)^-T = m^-T g^T,
-    since a reflection is its own inverse."""
+def _close_group(rank: int, pairs, cap: int) -> WeylGroup:
+    """Close the reflections s of the (root, coroot) pairs; each row of m s
+    and of the carried (m s)^-T = m^-T s^T is a rank-one update."""
+    pairs = [(tuple(a), tuple(av)) for a, av in pairs]
     ident: MatrixT = tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
-    gen_inv_t = [transpose(g) for g in generators]
     seen = {ident: ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for m in frontier:
-            for g, g_inv_t in zip(generators, gen_inv_t):
-                prod = tuple(tuple(r) for r in mat_mul(m, g))
+            for a, av in pairs:
+                prod = tuple(_reflect(row, av, a) for row in m)
                 if prod not in seen:
                     if len(seen) >= cap:
                         raise ResourceCapError(f"group enumeration exceeded cap {cap}")
-                    seen[prod] = tuple(tuple(r) for r in mat_mul(seen[m], g_inv_t))
+                    seen[prod] = tuple(_reflect(row, a, av) for row in seen[m])
                     nxt.append(prod)
         frontier = nxt
     elements = tuple(sorted(seen))
-    return WeylGroup(rank, elements, tuple(generators),
+    return WeylGroup(rank, elements,
+                     tuple(reflection_matrix(rank, a, av) for a, av in pairs),
                      tuple(seen[m] for m in elements))
 
 
 def weyl_group(d: RootDatum, cap: int = WEYL_ORDER_CAP) -> WeylGroup:
     all_roots(d)  # refuses a datum of infinite type before closing its group
-    return _close_group(d.rank, simple_reflections(d), cap)
+    return _close_group(d.rank, zip(d.simple_roots, d.simple_coroots), cap)
 
 
 def reflection_subgroup(rank: int, pairs, cap: int = WEYL_ORDER_CAP) -> WeylGroup:
     """Group generated by the reflections of the given (root, coroot) pairs."""
-    gens = [reflection_matrix(rank, a, av) for a, av in pairs]
-    return _close_group(rank, gens, cap)
+    return _close_group(rank, pairs, cap)
+
+
+def _rank_one(g, rank: int):
+    """(u, v) with g = I - u v^T for a rank x rank reflection matrix g,
+    None for the identity; any other matrix raises ValueError."""
+    diff = [[(r == c) - x for c, x in enumerate(row)] for r, row in enumerate(g)]
+    lead = next((row for row in diff if any(row)), [0] * rank)
+    v = [x // gcd(*lead) for x in lead] if any(lead) else lead
+    u = [next((row[j] // x for j, x in enumerate(v) if x), 0) for row in diff]
+    if len(v) != rank or len(u) != rank or any(
+            row != [a * x for x in v] for a, row in zip(u, diff)):
+        raise ValueError("orbit generators must be rank x rank reflections, I - u v^T")
+    return (u, v) if any(v) else None
 
 
 def orbit(generators, v, cap: int | None = None) -> list[tuple[int, ...]]:
     """The orbit of a character vector under the group generated by the
-    given matrices, sorted: a closure under the generators, without
-    enumerating the group.  Capped at cap points (WEYL_ORDER_CAP, read
-    at call time, when not given), since an infinite reflection group has
-    infinite orbits."""
+    given reflection matrices, sorted: a closure under the generators,
+    each factored once as I - root coroot^T and applied as the rank-one
+    update x -> x - <x, coroot> root, skipped where the pairing is 0.
+    Capped at cap points (WEYL_ORDER_CAP, read at call time, when not
+    given), since an infinite reflection group has infinite orbits."""
     limit = WEYL_ORDER_CAP if cap is None else cap
     start = tuple(map(int, v))
+    pairs = [uv for uv in (_rank_one(g, len(start)) for g in generators) if uv]
     seen = {start}
     queue = [start]
     while queue:
         x = queue.pop()
-        for g in generators:
-            y = tuple(mat_vec(g, x))
+        for a, av in pairs:
+            y = _reflect(x, a, av)
             if y not in seen:
                 if len(seen) >= limit:
                     name = "WEYL_ORDER_CAP = " if cap is None else ""
@@ -364,12 +386,11 @@ def positive_roots(d: RootDatum) -> list[tuple[tuple[int, ...], tuple[int, ...]]
     positive roots and every positive root descends to a simple one that
     way (Humphreys 10.2); all_roots runs first to refuse infinite type."""
     pairs = all_roots(d)
-    steps = list(zip(d.simple_roots, simple_reflections(d)))
     pos = set(d.simple_roots)
     stack = list(pos)
     while stack:
         b = stack.pop()
-        for c in (tuple(mat_vec(s, b)) for a, s in steps if a != b):
+        for c in (_reflect(b, a, av) for a, av in zip(d.simple_roots, d.simple_coroots) if a != b):
             if c not in pos:
                 pos.add(c)
                 stack.append(c)
@@ -426,17 +447,10 @@ def centralizer_subsystem(d: RootDatum, k: Sublattice) -> LeviDatum:
     sub_pairs = [pairs[i] for i in subset]
     pos = [(a, av) for a, av in positive_roots(d) if is_member(sat, a)]
     pos_set = {a for a, _ in pos}
-    base = []
-    for a, av in pos:
-        decomposable = any(
-            tuple(x - y for x, y in zip(a, b)) in pos_set and tuple(x - y for x, y in zip(a, b)) != a
-            for b in pos_set if b != a
-        )
-        if not decomposable:
-            base.append((a, av))
-    base.sort()
-    w_sub = reflection_subgroup(d.rank, sub_pairs) if sub_pairs else \
-        _close_group(d.rank, [], WEYL_ORDER_CAP)
+    # The base: the positive roots that are no sum of two others.
+    base = sorted((a, av) for a, av in pos
+                  if not any(tuple(map(sub, a, b)) in pos_set for b in pos_set))
+    w_sub = reflection_subgroup(d.rank, sub_pairs)
     levi = RootDatum(d.rank,
                      tuple(a for a, _ in base),
                      tuple(av for _, av in base),

@@ -12,7 +12,7 @@ sublattice of characters they kill.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -22,7 +22,8 @@ from .cyclotomic import Cyclo, demote, prime_factors
 from .lattice import (FinAbGroup, Sublattice, is_member, kernel,
                       mat_inverse_unimodular, mat_vec, quotient_group, transpose)
 from .laurent import LaurentPoly
-from .rootdata import RootDatum, WeylGroup, centralizer_subsystem, weyl_group
+from .rootdata import (RootDatum, WeylGroup, centralizer_subsystem, dominant_representative,
+                       weyl_group)
 
 
 def _is_prime(n: int) -> bool:
@@ -38,12 +39,14 @@ class EvalPoint:
     pairs with nonzero exponents, encoding a positive rational.  The same
     data in integers, zeta_row and prime_rows, are computed once per point;
     evaluation, supports, Galois keys and Weyl translates read them.
+    Primes in proven_primes (a validated source point's) skip trial division.
     """
 
     torsion: tuple[Fraction, ...]
     rational: tuple[tuple[tuple[int, int], ...], ...]
+    proven_primes: InitVar[frozenset] = frozenset()
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, proven_primes) -> None:
         if len(self.torsion) != len(self.rational):
             raise ValueError("torsion and rational parts must have equal length")
         for t in self.torsion:
@@ -51,7 +54,7 @@ class EvalPoint:
                 raise ValueError("torsion entries must lie in [0, 1)")
         for coord in self.rational:
             for p, e in coord:
-                if not _is_prime(p):
+                if p not in proven_primes and not _is_prime(p):
                     raise ValueError(f"{p} is not prime")
                 if e == 0:
                     raise ValueError("zero exponents must be dropped")
@@ -223,22 +226,36 @@ def evaluate_char(p: EvalPoint, n) -> Fraction | Cyclo:
 
 
 def evaluate_poly(p: EvalPoint, f: LaurentPoly) -> Fraction | Cyclo:
-    """Evaluate a Laurent polynomial at the point in one pass: each term's
-    rational part times a rational coefficient goes into the slot of its
-    power of zeta_m, m the torsion order, reduced once as one Cyclo;
-    Cyclo coefficients multiply out."""
+    """Evaluate a Laurent polynomial at the point in one pass, in integers:
+    each term with a rational coefficient adds an integer numerator into
+    the slot of its power of zeta_m, m the torsion order, over the lcm of
+    the coefficient denominators times each prime to minus its lowest
+    exponent (if negative).  The slots reduce once as one Cyclo; Cyclo
+    coefficients multiply out."""
     if f.rank != p.rank:
         raise ValueError("polynomial rank does not match point rank")
-    m = p.torsion_order
-    slots = [Fraction(0)] * m
-    rest: object = Fraction(0)
+    m, primes = p.torsion_order, p.prime_rows
+    terms, rest = [], 0
     for e, c in f.terms.items():
-        k, q = _character(p, e)
         if isinstance(c, Cyclo):
+            k, q = _character(p, e)
             rest = rest + c * Cyclo.zeta(m, k) * q
         else:
-            slots[k] += c * q
-    return demote(Cyclo(m, slots) + rest)
+            terms.append((sum(map(mul, p.zeta_row, e)) % m, c.numerator, c.denominator,
+                          [sum(map(mul, row, e)) for _, row in primes]))
+    low = [min(0, *xs) for xs in zip(*(t[3] for t in terms))]
+    den = lcm(*(t[2] for t in terms))
+    slots = [0] * m
+    for k, a, b, xs in terms:
+        v = a * (den // b)
+        for (prime, _), x, x0 in zip(primes, xs, low):
+            if x != x0:
+                v *= prime ** (x - x0)
+        slots[k] += v
+    for (prime, _), x0 in zip(primes, low):
+        den *= prime ** -x0
+    value = Cyclo(m, slots, den)
+    return demote(value + rest if rest else value)
 
 
 @dataclass(frozen=True)
@@ -326,23 +343,17 @@ def weyl_translate(w, p: EvalPoint, inverse_transpose=None) -> EvalPoint:
         for coord, e in zip(coords, mat_vec(inv_t, row)):
             if e:
                 coord.append((prime, e))
-    return EvalPoint(torsion, tuple(map(tuple, coords)))
+    return EvalPoint(torsion, tuple(map(tuple, coords)),
+                     frozenset(prime for prime, _ in p.prime_rows))
 
 
 def _invariant_probe(d: RootDatum) -> list[LaurentPoly]:
-    """A few small invariant polynomials used for internal consistency checks."""
+    """Small invariants for internal consistency checks: 1 and the orbit
+    sums of the distinct dominant representatives of the basis vectors."""
     from .invariants import orbit_sum
-    from .rootdata import dominant_representative
-    probes = [LaurentPoly.one(d.rank)]
-    seen = set()
-    for i in range(d.rank):
-        e = [0] * d.rank
-        e[i] = 1
-        lam = dominant_representative(d, e)
-        if lam not in seen:
-            seen.add(lam)
-            probes.append(orbit_sum(d, lam).poly)
-    return probes
+    lams = dict.fromkeys(dominant_representative(d, [int(i == j) for j in range(d.rank)])
+                         for i in range(d.rank))
+    return [LaurentPoly.one(d.rank)] + [orbit_sum(d, lam).poly for lam in lams]
 
 
 def fiber_over_RG(d: RootDatum, p: EvalPoint) -> list[MaxIdealDesc]:

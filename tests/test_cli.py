@@ -386,6 +386,20 @@ def test_support_at_a_large_prime_exits_3_quickly(capsys):
     assert "must be prime" in err
 
 
+@pytest.mark.parametrize("args, key, value", [
+    (["fiber", "--point", "2,3,zeta(3)^1,99999999977"], "size", 384),
+    (["stabilizer", "--point", "1,1,2,99999999977"], "agree", True)])
+def test_a_large_prime_coordinate_is_proven_prime_once(capsys, args, key, value):
+    # Every Weyl translate keeps the point's primes, which were proven
+    # prime when the point was parsed; trial division to the square root
+    # of 99999999977 on each of the 384 translates took over 30 s.
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, args[:1] + ["--type", "C", "--rank", "4"] + args[1:])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0, err
+    assert json.loads(out)["result"][key] == value
+
+
 @pytest.mark.parametrize("args", [["character", "--weight", "0,0"],
                                   ["fiber", "--point", "2,3"],
                                   ["stabilizer", "--point", "2,3"]])

@@ -4,6 +4,9 @@ The cyclotomic polynomials are checked with the product identity
 prod_{d | n} Phi_d(x) = x^n - 1, and Euler's phi with direct coprime
 counting.  Field arithmetic is exercised through inverse round-trips and
 Galois-automorphism homomorphism properties on seeded random elements.
+Every operation is also compared, coordinate for coordinate, with the
+Fraction-coordinate class kept in `tests/cyclo_oracle.py`, and `str` and
+`repr` with fixed goldens.
 """
 
 import random
@@ -13,6 +16,7 @@ from math import gcd
 
 import pytest
 
+from cyclo_oracle import FracCyclo
 from repring import cyclotomic
 from repring.cyclotomic import (Cyclo, cyclotomic_polynomial, demote, euler_phi,
                                 prime_factors)
@@ -200,3 +204,55 @@ def test_string_rendering():
     assert str(Cyclo.from_rational(Fraction(-3, 2), 4)) == "-3/2"
     assert str(Cyclo.zeta(5) * 2 + 1) == "1 + 2*zeta(5)^1"
     assert str(Cyclo.from_rational(0)) == "0"
+
+
+def test_string_and_repr_goldens():
+    cases = [
+        (Cyclo(12, [Fraction(1, 2), -1, 0, Fraction(-3, 4)]),
+         "1/2 - zeta(12)^1 - 3/4*zeta(12)^3",
+         "Cyclo(12, [Fraction(1, 2), Fraction(-1, 1), Fraction(0, 1), Fraction(-3, 4)])"),
+        (Cyclo(5, [0, 1]), "zeta(5)^1",
+         "Cyclo(5, [Fraction(0, 1), Fraction(1, 1), Fraction(0, 1), Fraction(0, 1)])"),
+        (Cyclo(7, [Fraction(-2, 3), 0, 0, 0, 0, 0, 1]),
+         "-5/3 - zeta(7)^1 - zeta(7)^2 - zeta(7)^3 - zeta(7)^4 - zeta(7)^5",
+         "Cyclo(7, [Fraction(-5, 3), Fraction(-1, 1), Fraction(-1, 1), Fraction(-1, 1), "
+         "Fraction(-1, 1), Fraction(-1, 1)])"),
+        (Cyclo(9, []), "0", "Cyclo(9, [" + ", ".join(["Fraction(0, 1)"] * 6) + "])"),
+        (Cyclo(3, [5, -1]) * Cyclo.zeta(4), "zeta(12)^1 + 5*zeta(12)^3",
+         "Cyclo(12, [Fraction(0, 1), Fraction(1, 1), Fraction(0, 1), Fraction(5, 1)])"),
+        (Cyclo.zeta(8, 4), "-1",
+         "Cyclo(8, [Fraction(-1, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)])"),
+    ]
+    for value, text, rep in cases:
+        assert (str(value), repr(value)) == (text, rep)
+
+
+def test_arithmetic_matches_the_fraction_coordinate_oracle():
+    # The oracle reduces in Fractions, coordinate by coordinate; the
+    # library works on integer numerators over one denominator.
+    rng = random.Random(17711)
+
+    def draw(order):
+        return [Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 9]))
+                for _ in range(rng.randint(0, 2 * euler_phi(order)))]
+
+    for m in range(1, 61):
+        units = [k for k in range(1, m + 1) if gcd(k, m) == 1]
+        for _ in range(2 if m <= 30 else 1):
+            ca, cb = draw(m), draw(m)
+            d = rng.choice([k for k in range(1, m + 1) if m % k == 0])
+            cd = draw(d)
+            q = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+            k = rng.choice(units)
+            a, b, c = Cyclo(m, ca), Cyclo(m, cb), Cyclo(d, cd)
+            oa, ob, oc = FracCyclo(m, ca), FracCyclo(m, cb), FracCyclo(d, cd)
+            pairs = [(a, oa), (a + b, oa + ob), (a - b, oa - ob), (a * b, oa * ob),
+                     (a * c, oa * oc), (c + a, oc + oa), (a * q, oa * q), (a + q, oa + q),
+                     (-a, -oa), (a.galois(k), oa.galois(k)),
+                     (c.promote(m), oc.promote(m)), (a.promote(2 * m), oa.promote(2 * m))]
+            for got, want in pairs:
+                assert (got.order, got.coords) == (want.order, want.coords), m
+                assert all(type(x) is Fraction for x in got.coords)
+            assert Cyclo(m, iter(ca)) == a
+            assert (a == b) == (oa == ob) and (a == c) == (oa == oc)
+            assert bool(a) == any(oa.coords)

@@ -5,7 +5,8 @@ The Smith diagonal is compared with sympy's over ZZ (up to sign), the
 cyclotomic polynomials with sympy's for every order up to 100, and the
 norm a * (product of the other Galois conjugates of a) with the
 resultant Res(Phi_m, a(x)), which is the product of a(zeta) over the
-primitive m-th roots of unity.
+primitive m-th roots of unity.  A product of cyclotomic numbers is
+compared with sympy's remainder of the product polynomial modulo Phi_m.
 """
 
 import random
@@ -57,3 +58,23 @@ def test_norm_is_the_resultant_with_the_cyclotomic_polynomial():
                                  for c in reversed(coords)], X, domain=sympy.QQ)
             res = sympy.resultant(phi_m, a_of_x)
             assert norm == Fraction(int(res.p), int(res.q)), (m, coords)
+
+
+def test_product_is_the_remainder_modulo_the_cyclotomic_polynomial():
+    rng = random.Random(6765)
+
+    def draw(m):
+        return [Fraction(rng.randint(-7, 7), rng.choice([1, 2, 3, 5]))
+                for _ in range(rng.randint(1, 2 * euler_phi(m)))]
+
+    def as_poly(coords):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(coords)], X, domain=sympy.QQ)
+
+    for m in range(1, 61):
+        phi_m = sympy.Poly(sympy.cyclotomic_poly(m, X), X, domain=sympy.QQ)
+        ca, cb = draw(m), draw(m)
+        rem = sympy.rem(as_poly(ca) * as_poly(cb), phi_m)
+        theirs = [Fraction(int(c.p), int(c.q)) for c in reversed(rem.all_coeffs())]
+        theirs += [Fraction(0)] * (euler_phi(m) - len(theirs))
+        assert list((Cyclo(m, ca) * Cyclo(m, cb)).coords) == theirs, m

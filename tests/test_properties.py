@@ -4,7 +4,8 @@ The Smith form must be a unimodular diagonalization with a divisibility
 chain, kernels must be saturated null lattices of the right rank (the
 gcd of the maximal minors of a basis is 1), unimodular inverses must
 round-trip on products of elementary matrices, cyclotomic inverses must
-invert and Galois maps must be ring homomorphisms, and point literals
+invert (also for an element of a subfield stored at a higher order) and
+Galois maps must be ring homomorphisms, and point literals
 must round-trip.  The coefficient protocol is checked the same way: a
 Cyclo is true exactly when nonzero, Laurent polynomials compare by value
 whatever order their cyclotomic coefficients are stored at, division by
@@ -167,6 +168,24 @@ def test_cyclo_inverse_and_galois_homomorphism(case):
     assert (a * b).galois(k) == a.galois(k) * b.galois(k)
     assert Cyclo.zeta(m).galois(k) == Cyclo.zeta(m, k)
     assert a.galois(1) == a
+
+
+@st.composite
+def subfield_cyclos(draw, max_order=105):
+    """An element of Q(zeta_d) stored at an order m, a multiple of d, up to
+    max_order: the inverse must find the smaller field."""
+    m = draw(st.integers(1, max_order))
+    d = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0 and euler_phi(d) <= 24]))
+    return Cyclo(d, draw(st.lists(FRACTIONS, max_size=euler_phi(d)))).promote(m)
+
+
+@settings(PROPERTY, max_examples=80)
+@given(subfield_cyclos())
+def test_inverse_of_a_subfield_element_stored_at_a_higher_order(a):
+    if a:
+        inv = a.inverse()
+        assert inv.order == a.order
+        assert a * inv == 1
 
 
 @settings(PROPERTY, max_examples=60)

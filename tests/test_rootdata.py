@@ -3,7 +3,9 @@
 Closed-form oracles: root counts n(n+1), 2n^2, 2n(n-1), 12 and Weyl
 orders (n+1)!, 2^n n!, 2^(n-1) n!, 12 for the classical families, the
 orbit-stabilizer identity, and recomposition of roots from their
-simple-root coefficients.
+simple-root coefficients.  The orbit closure and the group closure, which
+apply reflections as rank-one updates, are compared with dense matrix
+products over the whole group.
 """
 
 import math
@@ -16,7 +18,7 @@ from repring import rootdata
 from repring.errors import ResourceCapError
 from repring.invariants import decompose_into_orbit_sums
 from repring.laurent import LaurentPoly
-from repring.lattice import Sublattice, full_lattice, mat_vec
+from repring.lattice import Sublattice, full_lattice, mat_mul, mat_vec, transpose
 from repring.rootdata import (RootDatum, all_roots, centralizer_subsystem,
                               datum_from_dict, dominant_representative,
                               dual_reflection_matrix, fundamental_group,
@@ -192,6 +194,60 @@ def test_orbit_stabilizer_identity():
                 stab = stabilizer(group, v)
                 assert len(orb) * stab.order == group.order
                 assert orbit(gens, v) == orb
+
+
+BUILTINS = [(label, rank, variant)
+            for label, rank in [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                                ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4),
+                                ("G", 2)]
+            for variant in ("simply_connected", "adjoint")]
+
+
+def centralizer_groups(d, rng, count):
+    """Weyl groups of centralizers cut out by two random roots; each is
+    generated by the reflections of all its roots, most of them not simple."""
+    roots = [a for a, _ in all_roots(d)]
+    return [centralizer_subsystem(d, Sublattice(d.rank, rng.sample(roots, 2))).weyl_subgroup
+            for _ in range(count)]
+
+
+def test_orbit_matches_the_whole_group_on_every_builtin():
+    rng = random.Random(362880)
+    for label, rank, variant in BUILTINS:
+        d = standard_datum(label, rank, variant)
+        w = weyl_group(d)
+        assert w.order <= 384
+        groups = [(w, simple_reflections(d))]
+        groups += [(g, g.generators) for g in centralizer_groups(d, rng, 2)]
+        for group, gens in groups:
+            for _ in range(3):
+                v = [rng.randint(-2, 2) for _ in range(rank)]
+                whole = sorted({tuple(mat_vec(m, v)) for m in group.elements})
+                assert orbit(gens, v) == whole, (label, rank, variant, v)
+    with pytest.raises(ValueError, match="reflections"):
+        orbit([((0, -1), (1, 0))], (1, 0))
+
+
+def test_group_closure_matches_dense_products():
+    rng = random.Random(5040)
+    for label, rank, variant in BUILTINS:
+        d = standard_datum(label, rank, variant)
+        ident = [[int(i == j) for j in range(rank)] for i in range(rank)]
+        for group in [weyl_group(d)] + centralizer_groups(d, rng, 1):
+            inv_t = dict(zip(group.elements, group.inverse_transposes))
+            assert len(inv_t) == group.order == len(group.inverse_transposes)
+            reached = {tuple(map(tuple, ident))}
+            frontier = list(reached)
+            while frontier:
+                m = frontier.pop()
+                assert mat_mul(m, transpose(inv_t[m])) == ident
+                for g in group.generators:
+                    prod = tuple(map(tuple, mat_mul(m, g)))
+                    assert inv_t[prod] == tuple(map(tuple, mat_mul(inv_t[m], transpose(g))))
+                    if prod not in reached:
+                        reached.add(prod)
+                        frontier.append(prod)
+            assert reached == set(group.elements), (label, rank, variant)
 
 
 def test_dominant_representative_is_the_unique_dominant_orbit_point():

@@ -343,6 +343,60 @@ def test_evaluate_poly_is_the_sum_of_character_values():
                     assert got.order == m
 
 
+def test_evaluate_poly_over_several_primes_with_negative_exponents():
+    # Non-integral coefficients and exponents of both signs at four primes,
+    # with and without Cyclo coefficients: the common denominator must take
+    # in every prime's lowest exponent and every coefficient denominator.
+    rng = random.Random(1618)
+    for m in (1, 4, 6, 15):
+        for _ in range(6):
+            torsion = [Fraction(rng.randrange(m), m) for _ in range(3)]
+            rational = [{q: rng.choice([-3, -2, -1, 1, 2]) for q in (2, 3, 5, 7)
+                         if rng.random() < 0.6} for _ in range(3)]
+            p = EvalPoint.from_parts(torsion, rational)
+            terms = {tuple(rng.randint(-3, 3) for _ in range(3)):
+                     Fraction(rng.randint(-9, 9), rng.choice([2, 3, 4, 6, 7, 12]))
+                     for _ in range(6)}
+            mixed = dict(terms)
+            mixed[(2, -1, 0)] = Cyclo.zeta(7, 3) * Fraction(2, 9) + Fraction(1, 5)
+            mixed[(-2, -2, -2)] = Cyclo.zeta(3) * Fraction(-5, 4)
+            for f in (LaurentPoly(3, terms), LaurentPoly(3, mixed)):
+                total = Fraction(0)
+                for e, c in f.terms.items():
+                    total = total + c * value_from_coordinates(p, e)
+                got = evaluate_poly(p, f)
+                assert got == demote(total) and type(got) is type(demote(total))
+    # Only positive exponents: no prime enters the denominator.
+    p = parse_point("2,15,7", 3)
+    f = LaurentPoly(3, {(1, 1, 1): Fraction(1, 3), (2, 1, 0): Fraction(5, 2)})
+    assert evaluate_poly(p, f) == Fraction(210, 3) + Fraction(5 * 4 * 15, 2)
+
+
+def test_a_translate_passes_the_full_point_checks():
+    # weyl_translate takes the source point's primes as proven prime; every
+    # translate must still be a point that the full checks accept.
+    rng = random.Random(2718)
+    w = weyl_group(standard_datum("C", 3))
+    for _ in range(8):
+        p = random_point(rng, 3)
+        for m, inv_t in zip(w.elements, w.inverse_transposes):
+            q = weyl_translate(m, p, inv_t)
+            assert q == EvalPoint(q.torsion, q.rational)
+
+
+def test_proven_primes_skip_only_trial_division():
+    proven = frozenset({2, 3, 4})
+    assert EvalPoint((Fraction(0),), (((4, 1),),), proven).rational == (((4, 1),),)
+    for torsion, rational, message in [
+            ((Fraction(1, 2),), (), "equal length"),
+            ((Fraction(3, 2),), ((),), r"\[0, 1\)"),
+            ((Fraction(0),), (((2, 0),),), "zero exponents"),
+            ((Fraction(0),), (((3, 1), (2, 1)),), "sorted and distinct"),
+            ((Fraction(0),), (((9, 1),),), "9 is not prime")]:
+        with pytest.raises(ValueError, match=message):
+            EvalPoint(torsion, rational, proven)
+
+
 def test_weyl_translate_evaluates_as_the_point_at_the_inverse():
     rng = random.Random(6174)
     w = weyl_group(standard_datum("C", 3))
