@@ -18,10 +18,9 @@ from .laurent import (LaurentPoly, augmentation, exact_divide,
 from .rootdata import (LeviDatum, RootDatum, WeylGroup, all_roots,
                        centralizer_subsystem, datum_from_dict,
                        dominant_representative, fundamental_group, gl_datum,
-                       is_derived_simply_connected, is_dominant, orbit,
-                       positive_roots, product, reflection_subgroup,
-                       simple_reflections, standard_datum, torus_datum,
-                       weyl_group)
+                       is_derived_simply_connected, is_dominant, is_invariant,
+                       orbit, positive_roots, product, reflection_subgroup,
+                       standard_datum, torus_datum, weyl_group, weyl_order)
 from .invariants import (CharacterBasisReport, InvariantElement,
                          character_dimension, decompose_into_orbit_sums,
                          dominance_leq, dominant_weights_in_box,

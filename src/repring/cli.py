@@ -21,8 +21,7 @@ from .lattice import FinAbGroup, Sublattice
 from .laurent import augmentation, render
 from .rootdata import (RootDatum, all_roots, centralizer_subsystem,
                        datum_from_dict, dominant_representative,
-                       fundamental_group, orbit, simple_reflections,
-                       standard_datum, two_rho, weyl_group)
+                       fundamental_group, orbit, standard_datum, weyl_order)
 from .spectrum import (fiber_over_RG, parse_point, render_point,
                        stabilizer_check, support)
 from .twist import twist_augmentation_check, twist_multiplicativity_check
@@ -138,7 +137,7 @@ def _cmd_roots(args) -> tuple[dict, dict]:
 def _cmd_orbit(args) -> tuple[dict, dict]:
     d = _resolve_datum(args)
     w = _parse_weight(args.weight, d.rank)
-    pts = orbit(simple_reflections(d), w)
+    pts = orbit(d, w)
     return {"datum": d.name, "weight": args.weight}, {
         "size": len(pts),
         "orbit": [list(v) for v in pts],
@@ -165,7 +164,7 @@ def _cmd_centralizer(args) -> tuple[dict, dict]:
     return {"datum": d.name, "point": args.point}, {
         "roots": [list(r) for r in levi.roots],
         "base_roots": [list(r) for r in levi.datum.simple_roots],
-        "weyl_order": levi.weyl_subgroup.order,
+        "weyl_order": weyl_order(levi.datum),
         "saturation_applied": levi.saturation_applied,
     }
 
@@ -242,8 +241,7 @@ def _cmd_validate(args) -> tuple[dict, dict]:
     d = _resolve_datum(args)
     try:
         pairs = all_roots(d) if args.cap is None else all_roots(d, cap=args.cap)
-        # 2 rho is strictly dominant, so its orbit is free (Humphreys 10.3).
-        weyl_order = len(orbit(simple_reflections(d), two_rho(d), args.cap))
+        order = weyl_order(d, args.cap)
     except ResourceCapError as exc:
         if args.cap is None:
             raise
@@ -253,7 +251,7 @@ def _cmd_validate(args) -> tuple[dict, dict]:
         "datum_ok": True,
         "rank": d.rank,
         "roots_count": len(pairs),
-        "weyl_order": weyl_order,
+        "weyl_order": order,
         "fundamental_group": _group_doc(fundamental_group(d)),
     }
     if args.presentation_file:
@@ -261,9 +259,8 @@ def _cmd_validate(args) -> tuple[dict, dict]:
         echo["height"] = args.height
         with open(args.presentation_file, encoding="utf-8") as fh:
             cfg = json.load(fh)
-        w = weyl_group(d, cap=weyl_order)   # |W| is known, so this cap cannot fire
-        pres = presentation_from_config(cfg, d.rank, w)
-        rep = validate_presentation(pres, w, args.height)
+        pres = presentation_from_config(cfg, d)
+        rep = validate_presentation(pres, d, args.height)
         result["presentation"] = {
             "images_invariant": rep.images_invariant,
             "relations_vanish": rep.relations_vanish,

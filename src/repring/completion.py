@@ -18,16 +18,17 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 
 from .cyclotomic import Cyclo, cyclotomic_polynomial
 from .errors import ResourceCapError
 from .groebner import groebner
-from .laurent import LaurentPoly, coefficient_row, inverse_monomial, weyl_act
+from .invariants import dominant_weights_in_box, orbit_sum
+from .laurent import LaurentPoly, coefficient_row, inverse_monomial
 from .linalg import RowSpace, rank as matrix_rank
 from .poly import Monomial, Poly, grevlex_key, make_elim_key, parse_poly
-from .rootdata import (LeviDatum, RootDatum, WeylGroup, centralizer_subsystem,
-                       orbit, standard_datum, weyl_group)
+from .rootdata import (LeviDatum, RootDatum, centralizer_subsystem, is_invariant, orbit,
+                       standard_datum)
 from .spectrum import EvalPoint, evaluate_poly, parse_point, support
 
 # Columns of one side's Macaulay matrix (monomials in its variables of
@@ -120,7 +121,7 @@ def inversion_relations(num_gens: int, inverted: tuple[int, ...]) -> list[Poly]:
     return rels
 
 
-def _image_from_spec(spec: dict, rank: int, group: WeylGroup | None) -> LaurentPoly:
+def _image_from_spec(spec: dict, d: RootDatum) -> LaurentPoly:
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ValueError(f"image spec must be a one-key object, got {spec!r}")
     key, value = next(iter(spec.items()))
@@ -128,29 +129,27 @@ def _image_from_spec(spec: dict, rank: int, group: WeylGroup | None) -> LaurentP
         raise ValueError(f"unknown image spec kind {key!r}")
     try:
         if key == "terms":
-            return LaurentPoly(rank, [(exps, Fraction(str(c))) for c, exps in value])
+            return LaurentPoly(d.rank, [(exps, Fraction(str(c))) for c, exps in value])
         vec = tuple(map(int, value))
     except (TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed {key} image spec: {exc}") from None
     if key == "monomial":
-        return LaurentPoly.monomial(vec, rank=rank)
-    if group is None:
-        raise ValueError("orbit_sum image spec needs a Weyl group")
-    return LaurentPoly(rank, {e: Fraction(1) for e in orbit(group.generators, vec)})
+        return LaurentPoly.monomial(vec, rank=d.rank)
+    return LaurentPoly(d.rank, dict.fromkeys(orbit(d, vec), Fraction(1)))
 
 
-def presentation_from_config(cfg: dict, rank: int,
-                             group: WeylGroup | None = None) -> Presentation:
-    """Build a presentation from a plain-data description.
+def presentation_from_config(cfg: dict, d: RootDatum) -> Presentation:
+    """Build a presentation on the character lattice of d from a
+    plain-data description.
 
     The config holds "images" (a list of one-key specs: "monomial",
     "terms", or "orbit_sum"), an optional "inverted" list of 1-based
     generator indices, and optional "relations" strings over y1..yg and
-    the u-variables.  Orbit sums are taken over the supplied group.
+    the u-variables.  Orbit sums are taken over the Weyl group of d.
     """
     if not isinstance(cfg, dict) or not isinstance(cfg.get("images"), list):
         raise ValueError('a presentation must be a JSON object with an "images" list')
-    images = tuple(_image_from_spec(s, rank, group) for s in cfg["images"])
+    images = tuple(_image_from_spec(s, d) for s in cfg["images"])
     try:
         inverted = tuple(sorted(int(i) for i in cfg.get("inverted", [])))
     except TypeError as exc:
@@ -161,13 +160,13 @@ def presentation_from_config(cfg: dict, rank: int,
              + [f"u{i}" for i in inverted])
     rels = [parse_poly(t, names) for t in _strings(cfg.get("relations", []), "relations")]
     rels.extend(inversion_relations(len(images), inverted))
-    return Presentation(rank=rank, images=images, inverted=inverted,
+    return Presentation(rank=d.rank, images=images, inverted=inverted,
                         relations=tuple(rels))
 
 
 @dataclass(frozen=True)
 class PresentationReport:
-    """Validation outcome for a presentation against a reflection group."""
+    """Validation outcome for a presentation against a root datum."""
 
     images_invariant: bool
     relations_vanish: bool
@@ -176,12 +175,12 @@ class PresentationReport:
     all_passed: bool
 
 
-def validate_presentation(pres: Presentation, group: WeylGroup,
+def validate_presentation(pres: Presentation, d: RootDatum,
                           height_bound: int) -> PresentationReport:
-    """Check a presentation really presents the invariant subring.
+    """Check a presentation really presents the invariant subring of d.
 
     Three independent checks: every generator image is fixed by the
-    group's generators, every relation maps to zero in the Laurent ring,
+    simple reflections, every relation maps to zero in the Laurent ring,
     and every orbit sum of height up to the bound is a rational linear
     combination of variable monomials of bounded total degree.  The
     internal degree bound grows with the requested height and the
@@ -189,8 +188,9 @@ def validate_presentation(pres: Presentation, group: WeylGroup,
     the generators are inadequate at that degree, not merely that the
     search stopped early.
     """
-    invariant = all(weyl_act(g, img) == img
-                    for img in pres.images for g in group.generators)
+    if pres.rank != d.rank:
+        raise ValueError("presentation rank does not match datum rank")
+    invariant = all(is_invariant(d, img.terms) for img in pres.images)
     vanish = all(pres.to_laurent(rel).is_zero() for rel in pres.relations)
 
     max_h = max(img.height() for img in pres.images)
@@ -205,17 +205,11 @@ def validate_presentation(pres: Presentation, group: WeylGroup,
             prods[combo] = prods[combo[:-1]] * values[combo[-1]]
     products = list(prods.values())
 
-    # Orbit sums of height at most the bound, one per orbit.  Every such
-    # orbit meets the coordinate box, so scanning the box finds them all;
+    # Orbit sums of height at most the bound, one per orbit.  Such an
+    # orbit lies in the coordinate box, so its dominant weight does too;
     # orbits that leave the box are filtered out by their actual height.
-    reps: set[tuple[int, ...]] = set()
-    for v in product(range(-height_bound, height_bound + 1), repeat=pres.rank):
-        pts = orbit(group.generators, v)
-        if max((abs(x) for e in pts for x in e), default=0) <= height_bound:
-            reps.add(pts[0])
-    targets = [LaurentPoly(pres.rank,
-                           {e: Fraction(1) for e in orbit(group.generators, rep)})
-               for rep in sorted(reps)]
+    sums = (orbit_sum(d, lam).poly for lam in dominant_weights_in_box(d, height_bound))
+    targets = [t for t in sums if t.height() <= height_bound]
 
     index: dict[tuple[int, ...], int] = {}
     for f in products + targets:
@@ -564,14 +558,12 @@ def load_case_config(path: str) -> dict:
         raise ValueError(f"malformed case: {exc}") from None
     d = standard_datum(str(dd["type"]), rank, str(dd.get("variant", "simply_connected")))
     p = parse_point(",".join(_strings(cfg["point"], "point")), d.rank)
-    big = weyl_group(d)
-    source = presentation_from_config(cfg["source_presentation"], d.rank, big)
+    source = presentation_from_config(cfg["source_presentation"], d)
     sup = support(p)
     if not sup.connected:
         raise ValueError("case point has disconnected support")
     levi = centralizer_subsystem(d, sup.kernel_lattice)
-    target = presentation_from_config(cfg["target_presentation"], d.rank,
-                                      levi.weyl_subgroup)
+    target = presentation_from_config(cfg["target_presentation"], levi.datum)
     return {
         "datum": d,
         "point": p,

@@ -22,6 +22,9 @@ _CYCLO_CACHE: dict[int, list[int]] = {}
 # factor completely.
 TRIAL_DIVISION_CAP = 10 ** 6
 
+# Largest degree phi(m) of a cyclotomic polynomial that is built.
+CYCLOTOMIC_DEGREE_CAP = 256
+
 
 def prime_factors(n: int):
     """The prime factors of a positive integer, smallest first and with
@@ -75,9 +78,16 @@ def _divide_monic(num: list, den: list[int]) -> tuple[list, list]:
 
 
 def cyclotomic_polynomial(m: int) -> list[int]:
-    """Coefficients (low to high) of the m-th cyclotomic polynomial."""
+    """Coefficients (low to high) of the m-th cyclotomic polynomial.
+
+    Raises ResourceCapError when phi(m) exceeds CYCLOTOMIC_DEGREE_CAP;
+    every divisor d of m has phi(d) <= phi(m), so the recursion needs
+    no second check."""
     if m in _CYCLO_CACHE:
         return _CYCLO_CACHE[m]
+    if (deg := euler_phi(m)) > CYCLOTOMIC_DEGREE_CAP:
+        raise ResourceCapError(f"cyclotomic polynomial of order {m} has degree {deg}, "
+                               f"over CYCLOTOMIC_DEGREE_CAP = {CYCLOTOMIC_DEGREE_CAP}")
     if m == 1:
         poly = [-1, 1]
     else:

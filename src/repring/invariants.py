@@ -18,9 +18,8 @@ from operator import add, mul, sub
 
 from .laurent import LaurentPoly, augmentation, coefficient_row, weyl_act
 from .linalg import RowSpace, solve_coordinates
-from .rootdata import (RootDatum, dominant_representative, is_dominant, orbit,
-                       positive_roots, simple_reflections, two_rho,
-                       weyl_group)
+from .rootdata import (RootDatum, dominant_representative, is_dominant, is_invariant,
+                       orbit, positive_roots, two_rho, weyl_group)
 
 
 @dataclass(frozen=True)
@@ -40,18 +39,13 @@ class InvariantElement:
             raise ValueError("polynomial rank does not match datum rank")
 
 
-def _check_invariant(d: RootDatum, f: LaurentPoly) -> bool:
-    return all(weyl_act(s, f) == f for s in simple_reflections(d))
-
-
 def orbit_sum(d: RootDatum, weight) -> InvariantElement:
     """Sum of e^mu over the Weyl orbit of a dominant weight."""
     lam = tuple(map(int, weight))
     if not is_dominant(d, lam):
         raise ValueError(f"weight {lam} is not dominant")
-    terms = {mu: Fraction(1) for mu in orbit(simple_reflections(d), lam)}
-    poly = LaurentPoly(d.rank, terms)
-    return InvariantElement(d, poly, certified_invariant=_check_invariant(d, poly))
+    poly = LaurentPoly(d.rank, dict.fromkeys(orbit(d, lam), Fraction(1)))
+    return InvariantElement(d, poly, certified_invariant=is_invariant(d, poly.terms))
 
 
 def weyl_character(d: RootDatum, weight) -> InvariantElement:
@@ -107,8 +101,8 @@ def weyl_character(d: RootDatum, weight) -> InvariantElement:
             raise AssertionError("Freudenthal's formula gave a non-integral multiplicity")
 
     poly = LaurentPoly(d.rank, {nu: m for mu, m in mult.items()
-                                for nu in orbit(simple_reflections(d), mu)})
-    if not _check_invariant(d, poly):
+                                for nu in orbit(d, mu)})
+    if not is_invariant(d, poly.terms):
         raise AssertionError("character failed the invariance check")
     return InvariantElement(d, poly, certified_invariant=True)
 

@@ -5,22 +5,21 @@ with the pairing between characters and cocharacters given by the dot
 product.  Simple roots live in the character lattice, simple coroots in
 the cocharacter lattice, and dot(root_i, coroot_i) == 2 is enforced.
 
-Weyl group elements are rank x rank integer matrices acting on the
-character lattice (columns act on coordinate vectors).  All enumerations
-are exact and guarded by caps.
+A reflection is a (root, coroot) pair, applied to a character as the
+rank-one update x -> x - <x, coroot> root.  Orbits, invariance checks
+and |W| run on a datum's simple pairs; a whole Weyl group, as rank x
+rank integer matrices acting on the character lattice (columns act on
+coordinate vectors), is closed only where its elements are read.  All
+enumerations are exact and guarded by caps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 from operator import mul, sub
 
 from .errors import ResourceCapError
-from .lattice import (FinAbGroup, Sublattice, det, is_member, mat_vec,
-                      quotient_group, saturate)
-from .linalg import solve_coordinates
+from .lattice import FinAbGroup, Sublattice, det, is_member, quotient_group, saturate
 
 MatrixT = tuple[tuple[int, ...], ...]
 
@@ -59,6 +58,11 @@ class RootDatum:
     @property
     def num_simple(self) -> int:
         return len(self.simple_roots)
+
+    @property
+    def simple_pairs(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """The (root, coroot) pairs of the simple reflections."""
+        return tuple(zip(self.simple_roots, self.simple_coroots))
 
     def pairing(self, chi, cochar) -> int:
         return sum(int(x) * int(y) for x, y in zip(chi, cochar))
@@ -185,23 +189,6 @@ def product(d1: RootDatum, d2: RootDatum) -> RootDatum:
     return RootDatum(r1 + r2, roots, coroots, name=f"{d1.name}x{d2.name}")
 
 
-def reflection_matrix(rank: int, root, coroot) -> MatrixT:
-    """The reflection chi -> chi - <chi, coroot> root as a matrix on Z^rank."""
-    return tuple(tuple((1 if r == c else 0) - root[r] * coroot[c] for c in range(rank))
-                 for r in range(rank))
-
-
-def simple_reflections(d: RootDatum) -> list[MatrixT]:
-    return [reflection_matrix(d.rank, a, av)
-            for a, av in zip(d.simple_roots, d.simple_coroots)]
-
-
-def dual_reflection_matrix(rank: int, root, coroot) -> MatrixT:
-    """The same reflection acting on the cocharacter lattice."""
-    return tuple(tuple((1 if r == c else 0) - coroot[r] * root[c] for c in range(rank))
-                 for r in range(rank))
-
-
 def _reflect(x: tuple[int, ...], root, coroot) -> tuple[int, ...]:
     """x - <x, coroot> root, the reflection as a rank-one update; x itself
     when the pairing is 0."""
@@ -213,7 +200,7 @@ def all_roots(d: RootDatum, cap: int = ROOT_CLOSURE_CAP) -> list[tuple[tuple[int
     """All (root, coroot) pairs: the closure of the simple pairs under
     simple reflections, which act on coroots by the dual reflections.
     Returned sorted by root vector."""
-    simple = list(zip(d.simple_roots, d.simple_coroots))
+    simple = d.simple_pairs
     found: dict[tuple[int, ...], tuple[int, ...]] = {}
     queue: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for a, av in simple:
@@ -239,19 +226,15 @@ def all_roots(d: RootDatum, cap: int = ROOT_CLOSURE_CAP) -> list[tuple[tuple[int
 @dataclass(frozen=True)
 class WeylGroup:
     """A finite reflection group given by explicit matrices; one closed from
-    its generators also carries inverse_transposes[i] = elements[i]^-T."""
+    reflections also carries inverse_transposes[i] = elements[i]^-T."""
 
     rank: int
     elements: tuple[MatrixT, ...]
-    generators: tuple[MatrixT, ...]
     inverse_transposes: tuple[MatrixT, ...] = ()
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, m: MatrixT) -> bool:
-        return m in set(self.elements)
 
 
 def _close_group(rank: int, pairs, cap: int) -> WeylGroup:
@@ -273,14 +256,12 @@ def _close_group(rank: int, pairs, cap: int) -> WeylGroup:
                     nxt.append(prod)
         frontier = nxt
     elements = tuple(sorted(seen))
-    return WeylGroup(rank, elements,
-                     tuple(reflection_matrix(rank, a, av) for a, av in pairs),
-                     tuple(seen[m] for m in elements))
+    return WeylGroup(rank, elements, tuple(seen[m] for m in elements))
 
 
 def weyl_group(d: RootDatum, cap: int = WEYL_ORDER_CAP) -> WeylGroup:
     all_roots(d)  # refuses a datum of infinite type before closing its group
-    return _close_group(d.rank, zip(d.simple_roots, d.simple_coroots), cap)
+    return _close_group(d.rank, d.simple_pairs, cap)
 
 
 def reflection_subgroup(rank: int, pairs, cap: int = WEYL_ORDER_CAP) -> WeylGroup:
@@ -288,29 +269,18 @@ def reflection_subgroup(rank: int, pairs, cap: int = WEYL_ORDER_CAP) -> WeylGrou
     return _close_group(rank, pairs, cap)
 
 
-def _rank_one(g, rank: int):
-    """(u, v) with g = I - u v^T for a rank x rank reflection matrix g,
-    None for the identity; any other matrix raises ValueError."""
-    diff = [[(r == c) - x for c, x in enumerate(row)] for r, row in enumerate(g)]
-    lead = next((row for row in diff if any(row)), [0] * rank)
-    v = [x // gcd(*lead) for x in lead] if any(lead) else lead
-    u = [next((row[j] // x for j, x in enumerate(v) if x), 0) for row in diff]
-    if len(v) != rank or len(u) != rank or any(
-            row != [a * x for x in v] for a, row in zip(u, diff)):
-        raise ValueError("orbit generators must be rank x rank reflections, I - u v^T")
-    return (u, v) if any(v) else None
-
-
-def orbit(generators, v, cap: int | None = None) -> list[tuple[int, ...]]:
-    """The orbit of a character vector under the group generated by the
-    given reflection matrices, sorted: a closure under the generators,
-    each factored once as I - root coroot^T and applied as the rank-one
-    update x -> x - <x, coroot> root, skipped where the pairing is 0.
-    Capped at cap points (WEYL_ORDER_CAP, read at call time, when not
-    given), since an infinite reflection group has infinite orbits."""
+def orbit(d: RootDatum, v, cap: int | None = None) -> list[tuple[int, ...]]:
+    """The Weyl orbit of a character vector, sorted: its closure under the
+    simple reflections of d (for a centralizer, pass its LeviDatum's
+    datum), each applied as a rank-one update and skipped where the
+    pairing is 0.  Capped at cap points (WEYL_ORDER_CAP, read at call
+    time, when not given), since an infinite reflection group has
+    infinite orbits."""
     limit = WEYL_ORDER_CAP if cap is None else cap
     start = tuple(map(int, v))
-    pairs = [uv for uv in (_rank_one(g, len(start)) for g in generators) if uv]
+    if len(start) != d.rank:
+        raise ValueError("vector length does not match the datum rank")
+    pairs = d.simple_pairs
     seen = {start}
     queue = [start]
     while queue:
@@ -326,11 +296,14 @@ def orbit(generators, v, cap: int | None = None) -> list[tuple[int, ...]]:
     return sorted(seen)
 
 
-def stabilizer(w: WeylGroup, v) -> WeylGroup:
-    vec = list(map(int, v))
-    elems = tuple(sorted(m for m in w.elements
-                         if mat_vec(m, vec) == vec))
-    return WeylGroup(w.rank, elems, elems)
+def is_invariant(d: RootDatum, terms) -> bool:
+    """Whether a finitely supported function on the character lattice, a
+    mapping from exponent vectors to coefficients such as LaurentPoly.terms,
+    is fixed by the Weyl group: every simple reflection carries each
+    exponent to one with the same coefficient."""
+    pairs = d.simple_pairs
+    return all(terms.get(_reflect(e, a, av)) == c
+               for e, c in terms.items() for a, av in pairs)
 
 
 def sign(m: MatrixT) -> int:
@@ -353,7 +326,7 @@ def dominant_representative(d: RootDatum, v) -> tuple[int, ...]:
     """
     cur = list(map(int, v))
     for _ in range(ROOT_CLOSURE_CAP + 1):
-        for a, av in zip(d.simple_roots, d.simple_coroots):
+        for a, av in d.simple_pairs:
             k = d.pairing(cur, av)
             if k < 0:
                 cur = [x - k * y for x, y in zip(cur, a)]
@@ -390,20 +363,11 @@ def positive_roots(d: RootDatum) -> list[tuple[tuple[int, ...], tuple[int, ...]]
     stack = list(pos)
     while stack:
         b = stack.pop()
-        for c in (_reflect(b, a, av) for a, av in zip(d.simple_roots, d.simple_coroots) if a != b):
+        for c in (_reflect(b, a, av) for a, av in d.simple_pairs if a != b):
             if c not in pos:
                 pos.add(c)
                 stack.append(c)
     return [(a, av) for a, av in pairs if a in pos]
-
-
-def root_coefficients(d: RootDatum, root) -> list[Fraction]:
-    """Coefficients of a root over the simple roots (exact).  Raises
-    ValueError when the vector is outside their span."""
-    coeffs = solve_coordinates(d.simple_roots, list(root))
-    if coeffs is None:
-        raise ValueError(f"{tuple(root)} is not in the span of the simple roots")
-    return coeffs
 
 
 def two_rho(d: RootDatum) -> tuple[int, ...]:
@@ -414,6 +378,12 @@ def two_rho(d: RootDatum) -> tuple[int, ...]:
     return tuple(acc)
 
 
+def weyl_order(d: RootDatum, cap: int | None = None) -> int:
+    """|W| as the size of the orbit of 2 rho, which is strictly dominant
+    and so has a free orbit (Humphreys 10.3); capped as orbit is."""
+    return len(orbit(d, two_rho(d), cap))
+
+
 @dataclass(frozen=True)
 class LeviDatum:
     """The root subsystem cut out by a sublattice of the character lattice."""
@@ -421,7 +391,6 @@ class LeviDatum:
     parent: RootDatum
     kernel: Sublattice
     root_subset: tuple[int, ...]
-    weyl_subgroup: WeylGroup
     datum: RootDatum
     saturation_applied: bool
 
@@ -444,16 +413,14 @@ def centralizer_subsystem(d: RootDatum, k: Sublattice) -> LeviDatum:
     flagged = sat != k
     pairs = all_roots(d)
     subset = tuple(i for i, (a, _) in enumerate(pairs) if is_member(sat, a))
-    sub_pairs = [pairs[i] for i in subset]
     pos = [(a, av) for a, av in positive_roots(d) if is_member(sat, a)]
     pos_set = {a for a, _ in pos}
     # The base: the positive roots that are no sum of two others.
     base = sorted((a, av) for a, av in pos
                   if not any(tuple(map(sub, a, b)) in pos_set for b in pos_set))
-    w_sub = reflection_subgroup(d.rank, sub_pairs)
     levi = RootDatum(d.rank,
                      tuple(a for a, _ in base),
                      tuple(av for _, av in base),
                      name=f"{d.name}-centralizer")
     return LeviDatum(parent=d, kernel=sat, root_subset=subset,
-                     weyl_subgroup=w_sub, datum=levi, saturation_applied=flagged)
+                     datum=levi, saturation_applied=flagged)

@@ -19,11 +19,12 @@ from math import gcd, lcm
 from operator import mul
 
 from .cyclotomic import Cyclo, demote, prime_factors
+from .invariants import orbit_sum
 from .lattice import (FinAbGroup, Sublattice, is_member, kernel,
                       mat_inverse_unimodular, mat_vec, quotient_group, transpose)
 from .laurent import LaurentPoly
-from .rootdata import (RootDatum, WeylGroup, centralizer_subsystem, dominant_representative,
-                       weyl_group)
+from .rootdata import (RootDatum, WeylGroup, all_roots, centralizer_subsystem,
+                       dominant_representative, reflection_subgroup, weyl_group)
 
 
 def _is_prime(n: int) -> bool:
@@ -350,7 +351,6 @@ def weyl_translate(w, p: EvalPoint, inverse_transpose=None) -> EvalPoint:
 def _invariant_probe(d: RootDatum) -> list[LaurentPoly]:
     """Small invariants for internal consistency checks: 1 and the orbit
     sums of the distinct dominant representatives of the basis vectors."""
-    from .invariants import orbit_sum
     lams = dict.fromkeys(dominant_representative(d, [int(i == j) for j in range(d.rank)])
                          for i in range(d.rank))
     return [LaurentPoly.one(d.rank)] + [orbit_sum(d, lam).poly for lam in lams]
@@ -407,9 +407,9 @@ def stabilizer_check(d: RootDatum, p: EvalPoint) -> StabilizerReport:
         if ideal_equal(q, p):
             idl.append(m)
     levi = centralizer_subsystem(d, desc.kernel_lattice)
-    geo_g = WeylGroup(d.rank, tuple(sorted(geo)), tuple(sorted(geo)))
-    idl_g = WeylGroup(d.rank, tuple(sorted(idl)), tuple(sorted(idl)))
-    sub = levi.weyl_subgroup
+    geo_g = WeylGroup(d.rank, tuple(sorted(geo)))
+    idl_g = WeylGroup(d.rank, tuple(sorted(idl)))
+    sub = reflection_subgroup(d.rank, levi.datum.simple_pairs)
     agree = geo_g.elements == idl_g.elements == sub.elements
     return StabilizerReport(geometric=geo_g, ideal=idl_g, subsystem=sub, agree=agree)
 
@@ -424,7 +424,6 @@ def unique_lift_check(d: RootDatum, p: EvalPoint) -> bool:
     desc = support(p)
     if not desc.connected:
         raise ValueError("unique-lift check needs a connected support")
-    from .rootdata import all_roots
     for a, _ in all_roots(d):
         if not is_member(desc.kernel_lattice, a):
             raise ValueError("unique-lift check needs every root inside the kernel lattice")

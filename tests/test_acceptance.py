@@ -227,8 +227,8 @@ def test_criterion_7_presentations_and_transition():
     t0 = time.monotonic()
     d1 = standard_datum("A", 1)
     d2 = standard_datum("A", 2)
-    assert validate_presentation(sl2_presentation(), weyl_group(d1), 3).all_passed
-    assert validate_presentation(sl3_presentation(), weyl_group(d2), 3).all_passed
+    assert validate_presentation(sl2_presentation(), d1, 3).all_passed
+    assert validate_presentation(sl3_presentation(), d2, 3).all_passed
     for d, bound in [(d1, 3), (d2, 2)]:
         probe = fundamental_character_probe(d, bound)
         assert probe.all_passed

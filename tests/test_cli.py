@@ -386,6 +386,29 @@ def test_support_at_a_large_prime_exits_3_quickly(capsys):
     assert "must be prime" in err
 
 
+@pytest.mark.parametrize("command", [["fiber"], ["twist-check", "--height", "1"]])
+def test_a_cyclotomic_field_of_huge_degree_exits_3_quickly(capsys, command):
+    # phi(30030) = 5760: building the 30030th cyclotomic polynomial alone
+    # ran past 20 s before CYCLOTOMIC_DEGREE_CAP.
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, command[:1] + [
+        "--type", "A", "--rank", "1", "--point", "zeta(30030)^1"] + command[1:])
+    assert time.perf_counter() - start < 2.0
+    assert code == 3
+    assert out == ""
+    assert "CYCLOTOMIC_DEGREE_CAP = 256" in err
+
+
+def test_support_at_a_root_of_unity_of_huge_order_builds_no_field(capsys):
+    code, out, err = invoke(capsys, [
+        "support", "--type", "A", "--rank", "1", "--point", "zeta(30030)^1"])
+    assert (code, err) == (0, "")
+    assert out == ('{"command":"support","inputs_echo":{"datum":"A1-simply_connected",'
+                   '"point":"zeta(30030)^1"},"result":{"connected":false,'
+                   '"kernel_lattice":[[30030]],"quotient":{"free_rank":0,'
+                   '"invariant_factors":[30030]}}}\n')
+
+
 @pytest.mark.parametrize("args, key, value", [
     (["fiber", "--point", "2,3,zeta(3)^1,99999999977"], "size", 384),
     (["stabilizer", "--point", "1,1,2,99999999977"], "agree", True)])

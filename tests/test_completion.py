@@ -26,7 +26,7 @@ from repring.groebner import groebner, ideal_membership, reduce_poly
 from repring.invariants import orbit_sum
 from repring.laurent import LaurentPoly
 from repring.poly import Poly, parse_poly
-from repring.rootdata import standard_datum, torus_datum, weyl_group
+from repring.rootdata import standard_datum, torus_datum
 from repring.spectrum import EvalPoint, parse_point
 
 from groebner_oracle import groebner_levels, groebner_truncation, quotient_inverse
@@ -170,7 +170,7 @@ def test_quotient_inverse_frozen():
 
 def test_validate_presentation_sl2():
     d = standard_datum("A", 1)
-    report = validate_presentation(sl2_presentation(), weyl_group(d), 3)
+    report = validate_presentation(sl2_presentation(), d, 3)
     assert report.images_invariant
     assert report.relations_vanish
     assert report.spans_orbit_sums
@@ -179,7 +179,7 @@ def test_validate_presentation_sl2():
 
 def test_validate_presentation_sl3():
     d = standard_datum("A", 2)
-    report = validate_presentation(sl3_presentation(), weyl_group(d), 3)
+    report = validate_presentation(sl3_presentation(), d, 3)
     assert report.all_passed
 
 
@@ -187,49 +187,49 @@ def test_validate_presentation_catches_non_invariant_image():
     d = standard_datum("A", 1)
     bad = Presentation(rank=1, images=(LaurentPoly.monomial([1]),),
                        inverted=(), relations=())
-    report = validate_presentation(bad, weyl_group(d), 2)
+    report = validate_presentation(bad, d, 2)
     assert not report.images_invariant
     assert not report.all_passed
 
 
 def test_validate_presentation_catches_missing_span():
     # Without inverting the generator, negative powers are unreachable.
-    w = weyl_group(torus_datum(1))
+    t = torus_datum(1)
     pres = Presentation(rank=1, images=(LaurentPoly.monomial([1]),),
                         inverted=(), relations=())
-    report = validate_presentation(pres, w, 2)
+    report = validate_presentation(pres, t, 2)
     assert report.images_invariant and report.relations_vanish
     assert not report.spans_orbit_sums
     assert not report.all_passed
     # Inverting it makes the span complete.
     good = torus_presentation()
-    assert validate_presentation(good, w, 2).all_passed
+    assert validate_presentation(good, t, 2).all_passed
 
 
 def test_validate_presentation_catches_false_relation():
     pres = Presentation(rank=1, images=(LaurentPoly.monomial([1]),),
                         inverted=(), relations=(parse_poly("y1 - 2", ["y1"]),))
-    w = weyl_group(torus_datum(1))
-    report = validate_presentation(pres, w, 1)
+    report = validate_presentation(pres, torus_datum(1), 1)
     assert not report.relations_vanish
 
 
 def test_presentation_from_config_specs():
     d = standard_datum("A", 2)
-    w = weyl_group(d)
     cfg = {"images": [{"orbit_sum": [1, 0]}, {"orbit_sum": [0, 1]}]}
-    pres = presentation_from_config(cfg, 2, w)
+    pres = presentation_from_config(cfg, d)
     assert pres.images == sl3_presentation().images
+    t = torus_datum(1)
     cfg2 = {"images": [{"terms": [["1", [1]], ["1", [-1]]]}]}
-    pres2 = presentation_from_config(cfg2, 1)
+    pres2 = presentation_from_config(cfg2, t)
     assert pres2.images[0] == LaurentPoly(1, {(1,): 1, (-1,): 1})
     cfg3 = {"images": [{"monomial": [1]}], "inverted": [1]}
-    pres3 = presentation_from_config(cfg3, 1)
+    pres3 = presentation_from_config(cfg3, t)
     assert pres3.relations == torus_presentation().relations
     with pytest.raises(ValueError):
-        presentation_from_config({"images": [{"mystery": [1]}]}, 1)
+        presentation_from_config({"images": [{"mystery": [1]}]}, t)
+    # An orbit_sum weight of the wrong length has no orbit under d.
     with pytest.raises(ValueError):
-        presentation_from_config({"images": [{"orbit_sum": [1]}]}, 1)
+        presentation_from_config({"images": [{"orbit_sum": [1]}]}, d)
 
 
 def test_local_iso_trivial_centralizer():

@@ -78,6 +78,20 @@ def test_cyclotomic_degree_is_phi():
         assert len(cyclotomic_polynomial(n)) == euler_phi(n) + 1
 
 
+def test_cyclotomic_degree_is_capped_on_a_cache_miss(monkeypatch):
+    monkeypatch.setattr(cyclotomic, "_CYCLO_CACHE", {})
+    monkeypatch.setattr(cyclotomic, "CYCLOTOMIC_DEGREE_CAP", 4)
+    # phi(12) = 4 is at the cap; its divisors are built on the way.
+    assert cyclotomic_polynomial(12) == [1, 0, -1, 0, 1]
+    assert sorted(cyclotomic._CYCLO_CACHE) == [1, 2, 3, 4, 6, 12]
+    with pytest.raises(ResourceCapError, match="degree 6, over CYCLOTOMIC_DEGREE_CAP = 4"):
+        cyclotomic_polynomial(7)
+    assert 7 not in cyclotomic._CYCLO_CACHE
+    # A polynomial already built is returned whatever the cap.
+    monkeypatch.setattr(cyclotomic, "CYCLOTOMIC_DEGREE_CAP", 1)
+    assert cyclotomic_polynomial(12) == [1, 0, -1, 0, 1]
+
+
 def test_primitive_root_sums():
     z3 = Cyclo.zeta(3)
     assert z3 + z3 * z3 == Fraction(-1)

@@ -13,6 +13,7 @@ from itertools import product as boxes
 
 import pytest
 from character_oracle import alternating_sum_character
+from reflection_oracle import simple_reflections
 
 from repring.invariants import (character_dimension, decompose_into_orbit_sums,
                                 dominance_leq, dominant_weights_in_box,
@@ -22,8 +23,8 @@ from repring.invariants import (character_dimension, decompose_into_orbit_sums,
 from repring.lattice import mat_vec
 from repring.laurent import LaurentPoly, augmentation, weyl_act
 from repring.rootdata import (all_roots, gl_datum, is_dominant, positive_roots,
-                              product, simple_reflections, standard_datum,
-                              torus_datum, two_rho, weyl_group)
+                              product, standard_datum, torus_datum, two_rho,
+                              weyl_group)
 
 
 def dimension_formula(d, lam):

@@ -29,12 +29,15 @@ from repring.laurent import LaurentPoly, exact_divide, weyl_act  # noqa: E402
 from repring.lattice import (det, identity_matrix, kernel, mat_inverse_unimodular,  # noqa: E402
                              mat_mul, mat_vec, smith_normal_form)
 from repring.linalg import rank as q_rank  # noqa: E402
-from repring.rootdata import simple_reflections, standard_datum  # noqa: E402
+from repring.rootdata import is_invariant, standard_datum, weyl_group  # noqa: E402
 from repring.spectrum import EvalPoint, parse_point, render_point  # noqa: E402
+from reflection_oracle import simple_reflections  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
-REFLECTIONS = [s for label in "ABC" for s in simple_reflections(standard_datum(label, 3))]
+DATA = [standard_datum(label, 3) for label in "ABC"]
+GROUPS = {d.name: weyl_group(d) for d in DATA}
+REFLECTIONS = [s for d in DATA for s in simple_reflections(d)]
 
 
 @st.composite
@@ -223,6 +226,21 @@ def test_exact_division_by_a_cyclotomic_leading_coefficient(f, h, a):
 @given(laurent_polys(), st.sampled_from(REFLECTIONS))
 def test_a_simple_reflection_acts_as_an_involution(f, s):
     assert weyl_act(s, weyl_act(s, f)) == f
+
+
+@PROPERTY
+@given(laurent_polys(), st.sampled_from(DATA), st.sampled_from(["raw", "symmetrized", "bumped"]))
+def test_the_invariance_check_agrees_with_the_simple_reflection_matrices(f, d, form):
+    # A symmetrized polynomial is invariant; bumping the coefficient of a
+    # weight that W moves (no nonzero weight is fixed here) breaks that.
+    if form != "raw":
+        f = sum((weyl_act(m, f) for m in GROUPS[d.name].elements), LaurentPoly.zero(3))
+    if form == "bumped":
+        f = f + LaurentPoly.monomial((1, -1, 0), rank=3)
+    by_matrices = all(weyl_act(s, f) == f for s in simple_reflections(d))
+    assert is_invariant(d, f.terms) == by_matrices
+    if form != "raw":
+        assert by_matrices == (form == "symmetrized")
 
 
 @PROPERTY

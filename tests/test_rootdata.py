@@ -5,7 +5,8 @@ orders (n+1)!, 2^n n!, 2^(n-1) n!, 12 for the classical families, the
 orbit-stabilizer identity, and recomposition of roots from their
 simple-root coefficients.  The orbit closure and the group closure, which
 apply reflections as rank-one updates, are compared with dense matrix
-products over the whole group.
+products over the whole group; a centralizer's Weyl group, closed from
+the base of its subsystem, with the dense closure of all its reflections.
 """
 
 import math
@@ -13,20 +14,21 @@ import random
 import threading
 
 import pytest
+from reflection_oracle import reflection_matrix, simple_reflections
 
 from repring import rootdata
 from repring.errors import ResourceCapError
 from repring.invariants import decompose_into_orbit_sums
 from repring.laurent import LaurentPoly
 from repring.lattice import Sublattice, full_lattice, mat_mul, mat_vec, transpose
+from repring.linalg import solve_coordinates
 from repring.rootdata import (RootDatum, all_roots, centralizer_subsystem,
                               datum_from_dict, dominant_representative,
-                              dual_reflection_matrix, fundamental_group,
-                              gl_datum, is_derived_simply_connected,
-                              is_dominant, orbit, positive_roots, product,
-                              reflection_matrix, root_coefficients, sign,
-                              simple_reflections, stabilizer, standard_datum,
-                              torus_datum, two_rho, weyl_group)
+                              fundamental_group, gl_datum,
+                              is_derived_simply_connected, is_dominant, orbit,
+                              positive_roots, product, reflection_subgroup, sign,
+                              standard_datum, torus_datum, two_rho, weyl_group,
+                              weyl_order)
 
 
 def test_cartan_matrices_frozen():
@@ -104,7 +106,7 @@ def test_root_counts_match_closed_forms():
 def test_weyl_orders_match_closed_forms():
     for label, rank in ALL_TYPES:
         d = standard_datum(label, rank)
-        assert weyl_group(d).order == weyl_order_formula(label, rank)
+        assert weyl_group(d).order == weyl_order(d) == weyl_order_formula(label, rank)
 
 
 def test_weyl_group_is_a_group_of_signed_matrices():
@@ -114,7 +116,7 @@ def test_weyl_group_is_a_group_of_signed_matrices():
     signs = [sign(m) for m in w.elements]
     assert signs.count(1) == signs.count(-1) == w.order // 2
     for s in simple_reflections(d):
-        assert s in w
+        assert s in w.elements
         assert sign(s) == -1
 
 
@@ -124,27 +126,13 @@ def test_reflections_square_to_identity_and_negate_their_root():
         ident = tuple(tuple(1 if i == j else 0 for j in range(rank))
                       for i in range(rank))
         for a, av in zip(d.simple_roots, d.simple_coroots):
-            s = reflection_matrix(rank, a, av)
+            s = reflection_matrix(a, av)
             prod = tuple(tuple(sum(s[i][k] * s[k][j] for k in range(rank))
                                for j in range(rank)) for i in range(rank))
             assert prod == ident
             image = tuple(sum(s[i][k] * a[k] for k in range(rank))
                           for i in range(rank))
             assert image == tuple(-x for x in a)
-
-
-def test_dual_reflection_preserves_the_pairing():
-    rng = random.Random(7171)
-    d = standard_datum("G", 2)
-    for a, av in zip(d.simple_roots, d.simple_coroots):
-        s = reflection_matrix(2, a, av)
-        sv = dual_reflection_matrix(2, a, av)
-        for _ in range(20):
-            x = [rng.randint(-5, 5) for _ in range(2)]
-            y = [rng.randint(-5, 5) for _ in range(2)]
-            sx = [sum(s[i][k] * x[k] for k in range(2)) for i in range(2)]
-            svy = [sum(sv[i][k] * y[k] for k in range(2)) for i in range(2)]
-            assert d.pairing(sx, svy) == d.pairing(x, y)
 
 
 def test_positive_roots_split_the_system():
@@ -172,7 +160,7 @@ def test_root_coefficients_recompose():
     for label, rank in [("A", 3), ("C", 2), ("G", 2)]:
         d = standard_datum(label, rank)
         for a, _ in positive_roots(d):
-            coeffs = root_coefficients(d, a)
+            coeffs = solve_coordinates(d.simple_roots, list(a))
             assert all(c >= 0 and c == int(c) for c in coeffs)
             rebuilt = [0] * d.rank
             for c, alpha in zip(coeffs, d.simple_roots):
@@ -185,15 +173,15 @@ def test_orbit_stabilizer_identity():
     for label, rank in [("A", 2), ("B", 2), ("G", 2), ("A", 3)]:
         d = standard_datum(label, rank)
         w = weyl_group(d)
-        # A centralizer's Weyl group, generated by all its reflections.
-        sub = centralizer_subsystem(d, Sublattice(rank, d.simple_roots[:-1])).weyl_subgroup
-        for group, gens in ((w, simple_reflections(d)), (sub, sub.generators)):
+        # A centralizer's Weyl group, closed from the base of its subsystem.
+        levi = centralizer_subsystem(d, Sublattice(rank, d.simple_roots[:-1]))
+        for group, datum in ((w, d), (levi_group(levi), levi.datum)):
             for _ in range(12):
                 v = [rng.randint(-3, 3) for _ in range(rank)]
                 orb = sorted({tuple(mat_vec(m, v)) for m in group.elements})
-                stab = stabilizer(group, v)
-                assert len(orb) * stab.order == group.order
-                assert orbit(gens, v) == orb
+                stab = [m for m in group.elements if mat_vec(m, v) == v]
+                assert len(orb) * len(stab) == group.order
+                assert orbit(datum, v) == orb
 
 
 BUILTINS = [(label, rank, variant)
@@ -203,12 +191,18 @@ BUILTINS = [(label, rank, variant)
             for variant in ("simply_connected", "adjoint")]
 
 
+def levi_group(levi):
+    """The Weyl group of a centralizer, closed from its base pairs."""
+    return reflection_subgroup(levi.datum.rank, levi.datum.simple_pairs)
+
+
 def centralizer_groups(d, rng, count):
-    """Weyl groups of centralizers cut out by two random roots; each is
-    generated by the reflections of all its roots, most of them not simple."""
+    """(Weyl group, datum) of centralizers cut out by two random roots;
+    most of their base roots are not simple roots of d."""
     roots = [a for a, _ in all_roots(d)]
-    return [centralizer_subsystem(d, Sublattice(d.rank, rng.sample(roots, 2))).weyl_subgroup
-            for _ in range(count)]
+    levis = [centralizer_subsystem(d, Sublattice(d.rank, rng.sample(roots, 2)))
+             for _ in range(count)]
+    return [(levi_group(levi), levi.datum) for levi in levis]
 
 
 def test_orbit_matches_the_whole_group_on_every_builtin():
@@ -217,15 +211,13 @@ def test_orbit_matches_the_whole_group_on_every_builtin():
         d = standard_datum(label, rank, variant)
         w = weyl_group(d)
         assert w.order <= 384
-        groups = [(w, simple_reflections(d))]
-        groups += [(g, g.generators) for g in centralizer_groups(d, rng, 2)]
-        for group, gens in groups:
+        for group, datum in [(w, d)] + centralizer_groups(d, rng, 2):
             for _ in range(3):
                 v = [rng.randint(-2, 2) for _ in range(rank)]
                 whole = sorted({tuple(mat_vec(m, v)) for m in group.elements})
-                assert orbit(gens, v) == whole, (label, rank, variant, v)
-    with pytest.raises(ValueError, match="reflections"):
-        orbit([((0, -1), (1, 0))], (1, 0))
+                assert orbit(datum, v) == whole, (label, rank, variant, v)
+    with pytest.raises(ValueError, match="datum rank"):
+        orbit(standard_datum("A", 2), (1, 0, 0))
 
 
 def test_group_closure_matches_dense_products():
@@ -233,7 +225,7 @@ def test_group_closure_matches_dense_products():
     for label, rank, variant in BUILTINS:
         d = standard_datum(label, rank, variant)
         ident = [[int(i == j) for j in range(rank)] for i in range(rank)]
-        for group in [weyl_group(d)] + centralizer_groups(d, rng, 1):
+        for group, datum in [(weyl_group(d), d)] + centralizer_groups(d, rng, 1):
             inv_t = dict(zip(group.elements, group.inverse_transposes))
             assert len(inv_t) == group.order == len(group.inverse_transposes)
             reached = {tuple(map(tuple, ident))}
@@ -241,13 +233,48 @@ def test_group_closure_matches_dense_products():
             while frontier:
                 m = frontier.pop()
                 assert mat_mul(m, transpose(inv_t[m])) == ident
-                for g in group.generators:
+                for g in simple_reflections(datum):
                     prod = tuple(map(tuple, mat_mul(m, g)))
                     assert inv_t[prod] == tuple(map(tuple, mat_mul(inv_t[m], transpose(g))))
                     if prod not in reached:
                         reached.add(prod)
                         frontier.append(prod)
             assert reached == set(group.elements), (label, rank, variant)
+
+
+def test_centralizer_weyl_groups_match_the_closure_of_all_their_reflections():
+    # The oracle is the closure that centralizer_subsystem used to run: dense
+    # products of the reflections of all 2N roots of the subsystem, both
+    # signs.  The library reads W_Z off the base pairs of levi.datum.
+    rng = random.Random(1729)
+    for label, rank, variant in BUILTINS:
+        d = standard_datum(label, rank, variant)
+        pairs = all_roots(d)
+        roots = [a for a, _ in pairs]
+        kernels = [full_lattice(rank), Sublattice(rank, [])]
+        kernels += [Sublattice(rank, rng.sample(roots, k)) for k in (1, 2)]
+        kernels.append(Sublattice(rank, [[rng.randint(-2, 2) for _ in range(rank)]
+                                         for _ in range(rank - 1)]))
+        ident = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+        for k in kernels:
+            levi = centralizer_subsystem(d, k)
+            gens = [reflection_matrix(*pairs[i]) for i in levi.root_subset]
+            oracle = {ident}
+            frontier = [ident]
+            while frontier:
+                m = frontier.pop()
+                for g in gens:
+                    prod = tuple(map(tuple, mat_mul(m, g)))
+                    if prod not in oracle:
+                        oracle.add(prod)
+                        frontier.append(prod)
+            case = (label, rank, variant, k.hnf_rows)
+            assert set(levi_group(levi).elements) == oracle, case
+            assert weyl_order(levi.datum) == len(oracle), case
+            for _ in range(3):
+                v = [rng.randint(-2, 2) for _ in range(rank)]
+                assert orbit(levi.datum, v) == sorted(
+                    {tuple(mat_vec(m, v)) for m in oracle}), case
 
 
 def test_dominant_representative_is_the_unique_dominant_orbit_point():
@@ -308,7 +335,7 @@ def test_centralizer_subsystem_cases():
 
     levi = centralizer_subsystem(d, Sublattice(2, [list(alpha1)]))
     assert len(levi.root_subset) == 2
-    assert levi.weyl_subgroup.order == 2
+    assert weyl_order(levi.datum) == levi_group(levi).order == 2
     assert not levi.saturation_applied
     assert set(levi.roots) == {alpha1, tuple(-x for x in alpha1)}
 
@@ -316,15 +343,15 @@ def test_centralizer_subsystem_cases():
     high = tuple(a + b for a, b in zip(d.simple_roots[0], d.simple_roots[1]))
     levi_high = centralizer_subsystem(d, Sublattice(2, [list(high)]))
     assert len(levi_high.root_subset) == 2
-    assert levi_high.weyl_subgroup.order == 2
+    assert weyl_order(levi_high.datum) == levi_group(levi_high).order == 2
 
     full = centralizer_subsystem(d, full_lattice(2))
     assert len(full.root_subset) == 6
-    assert full.weyl_subgroup.order == 6
+    assert weyl_order(full.datum) == levi_group(full).order == 6
 
     empty = centralizer_subsystem(d, Sublattice(2, []))
     assert len(empty.root_subset) == 0
-    assert empty.weyl_subgroup.order == 1
+    assert weyl_order(empty.datum) == levi_group(empty).order == 1
     assert empty.datum.num_simple == 0
 
 
@@ -350,14 +377,14 @@ def test_orbit_closure_is_capped(monkeypatch):
     d = RootDatum(2, ((2, -2), (-2, 2)), ((1, 0), (0, 1)))
     monkeypatch.setattr(rootdata, "WEYL_ORDER_CAP", 50)
     with pytest.raises(ResourceCapError, match="WEYL_ORDER_CAP = 50"):
-        orbit(simple_reflections(d), (1, 0))
+        orbit(d, (1, 0))
     # A finite orbit of exactly the cap's size still closes.
     b2 = standard_datum("B", 2)
     monkeypatch.setattr(rootdata, "WEYL_ORDER_CAP", 8)
-    assert len(orbit(simple_reflections(b2), (1, 1))) == 8
+    assert len(orbit(b2, (1, 1))) == 8
     monkeypatch.setattr(rootdata, "WEYL_ORDER_CAP", 7)
     with pytest.raises(ResourceCapError):
-        orbit(simple_reflections(b2), (1, 1))
+        orbit(b2, (1, 1))
 
 
 def test_dominant_descent_is_capped_on_an_infinite_datum():
@@ -409,8 +436,6 @@ def test_generalized_cartan_sign_conditions_are_enforced():
 
 def test_root_coefficients_outside_the_root_span():
     d = gl_datum(3)
-    assert root_coefficients(d, (1, 0, -1)) == [1, 1]
-    with pytest.raises(ValueError, match="not in the span"):
-        root_coefficients(d, (1, 0, 0))
-    with pytest.raises(ValueError, match="not in the span"):
-        root_coefficients(torus_datum(2), (0, 1))
+    assert solve_coordinates(d.simple_roots, [1, 0, -1]) == [1, 1]
+    assert solve_coordinates(d.simple_roots, [1, 0, 0]) is None
+    assert solve_coordinates(torus_datum(2).simple_roots, [0, 1]) is None
