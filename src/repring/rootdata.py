@@ -6,20 +6,23 @@ product.  Simple roots live in the character lattice, simple coroots in
 the cocharacter lattice, and dot(root_i, coroot_i) == 2 is enforced.
 
 A reflection is a (root, coroot) pair, applied to a character as the
-rank-one update x -> x - <x, coroot> root.  Orbits, invariance checks
-and |W| run on a datum's simple pairs; a whole Weyl group, as rank x
-rank integer matrices acting on the character lattice (columns act on
-coordinate vectors), is closed only where its elements are read.  All
-enumerations are exact and guarded by caps.
+rank-one update x -> x - <x, coroot> root.  Orbits and invariance checks
+run on a datum's simple pairs, and |W| comes from the heights of the
+positive roots (Kostant's theorem) without any orbit or group.  A whole
+Weyl group, as rank x rank integer matrices acting on the character
+lattice (columns act on coordinate vectors), is closed only where its
+elements are read.  All enumerations are exact and guarded by caps.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import prod
 from operator import mul, sub
 
 from .errors import ResourceCapError
-from .lattice import FinAbGroup, Sublattice, det, is_member, quotient_group, saturate
+from .lattice import FinAbGroup, Sublattice, is_member, quotient_group, saturate
 
 MatrixT = tuple[tuple[int, ...], ...]
 
@@ -64,8 +67,8 @@ class RootDatum:
         """The (root, coroot) pairs of the simple reflections."""
         return tuple(zip(self.simple_roots, self.simple_coroots))
 
-    def pairing(self, chi, cochar) -> int:
-        return sum(int(x) * int(y) for x, y in zip(chi, cochar))
+    def pairing(self, chi, cochar):
+        return sum(map(mul, chi, cochar))
 
     def cartan_matrix(self) -> list[list[int]]:
         return [[self.pairing(a, bv) for bv in self.simple_coroots]
@@ -306,13 +309,6 @@ def is_invariant(d: RootDatum, terms) -> bool:
                for e, c in terms.items() for a, av in pairs)
 
 
-def sign(m: MatrixT) -> int:
-    s = det(m)
-    if s not in (1, -1):
-        raise ValueError("matrix is not orthogonal-unimodular")
-    return s
-
-
 def is_dominant(d: RootDatum, v) -> bool:
     return all(d.pairing(v, av) >= 0 for av in d.simple_coroots)
 
@@ -352,36 +348,56 @@ def is_derived_simply_connected(d: RootDatum) -> bool:
     return fundamental_group(d).is_torsion_free
 
 
-def positive_roots(d: RootDatum) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The (root, coroot) pairs whose root is a nonnegative combination
-    of the simple roots.  These roots are the closure of the simple ones
+def _heights(d: RootDatum) -> dict[tuple[int, ...], int]:
+    """Each positive root with its height, its coefficient sum over the
+    simple roots.  The positive roots are the closure of the simple ones
     under s_i applied to roots other than a_i, since s_i permutes those
     positive roots and every positive root descends to a simple one that
-    way (Humphreys 10.2); all_roots runs first to refuse infinite type."""
-    pairs = all_roots(d)
-    pos = set(d.simple_roots)
-    stack = list(pos)
+    way (Humphreys 10.2); height(s_i b) = height(b) - <b, a_i'>."""
+    height = dict.fromkeys(d.simple_roots, 1)
+    stack = list(height)
     while stack:
         b = stack.pop()
-        for c in (_reflect(b, a, av) for a, av in d.simple_pairs if a != b):
-            if c not in pos:
-                pos.add(c)
-                stack.append(c)
+        for a, av in d.simple_pairs:
+            k = sum(map(mul, b, av))
+            if k and a != b:
+                c = tuple([x - k * y for x, y in zip(b, a)])
+                if c not in height:
+                    height[c] = height[b] - k
+                    stack.append(c)
+    return height
+
+
+def positive_roots(d: RootDatum) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (root, coroot) pairs whose root is a nonnegative combination
+    of the simple roots; all_roots runs first to refuse infinite type."""
+    pairs, pos = all_roots(d), _heights(d)
     return [(a, av) for a, av in pairs if a in pos]
 
 
 def two_rho(d: RootDatum) -> tuple[int, ...]:
     """Sum of the positive roots (twice the Weyl vector; always integral)."""
-    acc = [0] * d.rank
-    for a, _ in positive_roots(d):
-        acc = [x + y for x, y in zip(acc, a)]
-    return tuple(acc)
+    return tuple(map(sum, zip([0] * d.rank, *(a for a, _ in positive_roots(d)))))
 
 
 def weyl_order(d: RootDatum, cap: int | None = None) -> int:
-    """|W| as the size of the orbit of 2 rho, which is strictly dominant
-    and so has a free orbit (Humphreys 10.3); capped as orbit is."""
-    return len(orbit(d, two_rho(d), cap))
+    """|W| = prod (k + 1)^(n_k - n_(k+1)), n_k the number of positive roots
+    of height k: the exponents of W are the partition dual to the heights
+    (Kostant, Amer. J. Math. 81, 1959; Humphreys 3.20).  Infinite type is
+    refused, also where dependent simple roots leave all_roots closing.
+    Capped at cap (WEYL_ORDER_CAP, read at call time, when not given),
+    which the trivial group, counted without enumeration, always passes."""
+    limit = WEYL_ORDER_CAP if cap is None else cap
+    pairs, heights = all_roots(d), _heights(d)
+    if 2 * len(heights) != len(pairs):
+        raise ValueError("the simple roots are linearly dependent; "
+                         "the datum is not of finite type")
+    count = Counter(heights.values())
+    order = prod((k + 1) ** (n - count[k + 1]) for k, n in count.items())
+    if order > max(limit, 1):
+        name = "WEYL_ORDER_CAP = " if cap is None else "the cap "
+        raise ResourceCapError(f"Weyl group order {order} exceeds {name}{limit}")
+    return order
 
 
 @dataclass(frozen=True)

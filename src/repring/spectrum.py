@@ -16,12 +16,12 @@ from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
 from .cyclotomic import Cyclo, demote, prime_factors
 from .invariants import orbit_sum
 from .lattice import (FinAbGroup, Sublattice, is_member, kernel,
-                      mat_inverse_unimodular, mat_vec, quotient_group, transpose)
+                      mat_inverse_unimodular, quotient_group, transpose)
 from .laurent import LaurentPoly
 from .rootdata import (RootDatum, WeylGroup, all_roots, centralizer_subsystem,
                        dominant_representative, reflection_subgroup, weyl_group)
@@ -38,8 +38,8 @@ class EvalPoint:
     torsion[i] is a reduced fraction a/m in [0, 1) meaning the root of
     unity zeta_m^a; rational[i] is a sorted tuple of (prime, exponent)
     pairs with nonzero exponents, encoding a positive rational.  The same
-    data in integers, zeta_row and prime_rows, are computed once per point;
-    evaluation, supports, Galois keys and Weyl translates read them.
+    data in integers, rows, are computed once per point; evaluation,
+    supports, Galois keys and Weyl translates read them.
     Primes in proven_primes (a validated source point's) skip trial division.
     """
 
@@ -72,18 +72,15 @@ class EvalPoint:
         return lcm(*(t.denominator for t in self.torsion))
 
     @cached_property
-    def zeta_row(self) -> tuple[int, ...]:
-        """The torsion part over m = torsion_order: coordinate i is zeta_m^zeta_row[i]."""
+    def rows(self) -> tuple:
+        """(m, zeta_row, prime_rows): coordinate i is zeta_m^zeta_row[i], m
+        the torsion order, times prime^row[i] for each (prime, row) of
+        prime_rows, one per prime that occurs, primes ascending."""
         m = self.torsion_order
-        return tuple(t.numerator * (m // t.denominator) for t in self.torsion)
-
-    @cached_property
-    def prime_rows(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """The rational part as (prime, exponent at each coordinate), one
-        row per prime that occurs, primes ascending."""
         primes = sorted({prime for coord in self.rational for prime, _ in coord})
-        return tuple((prime, tuple(dict(coord).get(prime, 0) for coord in self.rational))
-                     for prime in primes)
+        return (m, tuple(t.numerator * (m // t.denominator) for t in self.torsion),
+                tuple((prime, tuple(dict(coord).get(prime, 0) for coord in self.rational))
+                      for prime in primes))
 
     @classmethod
     def from_parts(cls, torsion, rational_maps) -> "EvalPoint":
@@ -171,15 +168,10 @@ def parse_coordinate(text: str) -> tuple[Fraction, dict[int, int]]:
 
 def parse_point(text: str, rank: int) -> EvalPoint:
     """Parse a comma-separated list of coordinate literals."""
-    coords = [c for c in text.split(",")]
+    coords = text.split(",")
     if len(coords) != rank:
         raise ValueError(f"expected {rank} coordinates, got {len(coords)}")
-    torsion = []
-    rational = []
-    for c in coords:
-        t, r = parse_coordinate(c)
-        torsion.append(t)
-        rational.append(r)
+    torsion, rational = zip(*map(parse_coordinate, coords))
     return EvalPoint.from_parts(torsion, rational)
 
 
@@ -204,17 +196,17 @@ def render_point(p: EvalPoint) -> str:
     return ",".join(out)
 
 
-def _character(p: EvalPoint, n) -> tuple[int, Fraction]:
-    """The point's value on e^n as (k, q): zeta_m^k times the positive
-    rational q, m the torsion order."""
+def _character(rows, n) -> tuple[int, Fraction]:
+    """The value on e^n at rows as (k, q): zeta_m^k times the rational q."""
+    m, zeta_row, prime_rows = rows
     num = den = 1
-    for prime, row in p.prime_rows:
+    for prime, row in prime_rows:
         x = sum(map(mul, row, n))
         if x > 0:
             num *= prime ** x
         elif x < 0:
             den *= prime ** -x
-    return sum(map(mul, p.zeta_row, n)) % p.torsion_order, Fraction(num, den)
+    return sum(map(mul, zeta_row, n)) % m, Fraction(num, den)
 
 
 def evaluate_char(p: EvalPoint, n) -> Fraction | Cyclo:
@@ -222,41 +214,58 @@ def evaluate_char(p: EvalPoint, n) -> Fraction | Cyclo:
     vec = list(map(int, n))
     if len(vec) != p.rank:
         raise ValueError("exponent length does not match point rank")
-    k, q = _character(p, vec)
+    k, q = _character(p.rows, vec)
     return demote(Cyclo.zeta(p.torsion_order, k) * q) if k else q
 
 
+def _prepare(f: LaurentPoly) -> tuple:
+    """f for evaluation at many points: its rational terms' exponent
+    columns and numerators over one denominator, and its Cyclo terms."""
+    rational = [(e, c) for e, c in f.terms.items() if not isinstance(c, Cyclo)]
+    den = lcm(*(c.denominator for _, c in rational))
+    return (tuple(zip(*(e for e, _ in rational))),
+            [c.numerator * (den // c.denominator) for _, c in rational], den,
+            [(e, c) for e, c in f.terms.items() if isinstance(c, Cyclo)])
+
+
+def _dots(row, columns, n: int) -> list[int]:
+    """The pairings of row with n exponent vectors given by columns."""
+    acc = [0] * n
+    for x, col in zip(row, columns):
+        if x:
+            acc = list(map(add, acc, col if x == 1 else [x * y for y in col]))
+    return acc
+
+
+def _evaluate(rows, prepared) -> Fraction | Cyclo:
+    """A prepared polynomial at rows, in integers: each rational term puts
+    its numerator times its prime powers, read from one table per prime
+    and shifted by the lowest exponent (if negative, into the denominator),
+    into its zeta_m power's slot; the slots reduce once as one Cyclo."""
+    m, zeta_row, prime_rows = rows
+    columns, values, den, cyclo_terms = prepared
+    n = len(values)
+    for prime, row in prime_rows:
+        xs = _dots(row, columns, n)
+        low = min(min(xs, default=0), 0)
+        powers = {x: prime ** (x - low) for x in set(xs)}
+        values = list(map(mul, values, map(powers.__getitem__, xs)))
+        den *= prime ** -low
+    slots = [0] * m
+    for k, v in zip(_dots(zeta_row, columns, n), values):
+        slots[k % m] += v
+    value = Cyclo(m, slots, den)
+    for e, c in cyclo_terms:
+        k, q = _character(rows, e)
+        value = value + c * Cyclo.zeta(m, k) * q
+    return demote(value)
+
+
 def evaluate_poly(p: EvalPoint, f: LaurentPoly) -> Fraction | Cyclo:
-    """Evaluate a Laurent polynomial at the point in one pass, in integers:
-    each term with a rational coefficient adds an integer numerator into
-    the slot of its power of zeta_m, m the torsion order, over the lcm of
-    the coefficient denominators times each prime to minus its lowest
-    exponent (if negative).  The slots reduce once as one Cyclo; Cyclo
-    coefficients multiply out."""
+    """Evaluate a Laurent polynomial at the point in one pass, in integers."""
     if f.rank != p.rank:
         raise ValueError("polynomial rank does not match point rank")
-    m, primes = p.torsion_order, p.prime_rows
-    terms, rest = [], 0
-    for e, c in f.terms.items():
-        if isinstance(c, Cyclo):
-            k, q = _character(p, e)
-            rest = rest + c * Cyclo.zeta(m, k) * q
-        else:
-            terms.append((sum(map(mul, p.zeta_row, e)) % m, c.numerator, c.denominator,
-                          [sum(map(mul, row, e)) for _, row in primes]))
-    low = [min(0, *xs) for xs in zip(*(t[3] for t in terms))]
-    den = lcm(*(t[2] for t in terms))
-    slots = [0] * m
-    for k, a, b, xs in terms:
-        v = a * (den // b)
-        for (prime, _), x, x0 in zip(primes, xs, low):
-            if x != x0:
-                v *= prime ** (x - x0)
-        slots[k] += v
-    for (prime, _), x0 in zip(primes, low):
-        den *= prime ** -x0
-    value = Cyclo(m, slots, den)
-    return demote(value + rest if rest else value)
+    return _evaluate(p.rows, _prepare(f))
 
 
 @dataclass(frozen=True)
@@ -277,7 +286,8 @@ def support(p: EvalPoint) -> SupportDesc:
     is connected exactly when the quotient is torsion-free.
     """
     r = p.rank
-    rows = [[*p.zeta_row, p.torsion_order]] + [[*row, 0] for _, row in p.prime_rows]
+    m, zeta_row, prime_rows = p.rows
+    rows = [[*zeta_row, m]] + [[*row, 0] for _, row in prime_rows]
     ker = kernel(rows)
     lat = Sublattice(r, [g[:r] for g in ker.hnf_rows])
     quot = quotient_group(r, lat)
@@ -295,17 +305,13 @@ class MaxIdealDesc:
 
     point: EvalPoint
 
-    @property
-    def order(self) -> int:
-        return self.point.torsion_order
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MaxIdealDesc):
             return NotImplemented
         return ideal_equal(self, other)
 
     def __hash__(self) -> int:
-        return hash(_galois_key(self.point))
+        return hash(_galois_key(self.point.rows))
 
 
 def ideal_equal(p, q) -> bool:
@@ -315,37 +321,44 @@ def ideal_equal(p, q) -> bool:
     roots of unity)."""
     a = p.point if isinstance(p, MaxIdealDesc) else p
     b = q.point if isinstance(q, MaxIdealDesc) else q
-    return a.rank == b.rank and _galois_key(a) == _galois_key(b)
+    return a.rank == b.rank and _galois_key(a.rows) == _galois_key(b.rows)
 
 
-def _galois_key(p: EvalPoint) -> tuple:
-    """A hashable Galois-normal key of a point: the rational part, the
-    torsion order m, and the least unit multiple of the torsion vector
-    written in integers over m."""
-    m = p.torsion_order
-    return p.rational, m, min(tuple(k * a % m for a in p.zeta_row)
+def _galois_key(rows) -> tuple:
+    """The Galois-normal key of the point at rows: its rational part, m,
+    and the least unit multiple of its torsion row."""
+    m, zeta_row, prime_rows = rows
+    return prime_rows, m, min(tuple(k * a % m for a in zeta_row)
                               for k in range(1, m + 1) if gcd(k, m) == 1)
+
+
+def _translate_rows(p: EvalPoint, inv_t) -> tuple:
+    """The rows of w . p: p's through the inverse-transpose inv_t of w."""
+    m, zeta_row, prime_rows = p.rows
+    return (m, tuple(sum(map(mul, r, zeta_row)) % m for r in inv_t),
+            tuple((prime, tuple(sum(map(mul, r, row)) for r in inv_t))
+                  for prime, row in prime_rows))
+
+
+def _point_from_rows(rows) -> EvalPoint:
+    """The point at rows translated from a validated point's: primes proven."""
+    m, zeta_row, prime_rows = rows
+    coords = tuple(tuple((prime, row[i]) for prime, row in prime_rows if row[i])
+                   for i in range(len(zeta_row)))
+    return EvalPoint(tuple(Fraction(a, m) for a in zeta_row), coords,
+                     frozenset(prime for prime, _ in prime_rows))
 
 
 def weyl_translate(w, p: EvalPoint, inverse_transpose=None) -> EvalPoint:
     """The translated point (w . p)(n) = p(w^{-1} n).
 
-    The integer rows of the point, zeta_row and prime_rows, transform by
-    the inverse-transpose of the integer matrix w (computed here unless
-    given); the torsion order stays the same.
+    The integer rows of the point transform by the inverse-transpose of
+    the integer matrix w (computed here unless given).
     """
     if len(w) != p.rank:
         raise ValueError("matrix size does not match point rank")
     inv_t = inverse_transpose or transpose(mat_inverse_unimodular(w))
-    m = p.torsion_order
-    torsion = tuple(Fraction(a % m, m) for a in mat_vec(inv_t, p.zeta_row))
-    coords: list[list[tuple[int, int]]] = [[] for _ in range(p.rank)]
-    for prime, row in p.prime_rows:
-        for coord, e in zip(coords, mat_vec(inv_t, row)):
-            if e:
-                coord.append((prime, e))
-    return EvalPoint(torsion, tuple(map(tuple, coords)),
-                     frozenset(prime for prime, _ in p.prime_rows))
+    return _point_from_rows(_translate_rows(p, inv_t))
 
 
 def _invariant_probe(d: RootDatum) -> list[LaurentPoly]:
@@ -359,25 +372,24 @@ def _invariant_probe(d: RootDatum) -> list[LaurentPoly]:
 def fiber_over_RG(d: RootDatum, p: EvalPoint) -> list[MaxIdealDesc]:
     """The distinct maximal ideals over the invariant-ring ideal of p.
 
-    Enumerates the Weyl orbit of the point in sorted group order and
-    keeps the first translate of each Galois class.  As a consistency
-    check, all members must evaluate a probe set of invariants
-    identically; a violation raises.
+    Walks W in sorted order on the point's rows, keeping the first
+    translate of each Galois class, the only ones made points.  Each must
+    evaluate a probe set of invariants as p does; a violation raises.
     """
     if d.rank != p.rank:
         raise ValueError("datum and point rank differ")
     w = weyl_group(d)
-    classes: dict[tuple, EvalPoint] = {}
-    for m, inv_t in zip(w.elements, w.inverse_transposes):
-        q = weyl_translate(m, p, inv_t)
-        classes.setdefault(_galois_key(q), q)
-    probes = _invariant_probe(d)
-    base_vals = [evaluate_poly(p, f) for f in probes]
-    for q in classes.values():
+    classes: dict[tuple, tuple] = {}
+    for inv_t in w.inverse_transposes:
+        rows = _translate_rows(p, inv_t)
+        classes.setdefault(_galois_key(rows), rows)
+    probes = [_prepare(f) for f in _invariant_probe(d)]
+    base_vals = [_evaluate(p.rows, f) for f in probes]
+    for rows in classes.values():
         for f, val in zip(probes, base_vals):
-            if evaluate_poly(q, f) != val:
+            if _evaluate(rows, f) != val:
                 raise AssertionError("fiber member disagrees on an invariant probe")
-    return [MaxIdealDesc(q) for q in classes.values()]
+    return [MaxIdealDesc(_point_from_rows(rows)) for rows in classes.values()]
 
 
 @dataclass(frozen=True)
@@ -393,18 +405,19 @@ class StabilizerReport:
 def stabilizer_check(d: RootDatum, p: EvalPoint) -> StabilizerReport:
     """Compare the point stabilizer, ideal stabilizer, and the Weyl group
     of the centralizer subsystem of the support.  Requires connected
-    support; the three groups must coincide there."""
+    support; the three groups must coincide there.  The first two compare
+    each translate's rows, and their Galois keys, with p's."""
     desc = support(p)
     if not desc.connected:
         raise ValueError("stabilizer comparison needs a connected support")
     w = weyl_group(d)
-    geo = []
-    idl = []
+    key = _galois_key(p.rows)
+    geo, idl = [], []
     for m, inv_t in zip(w.elements, w.inverse_transposes):
-        q = weyl_translate(m, p, inv_t)
-        if q == p:
+        rows = _translate_rows(p, inv_t)
+        if rows == p.rows:
             geo.append(m)
-        if ideal_equal(q, p):
+        if _galois_key(rows) == key:
             idl.append(m)
     levi = centralizer_subsystem(d, desc.kernel_lattice)
     geo_g = WeylGroup(d.rank, tuple(sorted(geo)))

@@ -1,0 +1,90 @@
+"""Whole-orbit and per-element references for |W|, fibers and stabilizers.
+
+The library counts |W| from the heights of the positive roots, and walks
+a Weyl group on a point's integer rows, building a point only for the
+first translate of each Galois class.  These references do it the long
+way: |W| is the size of the free orbit of 2 rho, every group element
+gives a full EvalPoint through weyl_translate, Galois keys are read off
+the points, and a polynomial is evaluated term by term.
+"""
+
+from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
+
+from repring.cyclotomic import Cyclo, demote
+from repring.rootdata import orbit, two_rho, weyl_group
+from repring.spectrum import weyl_translate
+
+
+def weyl_order_by_orbit(d, cap=None) -> int:
+    """|W| as the size of the orbit of 2 rho, which is strictly dominant
+    and so has a trivial stabilizer (Humphreys 10.3)."""
+    return len(orbit(d, two_rho(d), cap))
+
+
+def galois_key(p) -> tuple:
+    """The rational part, the torsion order m, and the least unit
+    multiple of the torsion vector written in integers over m."""
+    m, zeta_row, _ = p.rows
+    return p.rational, m, min(tuple(k * a % m for a in zeta_row)
+                              for k in range(1, m + 1) if gcd(k, m) == 1)
+
+
+def translates(d, p):
+    """(element, translated point) over the Weyl group in sorted order."""
+    w = weyl_group(d)
+    for m, inv_t in zip(w.elements, w.inverse_transposes):
+        yield m, weyl_translate(m, p, inv_t)
+
+
+def fiber_points(d, p) -> list:
+    """The first translate of each Galois class, in group order."""
+    classes = {}
+    for _, q in translates(d, p):
+        classes.setdefault(galois_key(q), q)
+    return list(classes.values())
+
+
+def stabilizers(d, p) -> tuple[list, list]:
+    """The elements fixing p, and those fixing its Galois class."""
+    key = galois_key(p)
+    geo, idl = [], []
+    for m, q in translates(d, p):
+        if q == p:
+            geo.append(m)
+        if galois_key(q) == key:
+            idl.append(m)
+    return geo, idl
+
+
+def evaluate_by_terms(p, f):
+    """f at p, term by term: each rational term's zeta power and prime
+    exponents come from its own exponent vector, and its numerator goes
+    into the slot of that power over the lcm of the coefficient
+    denominators times each prime to minus its lowest exponent; Cyclo
+    coefficients multiply out."""
+    m, zeta_row, primes = p.rows
+    terms, rest = [], 0
+    for e, c in f.terms.items():
+        xs = [sum(map(mul, row, e)) for _, row in primes]
+        k = sum(map(mul, zeta_row, e)) % m
+        if isinstance(c, Cyclo):
+            q = Fraction(1)
+            for (prime, _), x in zip(primes, xs):
+                q *= Fraction(prime) ** x
+            rest = rest + c * Cyclo.zeta(m, k) * q
+        else:
+            terms.append((k, c.numerator, c.denominator, xs))
+    low = [min(0, *xs) for xs in zip(*(t[3] for t in terms))]
+    den = lcm(*(t[2] for t in terms))
+    slots = [0] * m
+    for k, a, b, xs in terms:
+        v = a * (den // b)
+        for (prime, _), x, x0 in zip(primes, xs, low):
+            v *= prime ** (x - x0)
+        slots[k] += v
+    for (prime, _), x0 in zip(primes, low):
+        den *= prime ** -x0
+    value = Cyclo(m, slots, den)
+    return demote(value + rest if rest else value)

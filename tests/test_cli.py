@@ -446,6 +446,30 @@ def test_validate_cap_counts_the_weyl_group_not_the_roots(capsys):
     assert "--cap = 20" in err
 
 
+def test_validate_cap_at_the_weyl_order_boundary(capsys):
+    for label, rank, order in [("A", 3, 24), ("B", 3, 48), ("G", 2, 12), ("D", 5, 1920)]:
+        for variant in ("simply_connected", "adjoint"):
+            argv = ["validate", "--type", label, "--rank", str(rank), "--variant", variant]
+            code, out, _ = invoke(capsys, argv + ["--cap", str(order)])
+            assert code == 0
+            assert json.loads(out)["result"]["weyl_order"] == order
+            code, out, err = invoke(capsys, argv + ["--cap", str(order - 1)])
+            assert code == 3
+            assert out == ""
+            assert f"--cap = {order - 1}" in err
+
+
+def test_validate_refuses_linearly_dependent_simple_roots(tmp_path, capsys):
+    # The root closure of affine A2 on Z^2 closes, but no base exists.
+    path = tmp_path / "affine_a2.json"
+    path.write_text(json.dumps({"rank": 2, "simple_roots": [[2, -1], [-1, 2], [-1, -1]],
+                                "simple_coroots": [[1, 0], [0, 1], [-1, -1]]}))
+    code, out, err = invoke(capsys, ["validate", "--datum-file", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "linearly dependent" in err
+
+
 def test_validate_weyl_order_matches_the_closed_form(capsys):
     orders = {"A": lambda n: math.factorial(n + 1),
               "B": lambda n: 2 ** n * math.factorial(n),

@@ -10,7 +10,8 @@ must round-trip.  The coefficient protocol is checked the same way: a
 Cyclo is true exactly when nonzero, Laurent polynomials compare by value
 whatever order their cyclotomic coefficients are stored at, division by
 a cyclotomic leading coefficient is exact, and reflections act as
-involutions.  Every test is derandomized, so a run always draws the
+involutions.  |W| of a product of built-in data, counted from root
+heights, is the size of the orbit of 2 rho.  Every test is derandomized, so a run always draws the
 same examples.
 """
 
@@ -29,8 +30,10 @@ from repring.laurent import LaurentPoly, exact_divide, weyl_act  # noqa: E402
 from repring.lattice import (det, identity_matrix, kernel, mat_inverse_unimodular,  # noqa: E402
                              mat_mul, mat_vec, smith_normal_form)
 from repring.linalg import rank as q_rank  # noqa: E402
-from repring.rootdata import is_invariant, standard_datum, weyl_group  # noqa: E402
+from repring.rootdata import (is_invariant, product, standard_datum, torus_datum,  # noqa: E402
+                              weyl_group, weyl_order)
 from repring.spectrum import EvalPoint, parse_point, render_point  # noqa: E402
+from orbit_oracle import weyl_order_by_orbit  # noqa: E402
 from reflection_oracle import simple_reflections  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -247,3 +250,27 @@ def test_the_invariance_check_agrees_with_the_simple_reflection_matrices(f, d, f
 @given(points())
 def test_render_point_round_trips_through_parse_point(p):
     assert parse_point(render_point(p), p.rank) == p
+
+
+FACTORS = [(label, rank) for label, ranks in [("A", range(1, 6)), ("B", range(2, 6)),
+                                               ("C", range(2, 6)), ("D", range(3, 6)),
+                                               ("G", [2]), ("T", [1])]
+           for rank in ranks]
+
+
+@st.composite
+def products_of_rank_at_most_5(draw):
+    d = None
+    for label, rank in draw(st.lists(st.sampled_from(FACTORS), min_size=1, max_size=4)):
+        if (d.rank if d else 0) + rank > 5:
+            continue
+        factor = torus_datum(rank) if label == "T" else standard_datum(
+            label, rank, draw(st.sampled_from(["simply_connected", "adjoint"])))
+        d = factor if d is None else product(d, factor)
+    return d
+
+
+@settings(PROPERTY, max_examples=60)
+@given(products_of_rank_at_most_5())
+def test_weyl_order_of_a_product_is_the_size_of_the_orbit_of_two_rho(d):
+    assert weyl_order(d) == weyl_order_by_orbit(d)

@@ -7,26 +7,32 @@ simple-root coefficients.  The orbit closure and the group closure, which
 apply reflections as rank-one updates, are compared with dense matrix
 products over the whole group; a centralizer's Weyl group, closed from
 the base of its subsystem, with the dense closure of all its reflections.
+|W| from the heights of the positive roots is compared with the size of
+the orbit of 2 rho (tests/orbit_oracle.py).
 """
 
+import itertools
 import math
 import random
 import threading
+from fractions import Fraction
 
 import pytest
+from orbit_oracle import weyl_order_by_orbit
 from reflection_oracle import reflection_matrix, simple_reflections
 
 from repring import rootdata
 from repring.errors import ResourceCapError
 from repring.invariants import decompose_into_orbit_sums
 from repring.laurent import LaurentPoly
-from repring.lattice import Sublattice, full_lattice, mat_mul, mat_vec, transpose
+from repring.lattice import (Sublattice, det, full_lattice, mat_mul, mat_vec, saturate,
+                             transpose)
 from repring.linalg import solve_coordinates
 from repring.rootdata import (RootDatum, all_roots, centralizer_subsystem,
                               datum_from_dict, dominant_representative,
                               fundamental_group, gl_datum,
                               is_derived_simply_connected, is_dominant, orbit,
-                              positive_roots, product, reflection_subgroup, sign,
+                              positive_roots, product, reflection_subgroup,
                               standard_datum, torus_datum, two_rho, weyl_group,
                               weyl_order)
 
@@ -109,15 +115,77 @@ def test_weyl_orders_match_closed_forms():
         assert weyl_group(d).order == weyl_order(d) == weyl_order_formula(label, rank)
 
 
+SC_BUILTINS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+               ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4), ("G", 2)]
+
+
+def test_weyl_order_is_the_size_of_the_orbit_of_two_rho():
+    data = [standard_datum(label, rank, variant) for label, rank in SC_BUILTINS
+            for variant in ("simply_connected", "adjoint")]
+    data += [product(standard_datum("B", 2), standard_datum("G", 2)),
+             product(standard_datum("A", 2), standard_datum("A", 1)),
+             gl_datum(4), torus_datum(3)]
+    for d in data:
+        assert weyl_order(d) == weyl_order_by_orbit(d), d.name
+
+
+def test_weyl_order_of_every_centralizer_of_the_acceptance_sweep():
+    # The saturated sublattices spanned by positive roots, as in the
+    # acceptance criterion's centralizer sweep.
+    checked = 0
+    for label, rank in SC_BUILTINS:
+        d = standard_datum(label, rank)
+        roots = [list(a) for a, _ in positive_roots(d)]
+        seen = set()
+        for size in range(rank + 1):
+            for subset in itertools.combinations(roots, size):
+                sat = saturate(Sublattice(d.rank, list(subset)))
+                if sat.hnf_rows not in seen:
+                    seen.add(sat.hnf_rows)
+                    levi = centralizer_subsystem(d, sat).datum
+                    assert weyl_order(levi) == weyl_order_by_orbit(levi), (d.name, sat)
+                    checked += 1
+    assert checked > 100
+
+
+def test_weyl_order_cap_bounds_the_order(monkeypatch):
+    b3 = standard_datum("B", 3)
+    assert weyl_order(b3, 48) == 48
+    with pytest.raises(ResourceCapError, match="order 48 exceeds the cap 47"):
+        weyl_order(b3, 47)
+    monkeypatch.setattr(rootdata, "WEYL_ORDER_CAP", 47)
+    with pytest.raises(ResourceCapError, match="WEYL_ORDER_CAP = 47"):
+        weyl_order(b3)
+    # The trivial group passes any cap.
+    assert weyl_order(torus_datum(2), 0) == weyl_order(gl_datum(1), -1) == 1
+
+
+def test_weyl_order_refuses_linearly_dependent_simple_roots():
+    # Affine A2 on Z^2: the three simple roots sum to 0, so the root
+    # closure finds the six roots of A2 and accepts, but no base exists.
+    d = RootDatum(2, ((2, -1), (-1, 2), (-1, -1)), ((1, 0), (0, 1), (-1, -1)))
+    assert len(all_roots(d)) == 6
+    with pytest.raises(ValueError, match="linearly dependent"):
+        weyl_order(d)
+
+
+def test_pairing_is_exact_on_rational_vectors():
+    d = standard_datum("A", 2)
+    assert d.pairing((Fraction(-1, 2), 0), (1, 0)) == Fraction(-1, 2)
+    assert not is_dominant(d, (Fraction(-1, 2), Fraction(1, 2)))
+    assert is_dominant(d, (Fraction(1, 2), 0))
+    assert d.pairing((2, -1), (1, 3)) == -1
+
+
 def test_weyl_group_is_a_group_of_signed_matrices():
     d = standard_datum("C", 2)
     w = weyl_group(d)
     assert len(set(w.elements)) == w.order
-    signs = [sign(m) for m in w.elements]
+    signs = [det(m) for m in w.elements]
     assert signs.count(1) == signs.count(-1) == w.order // 2
     for s in simple_reflections(d):
         assert s in w.elements
-        assert sign(s) == -1
+        assert det(s) == -1
 
 
 def test_reflections_square_to_identity_and_negate_their_root():

@@ -1,7 +1,8 @@
 """Evaluation points, supports, fibers, and stabilizers.
 
 Support computations are checked against by-hand kernels, fibers
-against the orbit-stabilizer count, and Galois identification of
+against the orbit-stabilizer count and against a per-element walk of W
+over full points (tests/orbit_oracle.py), and Galois identification of
 ideals against explicit unit multipliers.
 """
 
@@ -10,12 +11,13 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from orbit_oracle import evaluate_by_terms, fiber_points, stabilizers
 
 from repring.cyclotomic import Cyclo, demote
 from repring.lattice import (FinAbGroup, Sublattice, is_member, mat_inverse_unimodular,
                              mat_mul, mat_vec)
 from repring.laurent import LaurentPoly
-from repring.rootdata import product, standard_datum, torus_datum, weyl_group
+from repring.rootdata import product, standard_datum, torus_datum, weyl_group, weyl_order
 from repring.spectrum import (EvalPoint, MaxIdealDesc, evaluate_char,
                               evaluate_poly, fiber_over_RG, ideal_equal,
                               parse_coordinate, parse_point, render_point,
@@ -437,5 +439,60 @@ def test_galois_key_is_equal_exactly_for_equal_ideals():
         assert ideal_equal_by_unit_search(p, conjugate)
         for q in others:
             expected = ideal_equal_by_unit_search(p, q)
-            assert (_galois_key(p) == _galois_key(q)) == expected
+            assert (_galois_key(p.rows) == _galois_key(q.rows)) == expected
             assert ideal_equal(p, q) == expected
+
+
+SMALL_BUILTINS = [(label, rank, variant)
+                  for label, rank in [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2),
+                                      ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4),
+                                      ("D", 3), ("D", 4), ("G", 2)]
+                  for variant in ("simply_connected", "adjoint")]
+
+
+def test_fiber_and_stabilizers_match_a_walk_over_full_points():
+    # Every built-in with |W| <= 384, at seeded points with cyclotomic
+    # coordinates and negative exponents, plus two central ones.
+    rng = random.Random(5040)
+    checked = 0
+    for label, rank, variant in SMALL_BUILTINS:
+        d = standard_datum(label, rank, variant)
+        assert weyl_order(d) <= 384
+        points = [parse_point(",".join(["1"] * rank), rank),
+                  parse_point(",".join(["zeta(2)^1"] * rank), rank)]
+        points += [random_point(rng, rank) for _ in range(3)]
+        assert any(p.torsion_order > 1 for p in points)
+        assert any(e < 0 for p in points for coord in p.rational for _, e in coord)
+        for p in points:
+            assert [desc.point for desc in fiber_over_RG(d, p)] == fiber_points(d, p)
+            if support(p).connected:
+                report = stabilizer_check(d, p)
+                geo, idl = stabilizers(d, p)
+                assert report.geometric.elements == tuple(sorted(geo))
+                assert report.ideal.elements == tuple(sorted(idl))
+                checked += 1
+    assert checked >= 26
+
+
+def test_evaluate_poly_matches_the_term_by_term_sum():
+    rng = random.Random(1729)
+    cases = []
+    for m in (1, 3, 4, 10):
+        for _ in range(4):
+            torsion = [Fraction(rng.randrange(m), m) for _ in range(3)]
+            rational = [{q: rng.choice([-3, -1, 1, 2]) for q in (2, 3, 5)
+                         if rng.random() < 0.5} for _ in range(3)]
+            p = EvalPoint.from_parts(torsion, rational)
+            exps = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(7)]
+            rational_terms = {e: Fraction(rng.randint(-6, 6), rng.choice([1, 2, 5]))
+                              for e in exps[:4]}
+            cyclo_terms = {e: Cyclo.zeta(rng.choice([3, 5, 12]), 1) * Fraction(rng.randint(1, 4), 3)
+                           for e in exps[4:]}
+            cases += [(p, LaurentPoly(3, rational_terms)),
+                      (p, LaurentPoly(3, {**rational_terms, **cyclo_terms})),
+                      (p, LaurentPoly(3, cyclo_terms)),  # no rational terms
+                      (p, LaurentPoly(3, {}))]
+    assert any(p.torsion_order == 1 for p, _ in cases)
+    for p, f in cases:
+        got, expected = evaluate_poly(p, f), evaluate_by_terms(p, f)
+        assert got == expected and type(got) is type(expected)
