@@ -119,6 +119,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _under_cap(d: RootDatum, cap: int | None, *readers) -> list:
+    """Each reader's value on d under the --cap override, which a cap error names."""
+    try:
+        return [read(d) if cap is None else read(d, cap) for read in readers]
+    except ResourceCapError as exc:
+        if cap is None:
+            raise
+        raise ResourceCapError(f"{exc} (--cap = {cap})") from None
+
+
 def _cmd_pi1(args) -> tuple[dict, dict]:
     d = _resolve_datum(args)
     return {"datum": d.name}, _group_doc(fundamental_group(d))
@@ -126,7 +136,7 @@ def _cmd_pi1(args) -> tuple[dict, dict]:
 
 def _cmd_roots(args) -> tuple[dict, dict]:
     d = _resolve_datum(args)
-    pairs = all_roots(d) if args.cap is None else all_roots(d, cap=args.cap)
+    pairs, = _under_cap(d, args.cap, all_roots)
     return {"datum": d.name}, {
         "count": len(pairs),
         "roots": [list(a) for a, _ in pairs],
@@ -239,13 +249,7 @@ def _cmd_nal_check(args) -> tuple[dict, dict]:
 
 def _cmd_validate(args) -> tuple[dict, dict]:
     d = _resolve_datum(args)
-    try:
-        pairs = all_roots(d) if args.cap is None else all_roots(d, cap=args.cap)
-        order = weyl_order(d, args.cap)
-    except ResourceCapError as exc:
-        if args.cap is None:
-            raise
-        raise ResourceCapError(f"{exc} (--cap = {args.cap})") from None
+    pairs, order = _under_cap(d, args.cap, all_roots, weyl_order)
     echo = {"datum": d.name}
     result = {
         "datum_ok": True,

@@ -7,11 +7,12 @@ the cocharacter lattice, and dot(root_i, coroot_i) == 2 is enforced.
 
 A reflection is a (root, coroot) pair, applied to a character as the
 rank-one update x -> x - <x, coroot> root.  Orbits and invariance checks
-run on a datum's simple pairs, and |W| comes from the heights of the
-positive roots (Kostant's theorem) without any orbit or group.  A whole
-Weyl group, as rank x rank integer matrices acting on the character
-lattice (columns act on coordinate vectors), is closed only where its
-elements are read.  All enumerations are exact and guarded by caps.
+run on a datum's simple pairs.  A datum's roots, coroots and heights are
+closed once and kept on it; positive roots, a centralizer's base and |W|
+(from the heights by Kostant's theorem) read it.  A whole Weyl group, as
+rank x rank integer matrices acting on the character lattice (columns
+act on coordinate vectors), is closed only where its elements are read.
+All enumerations are exact and guarded by caps.
 """
 
 from __future__ import annotations
@@ -199,31 +200,59 @@ def _reflect(x: tuple[int, ...], root, coroot) -> tuple[int, ...]:
     return tuple([xi - k * ri for xi, ri in zip(x, root)]) if k else x
 
 
-def all_roots(d: RootDatum, cap: int = ROOT_CLOSURE_CAP) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All (root, coroot) pairs: the closure of the simple pairs under
-    simple reflections, which act on coroots by the dual reflections.
-    Returned sorted by root vector."""
+def _close_roots(d: RootDatum, cap: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+    """Every (root, coroot, height) of d, sorted by root: the closure of the
+    simple pairs under simple reflections, which act on coroots by the dual
+    reflections and on heights, the coefficient sums over the simple roots,
+    by height(s_i b) = height(b) - <b, a_i'>, negative roots included."""
     simple = d.simple_pairs
-    found: dict[tuple[int, ...], tuple[int, ...]] = {}
-    queue: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    found: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
     for a, av in simple:
-        if a not in found:
-            found[a] = av
-            queue.append((a, av))
+        found.setdefault(a, (av, 1))
+    queue = list(found)
     while queue:
-        a, av = queue.pop()
+        a = queue.pop()
+        av, height = found[a]
         for s, sv in simple:
             b, bv = _reflect(a, s, sv), _reflect(av, sv, s)
             known = found.get(b)
             if known is None:
                 if len(found) >= cap:
                     raise ResourceCapError(f"root closure exceeded cap {cap}")
-                found[b] = bv
-                queue.append((b, bv))
-            elif known != bv:
+                found[b] = (bv, height - sum(map(mul, a, sv)))
+                queue.append(b)
+            elif known[0] != bv:
                 raise ValueError("inconsistent coroot produced by reflection closure; "
                                  "the datum is not of finite type")
-    return sorted(found.items())
+    return tuple(sorted((a, av, h) for a, (av, h) in found.items()))
+
+
+def _root_closure(d: RootDatum, cap: int = ROOT_CLOSURE_CAP):
+    """d's closure, run once and kept on d; only a closure that succeeds is
+    kept, and one of more than cap roots is refused whether kept or not."""
+    closed = vars(d).get("_closure")
+    if closed is None:
+        closed = _close_roots(d, cap)
+        object.__setattr__(d, "_closure", closed)
+    if len(closed) > cap:
+        raise ResourceCapError(f"root closure exceeded cap {cap}")
+    return closed
+
+
+def _base_closure(d: RootDatum):
+    """d's closure for a reader of a base or of |W|: after the closure has
+    refused infinite type, dependent simple roots are refused too."""
+    closed = _root_closure(d)
+    if Sublattice(d.rank, d.simple_roots).rank != d.num_simple:
+        raise ValueError("the simple roots are linearly dependent; "
+                         "the datum is not of finite type")
+    return closed
+
+
+def all_roots(d: RootDatum, cap: int = ROOT_CLOSURE_CAP) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """All (root, coroot) pairs, sorted by root vector; more than cap
+    roots raise ResourceCapError."""
+    return [(a, av) for a, av, _ in _root_closure(d, cap)]
 
 
 @dataclass(frozen=True)
@@ -240,10 +269,12 @@ class WeylGroup:
         return len(self.elements)
 
 
-def _close_group(rank: int, pairs, cap: int) -> WeylGroup:
-    """Close the reflections s of the (root, coroot) pairs; each row of m s
-    and of the carried (m s)^-T = m^-T s^T is a rank-one update."""
-    pairs = [(tuple(a), tuple(av)) for a, av in pairs]
+def weyl_group(d: RootDatum, cap: int = WEYL_ORDER_CAP) -> WeylGroup:
+    """Close the simple reflections s of d, once its root closure has refused
+    a datum with no finite Weyl group; each row of m s and of the carried
+    (m s)^-T = m^-T s^T is a rank-one update."""
+    _base_closure(d)
+    rank, pairs = d.rank, d.simple_pairs
     ident: MatrixT = tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
     seen = {ident: ident}
     frontier = [ident]
@@ -260,16 +291,6 @@ def _close_group(rank: int, pairs, cap: int) -> WeylGroup:
         frontier = nxt
     elements = tuple(sorted(seen))
     return WeylGroup(rank, elements, tuple(seen[m] for m in elements))
-
-
-def weyl_group(d: RootDatum, cap: int = WEYL_ORDER_CAP) -> WeylGroup:
-    all_roots(d)  # refuses a datum of infinite type before closing its group
-    return _close_group(d.rank, d.simple_pairs, cap)
-
-
-def reflection_subgroup(rank: int, pairs, cap: int = WEYL_ORDER_CAP) -> WeylGroup:
-    """Group generated by the reflections of the given (root, coroot) pairs."""
-    return _close_group(rank, pairs, cap)
 
 
 def orbit(d: RootDatum, v, cap: int | None = None) -> list[tuple[int, ...]]:
@@ -335,8 +356,7 @@ def dominant_representative(d: RootDatum, v) -> tuple[int, ...]:
 
 def coroot_lattice(d: RootDatum) -> Sublattice:
     """Sublattice of the cocharacter lattice spanned by all coroots."""
-    pairs = all_roots(d)
-    return Sublattice(d.rank, [av for _, av in pairs])
+    return Sublattice(d.rank, [av for _, av in all_roots(d)])
 
 
 def fundamental_group(d: RootDatum) -> FinAbGroup:
@@ -348,31 +368,10 @@ def is_derived_simply_connected(d: RootDatum) -> bool:
     return fundamental_group(d).is_torsion_free
 
 
-def _heights(d: RootDatum) -> dict[tuple[int, ...], int]:
-    """Each positive root with its height, its coefficient sum over the
-    simple roots.  The positive roots are the closure of the simple ones
-    under s_i applied to roots other than a_i, since s_i permutes those
-    positive roots and every positive root descends to a simple one that
-    way (Humphreys 10.2); height(s_i b) = height(b) - <b, a_i'>."""
-    height = dict.fromkeys(d.simple_roots, 1)
-    stack = list(height)
-    while stack:
-        b = stack.pop()
-        for a, av in d.simple_pairs:
-            k = sum(map(mul, b, av))
-            if k and a != b:
-                c = tuple([x - k * y for x, y in zip(b, a)])
-                if c not in height:
-                    height[c] = height[b] - k
-                    stack.append(c)
-    return height
-
-
 def positive_roots(d: RootDatum) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The (root, coroot) pairs whose root is a nonnegative combination
-    of the simple roots; all_roots runs first to refuse infinite type."""
-    pairs, pos = all_roots(d), _heights(d)
-    return [(a, av) for a, av in pairs if a in pos]
+    of the simple roots: those of positive height."""
+    return [(a, av) for a, av, h in _base_closure(d) if h > 0]
 
 
 def two_rho(d: RootDatum) -> tuple[int, ...]:
@@ -384,15 +383,12 @@ def weyl_order(d: RootDatum, cap: int | None = None) -> int:
     """|W| = prod (k + 1)^(n_k - n_(k+1)), n_k the number of positive roots
     of height k: the exponents of W are the partition dual to the heights
     (Kostant, Amer. J. Math. 81, 1959; Humphreys 3.20).  Infinite type is
-    refused, also where dependent simple roots leave all_roots closing.
-    Capped at cap (WEYL_ORDER_CAP, read at call time, when not given),
-    which the trivial group, counted without enumeration, always passes."""
+    refused, also where dependent simple roots leave the root closure
+    finite.  Capped at cap (WEYL_ORDER_CAP, read at call time, when not
+    given), which the trivial group, counted without enumeration, always
+    passes."""
     limit = WEYL_ORDER_CAP if cap is None else cap
-    pairs, heights = all_roots(d), _heights(d)
-    if 2 * len(heights) != len(pairs):
-        raise ValueError("the simple roots are linearly dependent; "
-                         "the datum is not of finite type")
-    count = Counter(heights.values())
+    count = Counter(h for _, _, h in _base_closure(d) if h > 0)
     order = prod((k + 1) ** (n - count[k + 1]) for k, n in count.items())
     if order > max(limit, 1):
         name = "WEYL_ORDER_CAP = " if cap is None else "the cap "
@@ -402,18 +398,18 @@ def weyl_order(d: RootDatum, cap: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class LeviDatum:
-    """The root subsystem cut out by a sublattice of the character lattice."""
+    """The root subsystem cut out by a sublattice of the character lattice:
+    the parent's (root, coroot) pairs inside it, and the datum of their base."""
 
     parent: RootDatum
     kernel: Sublattice
-    root_subset: tuple[int, ...]
+    pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     datum: RootDatum
     saturation_applied: bool
 
     @property
     def roots(self) -> tuple[tuple[int, ...], ...]:
-        pairs = all_roots(self.parent)
-        return tuple(pairs[i][0] for i in self.root_subset)
+        return tuple(a for a, _ in self.pairs)
 
 
 def centralizer_subsystem(d: RootDatum, k: Sublattice) -> LeviDatum:
@@ -426,17 +422,14 @@ def centralizer_subsystem(d: RootDatum, k: Sublattice) -> LeviDatum:
     if k.ambient_rank != d.rank:
         raise ValueError("sublattice rank does not match datum rank")
     sat = saturate(k)
-    flagged = sat != k
-    pairs = all_roots(d)
-    subset = tuple(i for i, (a, _) in enumerate(pairs) if is_member(sat, a))
-    pos = [(a, av) for a, av in positive_roots(d) if is_member(sat, a)]
-    pos_set = {a for a, _ in pos}
+    inside = [(a, av, h) for a, av, h in _base_closure(d) if is_member(sat, a)]
+    pos = {a: av for a, av, h in inside if h > 0}
     # The base: the positive roots that are no sum of two others.
-    base = sorted((a, av) for a, av in pos
-                  if not any(tuple(map(sub, a, b)) in pos_set for b in pos_set))
+    base = sorted((a, av) for a, av in pos.items()
+                  if not any(tuple(map(sub, a, b)) in pos for b in pos))
     levi = RootDatum(d.rank,
                      tuple(a for a, _ in base),
                      tuple(av for _, av in base),
                      name=f"{d.name}-centralizer")
-    return LeviDatum(parent=d, kernel=sat, root_subset=subset,
-                     datum=levi, saturation_applied=flagged)
+    return LeviDatum(parent=d, kernel=sat, pairs=tuple((a, av) for a, av, _ in inside),
+                     datum=levi, saturation_applied=sat != k)

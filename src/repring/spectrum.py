@@ -24,7 +24,7 @@ from .lattice import (FinAbGroup, Sublattice, is_member, kernel,
                       mat_inverse_unimodular, quotient_group, transpose)
 from .laurent import LaurentPoly
 from .rootdata import (RootDatum, WeylGroup, all_roots, centralizer_subsystem,
-                       dominant_representative, reflection_subgroup, weyl_group)
+                       dominant_representative, weyl_group)
 
 
 def _is_prime(n: int) -> bool:
@@ -422,7 +422,7 @@ def stabilizer_check(d: RootDatum, p: EvalPoint) -> StabilizerReport:
     levi = centralizer_subsystem(d, desc.kernel_lattice)
     geo_g = WeylGroup(d.rank, tuple(sorted(geo)))
     idl_g = WeylGroup(d.rank, tuple(sorted(idl)))
-    sub = reflection_subgroup(d.rank, levi.datum.simple_pairs)
+    sub = weyl_group(levi.datum)
     agree = geo_g.elements == idl_g.elements == sub.elements
     return StabilizerReport(geometric=geo_g, ideal=idl_g, subsystem=sub, agree=agree)
 

@@ -8,9 +8,11 @@ import json
 import math
 import pathlib
 import time
+from collections import Counter
 
 import pytest
 
+from repring import rootdata
 from repring.cli import run
 from repring.completion import MACAULAY_COLUMN_CAP
 
@@ -468,6 +470,79 @@ def test_validate_refuses_linearly_dependent_simple_roots(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "linearly dependent" in err
+
+
+AFFINE_A2 = {"rank": 2, "simple_roots": [[2, -1], [-1, 2], [-1, -1]],
+             "simple_coroots": [[1, 0], [0, 1], [-1, -1]]}
+
+
+@pytest.mark.parametrize("args", [["centralizer", "--point", "1,1"],
+                                  ["stabilizer", "--point", "1,1"],
+                                  ["fiber", "--point", "2,3"],
+                                  ["character", "--weight=0,0"]])
+def test_every_reader_of_a_base_refuses_dependent_simple_roots(tmp_path, capsys, args):
+    # Affine A2 on Z^2 has a finite root closure but no base: these
+    # commands once printed a Levi with no base and |W| 1, a disagreeing
+    # stabilizer, a character, or ran a 10^4-step descent.
+    path = tmp_path / "affine_a2.json"
+    path.write_text(json.dumps(AFFINE_A2))
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, args[:1] + ["--datum-file", str(path)] + args[1:])
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert out == ""
+    assert "linearly dependent" in err
+
+
+@pytest.mark.parametrize("args, expected", [
+    (["roots"], '{"command":"roots","inputs_echo":{"datum":"custom"},"result":'
+                '{"coroots":[[-1,0],[-1,-1],[0,1],[0,-1],[1,1],[1,0]],"count":6,'
+                '"roots":[[-2,1],[-1,-1],[-1,2],[1,-2],[1,1],[2,-1]]}}\n'),
+    (["pi1"], '{"command":"pi1","inputs_echo":{"datum":"custom"},"result":'
+              '{"free_rank":0,"invariant_factors":[]}}\n'),
+    (["support", "--point", "1,1"],
+     '{"command":"support","inputs_echo":{"datum":"custom","point":"1,1"},"result":'
+     '{"connected":true,"kernel_lattice":[[1,0],[0,1]],"quotient":'
+     '{"free_rank":0,"invariant_factors":[]}}}\n')])
+def test_commands_that_read_no_base_keep_dependent_simple_roots(tmp_path, capsys,
+                                                                args, expected):
+    path = tmp_path / "affine_a2.json"
+    path.write_text(json.dumps(AFFINE_A2))
+    code, out, err = invoke(capsys, args[:1] + ["--datum-file", str(path)] + args[1:])
+    assert (code, out, err) == (0, expected, "")
+
+
+def test_roots_cap_names_the_flag(capsys):
+    argv = ["roots", "--type", "A", "--rank", "2", "--cap"]
+    code, out, err = invoke(capsys, argv + ["5"])
+    assert code == 3
+    assert out == ""
+    assert "--cap = 5" in err
+    code, out, err = invoke(capsys, argv + ["6"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["count"] == 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--type", "B", "--rank", "5"],
+    ["centralizer", "--type", "C", "--rank", "4", "--point", "1,1,2,3"],
+    ["character", "--type", "C", "--rank", "4", "--weight", "1,0,0,1"],
+    ["stabilizer", "--type", "C", "--rank", "4", "--point", "1,1,2,3"]])
+def test_each_datum_is_closed_at_most_once_per_op(monkeypatch, capsys, argv):
+    closed = []
+    close_roots = rootdata._close_roots
+
+    def counting(d, cap):
+        closed.append(d)  # kept, so no two data share an id
+        return close_roots(d, cap)
+
+    monkeypatch.setattr(rootdata, "_close_roots", counting)
+    for _ in range(2):
+        del closed[:]
+        assert invoke(capsys, argv)[0] == 0
+        # Each op closes afresh: nothing is kept across runs.
+        assert closed
+        assert max(Counter(map(id, closed)).values()) == 1, argv
 
 
 def test_validate_weyl_order_matches_the_closed_form(capsys):

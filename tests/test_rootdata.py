@@ -25,16 +25,15 @@ from repring import rootdata
 from repring.errors import ResourceCapError
 from repring.invariants import decompose_into_orbit_sums
 from repring.laurent import LaurentPoly
-from repring.lattice import (Sublattice, det, full_lattice, mat_mul, mat_vec, saturate,
-                             transpose)
+from repring.lattice import (Sublattice, det, full_lattice, is_member, mat_mul, mat_vec,
+                             saturate, transpose)
 from repring.linalg import solve_coordinates
 from repring.rootdata import (RootDatum, all_roots, centralizer_subsystem,
                               datum_from_dict, dominant_representative,
                               fundamental_group, gl_datum,
                               is_derived_simply_connected, is_dominant, orbit,
-                              positive_roots, product, reflection_subgroup,
-                              standard_datum, torus_datum, two_rho, weyl_group,
-                              weyl_order)
+                              positive_roots, product, standard_datum,
+                              torus_datum, two_rho, weyl_group, weyl_order)
 
 
 def test_cartan_matrices_frozen():
@@ -165,8 +164,11 @@ def test_weyl_order_refuses_linearly_dependent_simple_roots():
     # closure finds the six roots of A2 and accepts, but no base exists.
     d = RootDatum(2, ((2, -1), (-1, 2), (-1, -1)), ((1, 0), (0, 1), (-1, -1)))
     assert len(all_roots(d)) == 6
+    for reader in (weyl_order, positive_roots, weyl_group, two_rho):
+        with pytest.raises(ValueError, match="linearly dependent"):
+            reader(d)
     with pytest.raises(ValueError, match="linearly dependent"):
-        weyl_order(d)
+        centralizer_subsystem(d, full_lattice(2))
 
 
 def test_pairing_is_exact_on_rational_vectors():
@@ -261,7 +263,7 @@ BUILTINS = [(label, rank, variant)
 
 def levi_group(levi):
     """The Weyl group of a centralizer, closed from its base pairs."""
-    return reflection_subgroup(levi.datum.rank, levi.datum.simple_pairs)
+    return weyl_group(levi.datum)
 
 
 def centralizer_groups(d, rng, count):
@@ -326,7 +328,9 @@ def test_centralizer_weyl_groups_match_the_closure_of_all_their_reflections():
         ident = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
         for k in kernels:
             levi = centralizer_subsystem(d, k)
-            gens = [reflection_matrix(*pairs[i]) for i in levi.root_subset]
+            inside = [(a, av) for a, av in pairs if is_member(levi.kernel, a)]
+            assert list(levi.pairs) == inside
+            gens = [reflection_matrix(*p) for p in inside]
             oracle = {ident}
             frontier = [ident]
             while frontier:
@@ -402,7 +406,7 @@ def test_centralizer_subsystem_cases():
     alpha1 = d.simple_roots[0]
 
     levi = centralizer_subsystem(d, Sublattice(2, [list(alpha1)]))
-    assert len(levi.root_subset) == 2
+    assert len(levi.pairs) == 2
     assert weyl_order(levi.datum) == levi_group(levi).order == 2
     assert not levi.saturation_applied
     assert set(levi.roots) == {alpha1, tuple(-x for x in alpha1)}
@@ -410,15 +414,15 @@ def test_centralizer_subsystem_cases():
     # The highest root alpha1 + alpha2 spans its own subsystem.
     high = tuple(a + b for a, b in zip(d.simple_roots[0], d.simple_roots[1]))
     levi_high = centralizer_subsystem(d, Sublattice(2, [list(high)]))
-    assert len(levi_high.root_subset) == 2
+    assert len(levi_high.pairs) == 2
     assert weyl_order(levi_high.datum) == levi_group(levi_high).order == 2
 
     full = centralizer_subsystem(d, full_lattice(2))
-    assert len(full.root_subset) == 6
+    assert len(full.pairs) == 6
     assert weyl_order(full.datum) == levi_group(full).order == 6
 
     empty = centralizer_subsystem(d, Sublattice(2, []))
-    assert len(empty.root_subset) == 0
+    assert len(empty.pairs) == 0
     assert weyl_order(empty.datum) == levi_group(empty).order == 1
     assert empty.datum.num_simple == 0
 
@@ -438,6 +442,32 @@ def test_resource_caps_raise():
         weyl_group(d, cap=3)
     with pytest.raises(ResourceCapError):
         all_roots(d, cap=2)
+
+
+def test_the_kept_root_closure_still_honours_every_cap():
+    # A closure that fails is not kept, so a full one still succeeds after
+    # it; one that is kept is still refused under a cap below its size.
+    d = standard_datum("A", 2)
+    with pytest.raises(ResourceCapError, match="root closure exceeded cap 2"):
+        all_roots(d, cap=2)
+    assert len(all_roots(d)) == 6
+    with pytest.raises(ResourceCapError, match="root closure exceeded cap 2"):
+        all_roots(d, cap=2)
+    with pytest.raises(ResourceCapError, match="root closure exceeded cap 5"):
+        all_roots(d, cap=5)
+    assert len(all_roots(d, cap=6)) == 6
+
+
+def test_closure_heights_are_the_coefficient_sums_over_the_simple_roots():
+    data = [standard_datum(label, rank, variant) for label, rank, variant in BUILTINS]
+    data += [product(standard_datum("B", 2), standard_datum("G", 2)),
+             product(standard_datum("A", 2), standard_datum("A", 1)), gl_datum(4)]
+    for d in data:
+        closed = rootdata._root_closure(d)
+        assert [(a, av) for a, av, _ in closed] == all_roots(d), d.name
+        for a, _, height in closed:
+            assert sum(solve_coordinates(d.simple_roots, list(a))) == height, (d.name, a)
+        assert 2 * sum(h > 0 for _, _, h in closed) == len(closed), d.name
 
 
 def test_orbit_closure_is_capped(monkeypatch):
