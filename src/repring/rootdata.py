@@ -258,7 +258,8 @@ def all_roots(d: RootDatum, cap: int = ROOT_CLOSURE_CAP) -> list[tuple[tuple[int
 @dataclass(frozen=True)
 class WeylGroup:
     """A finite reflection group given by explicit matrices; one closed from
-    reflections also carries inverse_transposes[i] = elements[i]^-T."""
+    reflections lists them sorted, whatever order the closure reached them
+    in, and also carries inverse_transposes[i] = elements[i]^-T."""
 
     rank: int
     elements: tuple[MatrixT, ...]
@@ -271,26 +272,30 @@ class WeylGroup:
 
 def weyl_group(d: RootDatum, cap: int = WEYL_ORDER_CAP) -> WeylGroup:
     """Close the simple reflections s of d, once its root closure has refused
-    a datum with no finite Weyl group; each row of m s and of the carried
-    (m s)^-T = m^-T s^T is a rank-one update."""
-    _base_closure(d)
+    a datum with no finite Weyl group.  An element m is named by u m, for u
+    the sum of the positive coroots, which pairs nonzero with every root and
+    so has trivial stabilizer; as u (m s) = (u m) s, a step reflects one
+    vector, and only a new element's rows of m s and of the carried
+    (m s)^-T = m^-T s^T are built, each a rank-one update."""
+    closed = _base_closure(d)
     rank, pairs = d.rank, d.simple_pairs
     ident: MatrixT = tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
-    seen = {ident: ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for a, av in pairs:
-                prod = tuple(_reflect(row, av, a) for row in m)
-                if prod not in seen:
-                    if len(seen) >= cap:
-                        raise ResourceCapError(f"group enumeration exceeded cap {cap}")
-                    seen[prod] = tuple(_reflect(row, a, av) for row in seen[m])
-                    nxt.append(prod)
-        frontier = nxt
-    elements = tuple(sorted(seen))
-    return WeylGroup(rank, elements, tuple(seen[m] for m in elements))
+    u = tuple(map(sum, zip([0] * rank, *(av for _, av, h in closed if h > 0))))
+    seen = {u: (ident, ident)}
+    queue = [u]
+    while queue:
+        key = queue.pop()
+        for a, av in pairs:
+            nxt = _reflect(key, av, a)
+            if nxt not in seen:
+                if len(seen) >= cap:
+                    raise ResourceCapError(f"group enumeration exceeded cap {cap}")
+                m, inv_t = seen[key]
+                seen[nxt] = (tuple([_reflect(row, av, a) for row in m]),
+                             tuple([_reflect(row, a, av) for row in inv_t]))
+                queue.append(nxt)
+    elements, inverse_transposes = zip(*sorted(seen.values()))
+    return WeylGroup(rank, elements, inverse_transposes)
 
 
 def orbit(d: RootDatum, v, cap: int | None = None) -> list[tuple[int, ...]]:

@@ -218,14 +218,19 @@ def evaluate_char(p: EvalPoint, n) -> Fraction | Cyclo:
     return demote(Cyclo.zeta(p.torsion_order, k) * q) if k else q
 
 
-def _prepare(f: LaurentPoly) -> tuple:
-    """f for evaluation at many points: its rational terms' exponent
-    columns and numerators over one denominator, and its Cyclo terms."""
-    rational = [(e, c) for e, c in f.terms.items() if not isinstance(c, Cyclo)]
-    den = lcm(*(c.denominator for _, c in rational))
-    return (tuple(zip(*(e for e, _ in rational))),
-            [c.numerator * (den // c.denominator) for _, c in rational], den,
-            [(e, c) for e, c in f.terms.items() if isinstance(c, Cyclo)])
+def _prepare(fs) -> tuple:
+    """Polynomials fs for evaluation at many points as one block: the
+    exponent columns of all their rational terms, concatenated, with
+    numerators over one denominator, where each polynomial's terms end,
+    and each polynomial's Cyclo terms."""
+    terms, ends, cyclo_terms = [], [], []
+    for f in fs:
+        terms += [(e, c) for e, c in f.terms.items() if not isinstance(c, Cyclo)]
+        ends.append(len(terms))
+        cyclo_terms.append([(e, c) for e, c in f.terms.items() if isinstance(c, Cyclo)])
+    den = lcm(*(c.denominator for _, c in terms))
+    return (tuple(zip(*(e for e, _ in terms))),
+            [c.numerator * (den // c.denominator) for _, c in terms], den, ends, cyclo_terms)
 
 
 def _dots(row, columns, n: int) -> list[int]:
@@ -237,13 +242,14 @@ def _dots(row, columns, n: int) -> list[int]:
     return acc
 
 
-def _evaluate(rows, prepared) -> Fraction | Cyclo:
-    """A prepared polynomial at rows, in integers: each rational term puts
-    its numerator times its prime powers, read from one table per prime
-    and shifted by the lowest exponent (if negative, into the denominator),
-    into its zeta_m power's slot; the slots reduce once as one Cyclo."""
+def _evaluate(rows, block) -> list[Fraction | Cyclo]:
+    """A prepared block of polynomials at rows, one value each, in
+    integers: each rational term puts its numerator times its prime
+    powers, read from one table per prime and shifted by the block's
+    lowest exponent (if negative, into the denominator), into its zeta_m
+    power's slot; each polynomial's slots reduce once as one Cyclo."""
     m, zeta_row, prime_rows = rows
-    columns, values, den, cyclo_terms = prepared
+    columns, values, den, ends, cyclo_terms = block
     n = len(values)
     for prime, row in prime_rows:
         xs = _dots(row, columns, n)
@@ -251,21 +257,24 @@ def _evaluate(rows, prepared) -> Fraction | Cyclo:
         powers = {x: prime ** (x - low) for x in set(xs)}
         values = list(map(mul, values, map(powers.__getitem__, xs)))
         den *= prime ** -low
-    slots = [0] * m
-    for k, v in zip(_dots(zeta_row, columns, n), values):
-        slots[k % m] += v
-    value = Cyclo(m, slots, den)
-    for e, c in cyclo_terms:
-        k, q = _character(rows, e)
-        value = value + c * Cyclo.zeta(m, k) * q
-    return demote(value)
+    ks, out = _dots(zeta_row, columns, n), []
+    for start, end, cyclo in zip([0, *ends], ends, cyclo_terms):
+        slots = [0] * m
+        for i in range(start, end):
+            slots[ks[i] % m] += values[i]
+        value = Cyclo(m, slots, den)
+        for e, c in cyclo:
+            k, q = _character(rows, e)
+            value = value + c * Cyclo.zeta(m, k) * q
+        out.append(demote(value))
+    return out
 
 
 def evaluate_poly(p: EvalPoint, f: LaurentPoly) -> Fraction | Cyclo:
     """Evaluate a Laurent polynomial at the point in one pass, in integers."""
     if f.rank != p.rank:
         raise ValueError("polynomial rank does not match point rank")
-    return _evaluate(p.rows, _prepare(f))
+    return _evaluate(p.rows, _prepare([f]))[0]
 
 
 @dataclass(frozen=True)
@@ -374,7 +383,8 @@ def fiber_over_RG(d: RootDatum, p: EvalPoint) -> list[MaxIdealDesc]:
 
     Walks W in sorted order on the point's rows, keeping the first
     translate of each Galois class, the only ones made points.  Each must
-    evaluate a probe set of invariants as p does; a violation raises.
+    evaluate a probe set of invariants, one prepared block, as p does; a
+    violation raises.
     """
     if d.rank != p.rank:
         raise ValueError("datum and point rank differ")
@@ -383,12 +393,11 @@ def fiber_over_RG(d: RootDatum, p: EvalPoint) -> list[MaxIdealDesc]:
     for inv_t in w.inverse_transposes:
         rows = _translate_rows(p, inv_t)
         classes.setdefault(_galois_key(rows), rows)
-    probes = [_prepare(f) for f in _invariant_probe(d)]
-    base_vals = [_evaluate(p.rows, f) for f in probes]
+    probes = _prepare(_invariant_probe(d))
+    base_vals = _evaluate(p.rows, probes)
     for rows in classes.values():
-        for f, val in zip(probes, base_vals):
-            if _evaluate(rows, f) != val:
-                raise AssertionError("fiber member disagrees on an invariant probe")
+        if _evaluate(rows, probes) != base_vals:
+            raise AssertionError("fiber member disagrees on an invariant probe")
     return [MaxIdealDesc(_point_from_rows(rows)) for rows in classes.values()]
 
 

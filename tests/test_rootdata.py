@@ -444,6 +444,38 @@ def test_resource_caps_raise():
         all_roots(d, cap=2)
 
 
+def test_weyl_group_cap_counts_elements_exactly():
+    # The closure refuses the (cap + 1)-th element, whatever order it
+    # reaches them in: a cap of |W| closes W, one less refuses it.
+    for d in (standard_datum("C", 4), product(standard_datum("B", 2), standard_datum("G", 2)),
+              gl_datum(4)):
+        order = weyl_order(d)
+        assert weyl_group(d, cap=order).order == order
+        with pytest.raises(ResourceCapError, match=f"group enumeration exceeded cap {order - 1}$"):
+            weyl_group(d, cap=order - 1)
+
+
+def test_weyl_group_is_whole_where_the_coroot_sum_has_zero_entries():
+    # weyl_group names each element by its image of the sum of the positive
+    # coroots, which pairs nonzero with every root even where some of its
+    # coordinates are 0 (or all of them, on a torus); GL4's, (3, 1, -1, -3),
+    # has none.
+    data = [torus_datum(0), torus_datum(3), gl_datum(3), gl_datum(4), gl_datum(5),
+            product(standard_datum("A", 2), torus_datum(1))]
+    zeros = []
+    for d in data:
+        u = [sum(col) for col in zip([0] * d.rank, *(av for _, av in positive_roots(d)))]
+        if 0 in u:
+            zeros.append(d.name)
+        w = weyl_group(d)
+        ident = [[int(i == j) for j in range(d.rank)] for i in range(d.rank)]
+        assert len(w.elements) == len(set(w.elements)) == weyl_order(d), d.name
+        assert list(w.elements) == sorted(w.elements)
+        for m, inv_t in zip(w.elements, w.inverse_transposes):
+            assert mat_mul(m, transpose(inv_t)) == ident
+    assert zeros == ["torus3", "GL3", "GL5", "A2-simply_connectedxtorus1"]
+
+
 def test_the_kept_root_closure_still_honours_every_cap():
     # A closure that fails is not kept, so a full one still succeeds after
     # it; one that is kept is still refused under a cap below its size.

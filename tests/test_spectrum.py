@@ -496,3 +496,49 @@ def test_evaluate_poly_matches_the_term_by_term_sum():
     for p, f in cases:
         got, expected = evaluate_poly(p, f), evaluate_by_terms(p, f)
         assert got == expected and type(got) is type(expected)
+
+
+def test_a_stacked_block_evaluates_as_its_polynomials_one_by_one():
+    # One block mixes rational and Cyclo coefficients, a Cyclo-only
+    # polynomial, the zero polynomial, a constant and negative exponents;
+    # its values must be those of evaluate_poly and of the term-by-term sum,
+    # at points with m = 1 and with roots of unity.
+    from repring.spectrum import _evaluate, _prepare
+    third = Cyclo.zeta(3, 1) * Fraction(1, 3)
+    block = [LaurentPoly(3, {(1, -2, 0): Fraction(5, 2), (0, 1, 1): Fraction(-1, 3),
+                             (-1, 0, 2): third}),
+             LaurentPoly(3, {}),
+             LaurentPoly(3, {(0, 0, 0): Fraction(7, 3)}),
+             LaurentPoly(3, {(2, 0, -1): Cyclo.zeta(5, 2), (0, 0, 1): third}),
+             LaurentPoly(3, {(-3, 1, 0): Fraction(4), (1, 1, 1): Fraction(-6, 7),
+                             (0, -1, 0): Fraction(1, 2)})]
+    points = [parse_point(text, 3) for text in
+              ("2,3/5,1", "2^-3,7,5/6", "zeta(4)^1*2,3,1", "1,zeta(12)^5,zeta(3)^2*3/2")]
+    assert points[0].torsion_order == points[1].torsion_order == 1
+    for p in points:
+        got = _evaluate(p.rows, _prepare(block))
+        assert got == [evaluate_poly(p, f) for f in block] == [evaluate_by_terms(p, f) for f in block]
+        assert [type(v) for v in got] == [type(evaluate_by_terms(p, f)) for f in block]
+
+
+@pytest.mark.parametrize("label, rank, point", [("C", 3, "2,3,5"), ("G", 2, "2,zeta(3)^1*3")])
+def test_the_fiber_probe_check_fires_on_a_wrong_translate(monkeypatch, label, rank, point):
+    # One non-identity element's translate comes back with its first prime
+    # row negated: that class no longer evaluates the probes as p does.
+    from repring import spectrum
+    d, p = standard_datum(label, rank), parse_point(point, rank)
+    assert len(fiber_over_RG(d, p)) == weyl_order(d)
+    target = weyl_group(d).inverse_transposes[-1]
+    assert target != tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+    real = spectrum._translate_rows
+
+    def wrong(q, inv_t):
+        m, zeta_row, prime_rows = real(q, inv_t)
+        if q is p and inv_t == target:
+            (prime, row), *rest = prime_rows
+            prime_rows = ((prime, tuple(-x for x in row)), *rest)
+        return m, zeta_row, prime_rows
+
+    monkeypatch.setattr(spectrum, "_translate_rows", wrong)
+    with pytest.raises(AssertionError, match="fiber member disagrees on an invariant probe"):
+        fiber_over_RG(d, p)
