@@ -52,7 +52,7 @@ def _resolve_datum(args) -> RootDatum:
 
 
 def _parse_weight(text: str, rank: int) -> list[int]:
-    parts = [p.strip() for p in text.split(",")]
+    parts = [p.strip() for p in text.split(",")] if text or rank else []
     if len(parts) != rank:
         raise ValueError(f"weight needs {rank} comma-separated integers")
     try:

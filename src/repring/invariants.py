@@ -44,8 +44,9 @@ def orbit_sum(d: RootDatum, weight) -> InvariantElement:
     lam = tuple(map(int, weight))
     if not is_dominant(d, lam):
         raise ValueError(f"weight {lam} is not dominant")
-    poly = LaurentPoly(d.rank, dict.fromkeys(orbit(d, lam), Fraction(1)))
-    return InvariantElement(d, poly, certified_invariant=is_invariant(d, poly.terms))
+    terms = dict.fromkeys(orbit(d, lam), 1)
+    return InvariantElement(d, LaurentPoly(d.rank, terms),
+                            certified_invariant=is_invariant(d, terms))
 
 
 def weyl_character(d: RootDatum, weight) -> InvariantElement:
@@ -59,8 +60,8 @@ def weyl_character(d: RootDatum, weight) -> InvariantElement:
     <x, b><y, b> over positive coroots b (Bourbaki VI.1.12).  Subtracting
     positive roots from lam, keeping dominant results, reaches every mu
     (Stembridge); solving by decreasing |mu+rho|^2 puts the weights above
-    mu first.  Multiplicities are spread over orbits, and the result is
-    verified invariant before being certified.
+    mu first.  Multiplicities are spread over orbits, and these integer
+    terms are verified invariant before the polynomial is built and certified.
     """
     lam = tuple(map(int, weight))
     if not is_dominant(d, lam):
@@ -100,11 +101,10 @@ def weyl_character(d: RootDatum, weight) -> InvariantElement:
         if rem:
             raise AssertionError("Freudenthal's formula gave a non-integral multiplicity")
 
-    poly = LaurentPoly(d.rank, {nu: m for mu, m in mult.items()
-                                for nu in orbit(d, mu)})
-    if not is_invariant(d, poly.terms):
+    terms = {nu: m for mu, m in mult.items() for nu in orbit(d, mu)}
+    if not is_invariant(d, terms):
         raise AssertionError("character failed the invariance check")
-    return InvariantElement(d, poly, certified_invariant=True)
+    return InvariantElement(d, LaurentPoly(d.rank, terms), certified_invariant=True)
 
 
 def character_dimension(d: RootDatum, weight) -> Fraction:

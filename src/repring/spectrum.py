@@ -18,7 +18,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import add, mul
 
-from .cyclotomic import Cyclo, demote, prime_factors
+from .cyclotomic import Cyclo, cyclotomic_polynomial, demote, prime_factors
 from .invariants import orbit_sum
 from .lattice import (FinAbGroup, Sublattice, is_member, kernel,
                       mat_inverse_unimodular, quotient_group, transpose)
@@ -39,8 +39,9 @@ class EvalPoint:
     unity zeta_m^a; rational[i] is a sorted tuple of (prime, exponent)
     pairs with nonzero exponents, encoding a positive rational.  The same
     data in integers, rows, are computed once per point; evaluation,
-    supports, Galois keys and Weyl translates read them.
-    Primes in proven_primes (a validated source point's) skip trial division.
+    supports, Galois keys and Weyl translates read them.  Torsion is
+    checked in integers; primes in proven_primes (a validated source
+    point's) skip trial division.
     """
 
     torsion: tuple[Fraction, ...]
@@ -51,7 +52,7 @@ class EvalPoint:
         if len(self.torsion) != len(self.rational):
             raise ValueError("torsion and rational parts must have equal length")
         for t in self.torsion:
-            if not (0 <= t < 1):
+            if not (0 <= t.numerator < t.denominator):
                 raise ValueError("torsion entries must lie in [0, 1)")
         for coord in self.rational:
             for p, e in coord:
@@ -167,7 +168,9 @@ def parse_coordinate(text: str) -> tuple[Fraction, dict[int, int]]:
 
 
 def parse_point(text: str, rank: int) -> EvalPoint:
-    """Parse a comma-separated list of coordinate literals."""
+    """Parse a comma-separated list of coordinate literals ("" at rank 0)."""
+    if not (text or rank):
+        return EvalPoint.all_ones(0)
     coords = text.split(",")
     if len(coords) != rank:
         raise ValueError(f"expected {rank} coordinates, got {len(coords)}")
@@ -219,10 +222,10 @@ def evaluate_char(p: EvalPoint, n) -> Fraction | Cyclo:
 
 
 def _prepare(fs) -> tuple:
-    """Polynomials fs for evaluation at many points as one block: the
-    exponent columns of all their rational terms, concatenated, with
-    numerators over one denominator, where each polynomial's terms end,
-    and each polynomial's Cyclo terms."""
+    """Polynomials fs for evaluation, or term signatures, at many points
+    as one block: the exponent columns of all their rational terms,
+    concatenated, with numerators over one denominator, where each
+    polynomial's terms end, and each polynomial's Cyclo terms."""
     terms, ends, cyclo_terms = [], [], []
     for f in fs:
         terms += [(e, c) for e, c in f.terms.items() if not isinstance(c, Cyclo)]
@@ -268,6 +271,20 @@ def _evaluate(rows, block) -> list[Fraction | Cyclo]:
             value = value + c * Cyclo.zeta(m, k) * q
         out.append(demote(value))
     return out
+
+
+def _signature(rows, block) -> list[list[tuple]]:
+    """Each polynomial of a prepared block at rows as the sorted list of
+    its terms' (zeta_m power, prime exponents, numerator): equal signatures
+    give equal values.  A block with Cyclo terms is refused."""
+    m, zeta_row, prime_rows = rows
+    columns, values, _, ends, cyclo_terms = block
+    if any(cyclo_terms):
+        raise AssertionError("a block with Cyclo terms has no integer signature")
+    n = len(values)
+    terms = list(zip([k % m for k in _dots(zeta_row, columns, n)],
+                     *(_dots(row, columns, n) for _, row in prime_rows), values))
+    return [sorted(terms[start:end]) for start, end in zip([0, *ends], ends)]
 
 
 def evaluate_poly(p: EvalPoint, f: LaurentPoly) -> Fraction | Cyclo:
@@ -383,20 +400,21 @@ def fiber_over_RG(d: RootDatum, p: EvalPoint) -> list[MaxIdealDesc]:
 
     Walks W in sorted order on the point's rows, keeping the first
     translate of each Galois class, the only ones made points.  Each must
-    evaluate a probe set of invariants, one prepared block, as p does; a
-    violation raises.
+    give p's term signatures on a probe set of rational invariants, one
+    prepared block, which is stronger than equal values; a violation raises.
     """
     if d.rank != p.rank:
         raise ValueError("datum and point rank differ")
     w = weyl_group(d)
+    cyclotomic_polynomial(p.torsion_order)  # over its cap the field is refused before the walk
     classes: dict[tuple, tuple] = {}
     for inv_t in w.inverse_transposes:
         rows = _translate_rows(p, inv_t)
         classes.setdefault(_galois_key(rows), rows)
     probes = _prepare(_invariant_probe(d))
-    base_vals = _evaluate(p.rows, probes)
+    base = _signature(p.rows, probes)
     for rows in classes.values():
-        if _evaluate(rows, probes) != base_vals:
+        if _signature(rows, probes) != base:
             raise AssertionError("fiber member disagrees on an invariant probe")
     return [MaxIdealDesc(_point_from_rows(rows)) for rows in classes.values()]
 

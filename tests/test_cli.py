@@ -559,3 +559,52 @@ def test_validate_weyl_order_matches_the_closed_form(capsys):
                                            str(rank), "--variant", variant])
             assert code == 0
             assert json.loads(out)["result"]["weyl_order"] == orders[label](rank)
+
+
+RANK_0 = {"rank": 0, "simple_roots": [], "simple_coroots": []}
+
+
+@pytest.mark.parametrize("args, result", [
+    (["support", "--point="], {"connected": True, "kernel_lattice": [],
+                               "quotient": {"free_rank": 0, "invariant_factors": []}}),
+    (["centralizer", "--point="], {"base_roots": [], "roots": [],
+                                   "saturation_applied": False, "weyl_order": 1}),
+    (["fiber", "--point="], {"points": [""], "size": 1}),
+    (["stabilizer", "--point="], {"agree": True, "geometric_order": 1,
+                                  "ideal_order": 1, "subsystem_order": 1}),
+    (["twist-check", "--point="], {"all_passed": True}),
+    (["orbit", "--weight="], {"dominant_representative": [], "orbit": [[]], "size": 1}),
+    (["character", "--weight="], {"character": "1", "dimension": 1})])
+def test_a_rank_0_datum_takes_its_one_point_and_weight(tmp_path, capsys, args, result):
+    # The empty literal is the only point and the only weight at rank 0;
+    # these commands once read it as one empty coordinate and exited 2.
+    path = tmp_path / "rank0.json"
+    path.write_text(json.dumps(RANK_0))
+    code, out, err = invoke(capsys, args[:1] + ["--datum-file", str(path)] + args[1:])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"] == result
+
+
+@pytest.mark.parametrize("rank, args, message", [
+    (0, ["fiber", "--point", "1"], "expected 0 coordinates, got 1"),
+    (0, ["orbit", "--weight", "0"], "weight needs 0 comma-separated integers"),
+    (1, ["fiber", "--point="], "empty factor in point literal"),
+    (1, ["orbit", "--weight="], "weight entries must be integers, got ''")])
+def test_empty_and_rank_0_literals_keep_their_refusals(tmp_path, capsys, rank, args, message):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(RANK_0 if rank == 0 else
+                               {"rank": 1, "simple_roots": [[2]], "simple_coroots": [[1]]}))
+    code, out, err = invoke(capsys, args[:1] + ["--datum-file", str(path)] + args[1:])
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: {message}\n"
+
+
+def test_fiber_refuses_a_huge_field_before_walking_w(capsys):
+    # The Galois key of each of the 384 translates loops over the units
+    # modulo m = 30030; the fiber once did that before reaching the cap.
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, ["fiber", "--type", "C", "--rank", "4",
+                                     "--point", "zeta(30030)^1,1,1,1"])
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (3, "")
+    assert "CYCLOTOMIC_DEGREE_CAP = 256" in err

@@ -11,7 +11,8 @@ Cyclo is true exactly when nonzero, Laurent polynomials compare by value
 whatever order their cyclotomic coefficients are stored at, division by
 a cyclotomic leading coefficient is exact, and reflections act as
 involutions.  |W| of a product of built-in data, counted from root
-heights, is the size of the orbit of 2 rho.  Every test is derandomized, so a run always draws the
+heights, is the size of the orbit of 2 rho.  Equal term signatures of a
+prepared block at two rows give equal values.  Every test is derandomized, so a run always draws the
 same examples.
 """
 
@@ -32,7 +33,8 @@ from repring.lattice import (det, identity_matrix, kernel, mat_inverse_unimodula
 from repring.linalg import rank as q_rank  # noqa: E402
 from repring.rootdata import (is_invariant, product, standard_datum, torus_datum,  # noqa: E402
                               weyl_group, weyl_order)
-from repring.spectrum import EvalPoint, parse_point, render_point  # noqa: E402
+from repring.spectrum import (EvalPoint, _evaluate, _prepare, _signature,  # noqa: E402
+                              parse_point, render_point)
 from orbit_oracle import weyl_order_by_orbit  # noqa: E402
 from reflection_oracle import simple_reflections  # noqa: E402
 
@@ -250,6 +252,47 @@ def test_the_invariance_check_agrees_with_the_simple_reflection_matrices(f, d, f
 @given(points())
 def test_render_point_round_trips_through_parse_point(p):
     assert parse_point(render_point(p), p.rank) == p
+
+
+@st.composite
+def blocks_and_row_pairs(draw):
+    """A block of rank-2 rational polynomials whose supports are closed
+    under the coordinate swap, and two rows of one torsion order over the
+    primes 2 and 3: the second the first swapped, its zeta entries moved by
+    multiples of m, or drawn on its own.  The signatures must agree where
+    the rows are swapped and each polynomial's coefficients are symmetric."""
+    symmetric = draw(st.booleans())
+    polys = []
+    pair = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    for support in draw(st.lists(st.sets(pair, max_size=3), min_size=1, max_size=3)):
+        coeffs = {e: draw(FRACTIONS) for e in sorted(support | {e[::-1] for e in support})}
+        polys.append(LaurentPoly(2, {e: coeffs[min(e, e[::-1])] if symmetric else c
+                                     for e, c in coeffs.items()}))
+    m = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    shift = st.integers(-2, 2)
+
+    def any_rows():
+        zeta = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+        return m, draw(zeta), ((2, draw(pair)), (3, draw(pair)))
+
+    rows = any_rows()
+    if not draw(st.booleans()):
+        return polys, rows, any_rows(), False
+    (a, b), prime_rows = rows[1], rows[2]
+    swapped = (m, (b + m * draw(shift), a + m * draw(shift)),
+               tuple((q, row[::-1]) for q, row in prime_rows))
+    return polys, rows, swapped, symmetric
+
+
+@PROPERTY
+@given(blocks_and_row_pairs())
+def test_equal_probe_signatures_give_equal_values(case):
+    polys, rows, other, must_agree = case
+    block = _prepare(polys)
+    signature = _signature(rows, block)
+    assert not must_agree or _signature(other, block) == signature
+    if _signature(other, block) == signature:
+        assert _evaluate(other, block) == _evaluate(rows, block)
 
 
 FACTORS = [(label, rank) for label, ranks in [("A", range(1, 6)), ("B", range(2, 6)),

@@ -542,3 +542,54 @@ def test_the_fiber_probe_check_fires_on_a_wrong_translate(monkeypatch, label, ra
     monkeypatch.setattr(spectrum, "_translate_rows", wrong)
     with pytest.raises(AssertionError, match="fiber member disagrees on an invariant probe"):
         fiber_over_RG(d, p)
+
+
+def test_the_fiber_probe_check_fires_on_a_zeta_row_off_by_one(monkeypatch):
+    # At G2 2,zeta(3)^1*3 (m = 3) one non-identity element's translate comes
+    # back with its first zeta entry moved by 1 mod m and its prime rows
+    # right: only the zeta powers of the probe terms can tell it from p.
+    from repring import spectrum
+    d, p = standard_datum("G", 2), parse_point("2,zeta(3)^1*3", 2)
+    assert p.torsion_order == 3 and len(fiber_over_RG(d, p)) == weyl_order(d)
+    target = weyl_group(d).inverse_transposes[-1]
+    assert target != ((1, 0), (0, 1))
+    real = spectrum._translate_rows
+
+    def wrong(q, inv_t):
+        m, zeta_row, prime_rows = real(q, inv_t)
+        if q is p and inv_t == target:
+            zeta_row = ((zeta_row[0] + 1) % m, *zeta_row[1:])
+        return m, zeta_row, prime_rows
+
+    monkeypatch.setattr(spectrum, "_translate_rows", wrong)
+    with pytest.raises(AssertionError, match="fiber member disagrees on an invariant probe"):
+        fiber_over_RG(d, p)
+
+
+@pytest.mark.parametrize("label, rank", [("C", 3), ("G", 2)])
+def test_every_weyl_element_gives_the_points_probe_signature(label, rank):
+    # Not only the fiber's class representatives: every translate of p
+    # carries the probe terms of p, permuted.
+    from repring.spectrum import _invariant_probe, _prepare, _signature, _translate_rows
+    d = standard_datum(label, rank)
+    probes = _prepare(_invariant_probe(d))
+    w = weyl_group(d)
+    assert len(w.inverse_transposes) == weyl_order(d)
+    rng = random.Random(2718)
+    for _ in range(6):
+        p = random_point(rng, rank)
+        base = _signature(p.rows, probes)
+        assert all(_signature(_translate_rows(p, inv_t), probes) == base
+                   for inv_t in w.inverse_transposes)
+
+
+def test_the_fiber_refuses_a_probe_with_cyclotomic_coefficients(monkeypatch):
+    # The signature reads rational terms only, so a Cyclo coefficient in
+    # the probe block is refused rather than left out of the check.
+    from repring import spectrum
+    d, p = standard_datum("A", 2), parse_point("2,3", 2)
+    real = spectrum._invariant_probe
+    monkeypatch.setattr(spectrum, "_invariant_probe",
+                        lambda d: real(d) + [LaurentPoly.one(2) * Cyclo.zeta(3, 1)])
+    with pytest.raises(AssertionError, match="a block with Cyclo terms has no integer signature"):
+        fiber_over_RG(d, p)
