@@ -18,17 +18,16 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from .cyclotomic import Cyclo, cyclotomic_polynomial
 from .errors import ResourceCapError
 from .groebner import groebner
 from .invariants import dominant_weights_in_box, orbit_sum
-from .laurent import LaurentPoly, coefficient_row, inverse_monomial
+from .laurent import LaurentPoly, Span, coefficient_row, inverse_monomial
 from .linalg import RowSpace, rank as matrix_rank
-from .poly import Monomial, Poly, grevlex_key, make_elim_key, parse_poly
-from .rootdata import (LeviDatum, RootDatum, centralizer_subsystem, is_invariant, orbit,
-                       standard_datum)
+from .poly import Monomial, Poly, make_elim_key, monomial_values, monomials_below, parse_poly
+from .rootdata import (LeviDatum, RootDatum, centralizer_subsystem, is_invariant, json_int,
+                       orbit, standard_datum)
 from .spectrum import EvalPoint, evaluate_poly, parse_point, support
 
 # Columns of one side's Macaulay matrix (monomials in its variables of
@@ -94,10 +93,7 @@ class Presentation:
         """Substitute generator images into a polynomial in the variables."""
         if f.nvars != self.num_vars:
             raise ValueError("polynomial variable count mismatch")
-        value = f.substitute(self.laurent_values())
-        if isinstance(value, (int, Fraction)):
-            return LaurentPoly(self.rank, {(0,) * self.rank: value})
-        return value
+        return _substitute(f, self.laurent_values(), self.rank)
 
     def parse(self, text: str) -> Poly:
         return parse_poly(text, self.var_names)
@@ -129,8 +125,9 @@ def _image_from_spec(spec: dict, d: RootDatum) -> LaurentPoly:
         raise ValueError(f"unknown image spec kind {key!r}")
     try:
         if key == "terms":
-            return LaurentPoly(d.rank, [(exps, Fraction(str(c))) for c, exps in value])
-        vec = tuple(map(int, value))
+            return LaurentPoly(d.rank, [([json_int(x, key) for x in exps], Fraction(str(c)))
+                                        for c, exps in value])
+        vec = tuple(json_int(x, key) for x in value)
     except (TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed {key} image spec: {exc}") from None
     if key == "monomial":
@@ -151,7 +148,7 @@ def presentation_from_config(cfg: dict, d: RootDatum) -> Presentation:
         raise ValueError('a presentation must be a JSON object with an "images" list')
     images = tuple(_image_from_spec(s, d) for s in cfg["images"])
     try:
-        inverted = tuple(sorted(int(i) for i in cfg.get("inverted", [])))
+        inverted = tuple(sorted(json_int(i, "inverted") for i in cfg.get("inverted", [])))
     except TypeError as exc:
         raise ValueError(f'malformed "inverted": {exc}') from None
     if not all(1 <= i <= len(images) for i in inverted):
@@ -195,32 +192,16 @@ def validate_presentation(pres: Presentation, d: RootDatum,
 
     max_h = max(img.height() for img in pres.images)
     bound = height_bound * (1 + max_h)
-    values = pres.laurent_values()
-
-    # Variable monomials of total degree at most the bound, each built
-    # from the one of lower degree that drops its last variable.
-    prods = {(): LaurentPoly.one(pres.rank)}
-    for deg in range(1, bound + 1):
-        for combo in combinations_with_replacement(range(len(values)), deg):
-            prods[combo] = prods[combo[:-1]] * values[combo[-1]]
-    products = list(prods.values())
+    # Variable monomials of total degree at most the bound.
+    span = Span(monomial_values(pres.laurent_values(),
+                                monomials_below(pres.num_vars, bound + 1)))
 
     # Orbit sums of height at most the bound, one per orbit.  Such an
     # orbit lies in the coordinate box, so its dominant weight does too;
     # orbits that leave the box are filtered out by their actual height.
     sums = (orbit_sum(d, lam).poly for lam in dominant_weights_in_box(d, height_bound))
     targets = [t for t in sums if t.height() <= height_bound]
-
-    index: dict[tuple[int, ...], int] = {}
-    for f in products + targets:
-        for e in f.terms:
-            if e not in index:
-                index[e] = len(index)
-
-    space = RowSpace(len(index))
-    for f in products:
-        space.add(coefficient_row(f, index))
-    spans = all(space.contains(coefficient_row(t, index)) for t in targets)
+    spans = all(t in span for t in targets)
 
     ok = invariant and vanish and spans
     return PresentationReport(images_invariant=invariant,
@@ -299,12 +280,17 @@ def _cut(f: LaurentPoly, bound: int) -> LaurentPoly:
     return LaurentPoly(f.rank, {e: c for e, c in f.terms.items() if sum(e) < bound})
 
 
+def _substitute(f: Poly, values: list[LaurentPoly], rank: int) -> LaurentPoly:
+    """f at the given variable values of a Laurent rank, each monomial's
+    value read from the table of monomial_values."""
+    monos = monomial_values(values, f.terms)
+    return LaurentPoly(rank, ((e, a * c) for m, c in zip(monos, f.terms.values())
+                              for e, a in m.terms.items()))
+
+
 def _expand(f: Poly, shift: list[LaurentPoly], bound: int) -> LaurentPoly:
     """f(t + v) cut below the bound, given the shifted variables t_k + v_k."""
-    value = f.substitute(shift)
-    if not isinstance(value, LaurentPoly):
-        value = LaurentPoly(len(shift), {(0,) * len(shift): value})
-    return _cut(value, bound)
+    return _cut(_substitute(f, shift, len(shift)), bound)
 
 
 def _series_inverse(f: LaurentPoly, bound: int, nonzero_ring: bool) -> LaurentPoly:
@@ -322,11 +308,8 @@ def _series_inverse(f: LaurentPoly, bound: int, nonzero_ring: bool) -> LaurentPo
         return LaurentPoly.zero(f.rank)
     inv = Fraction(1) / c
     ratio = (f - c) * (-inv)
-    total = term = LaurentPoly.one(f.rank)
-    for _ in range(1, bound):
-        term = _cut(term * ratio, bound)
-        total = total + term
-    return total * inv
+    terms = monomial_values([ratio], [(k,) for k in range(bound)], lambda g: _cut(g, bound))
+    return sum(terms, LaurentPoly.zero(f.rank)) * inv
 
 
 def _conjugate_count(values: list) -> int:
@@ -373,11 +356,7 @@ class _MacaulayEchelon:
         width = _macaulay_width(pres, bound)
         self.values = [evaluate_poly(p, img) for img in pres.laurent_values()]
         self.kappa_degree = _conjugate_count(self.values)
-        self.columns = sorted(
-            (tuple(combo.count(k) for k in range(n))
-             for deg in range(bound)
-             for combo in combinations_with_replacement(range(n), deg)),
-            key=grevlex_key)
+        self.columns = monomials_below(n, bound)
         index = {e: i for i, e in enumerate(self.columns)}
         self.index = index
         zero = (0,) * n
@@ -511,15 +490,9 @@ def local_isomorphism_check(d: RootDatum, p: EvalPoint,
     for i in source.inverted:
         var_images.append(_series_inverse(var_images[i - 1], j_max, target_nonzero))
     t_images = [img - v for img, v in zip(var_images, src.values)]
-    images: dict[Monomial, LaurentPoly] = {}
-    for e in src.columns:
-        k = next((k for k, x in enumerate(e) if x), None)
-        if k is None:
-            images[e] = LaurentPoly.one(target.num_vars)
-        else:
-            prev = tuple(x - (i == k) for i, x in enumerate(e))
-            images[e] = _cut(images[prev] * t_images[k], j_max)
-    coords = [tgt.normal_form(images[src.columns[i]]) for i in src.free]
+    images = monomial_values(t_images, [src.columns[i] for i in src.free],
+                             lambda g: _cut(g, j_max))
+    coords = [tgt.normal_form(img) for img in images]
     levels = []
     for j in range(1, j_max + 1):
         trunc_s = src.report(j)
@@ -552,12 +525,12 @@ def load_case_config(path: str) -> dict:
     if not isinstance(cfg, dict) or not isinstance(cfg.get("datum"), dict):
         raise ValueError('a case must be a JSON object with a "datum" object')
     dd = cfg["datum"]
-    try:
-        rank, j_max = int(dd["rank"]), int(cfg["j_max"])
-    except TypeError as exc:
-        raise ValueError(f"malformed case: {exc}") from None
+    rank, j_max = json_int(dd["rank"], "rank"), json_int(cfg["j_max"], "j_max")
     d = standard_datum(str(dd["type"]), rank, str(dd.get("variant", "simply_connected")))
-    p = parse_point(",".join(_strings(cfg["point"], "point")), d.rank)
+    coords = _strings(cfg["point"], "point")
+    if len(coords) != d.rank:
+        raise ValueError(f"expected {d.rank} coordinates, got {len(coords)}")
+    p = parse_point(",".join(coords), d.rank)
     source = presentation_from_config(cfg["source_presentation"], d)
     sup = support(p)
     if not sup.connected:

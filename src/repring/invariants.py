@@ -16,8 +16,9 @@ from fractions import Fraction
 from itertools import product
 from operator import add, mul, sub
 
-from .laurent import LaurentPoly, augmentation, coefficient_row, weyl_act
-from .linalg import RowSpace, solve_coordinates
+from .laurent import LaurentPoly, Span, augmentation, weyl_act
+from .linalg import solve_coordinates
+from .poly import monomial_values, monomials_below
 from .rootdata import (RootDatum, dominant_representative, is_dominant, is_invariant,
                        orbit, positive_roots, two_rho, weyl_group)
 
@@ -200,46 +201,21 @@ def fundamental_character_probe(d: RootDatum, degree_bound: int) -> CharacterBas
 
     Requires a built-in simply connected datum, where the basis weights
     are the fundamental weights.  Checks exact linear independence of
-    the character monomials, expresses every orbit sum below the bound
-    through them, and returns the transition matrix from character
+    the character monomials, that every orbit sum below the bound lies
+    in their span, and returns the transition matrix from character
     monomials to orbit sums (rows and columns share an index set of
     dominant weights, sorted).
     """
     if d.variant != "simply_connected":
         raise ValueError("fundamental-character probe needs a built-in "
                          "simply connected datum")
-    fundamentals = []
-    for i in range(d.rank):
-        e = [0] * d.rank
-        e[i] = 1
-        fundamentals.append(weyl_character(d, e).poly)
-
-    weights = [k for k in product(range(degree_bound + 1), repeat=d.rank)
-               if sum(k) <= degree_bound]
-
-    monomials = {}
-    for k in weights:
-        f = LaurentPoly.one(d.rank)
-        for chi, e in zip(fundamentals, k):
-            if e:
-                f = f * chi ** e
-        monomials[k] = f
-
-    supports = sorted({e for f in monomials.values() for e in f.terms})
-    index = {e: i for i, e in enumerate(supports)}
-    space = RowSpace(len(index))
-    independent = all(space.add(coefficient_row(monomials[k], index)) for k in weights)
-
-    spanning = True
-    rows = [coefficient_row(monomials[k], index) for k in weights]
-    for lam in weights:
-        os_poly = orbit_sum(d, lam).poly
-        if any(e not in index for e in os_poly.terms):
-            spanning = False
-            break
-        if solve_coordinates(rows, coefficient_row(os_poly, index)) is None:
-            spanning = False
-            break
+    fundamentals = [weyl_character(d, [int(i == k) for k in range(d.rank)]).poly
+                    for i in range(d.rank)]
+    weights = sorted(monomials_below(d.rank, degree_bound + 1))
+    monomials = dict(zip(weights, monomial_values(fundamentals, weights)))
+    span = Span(monomials.values())
+    independent = span.space.rank == len(weights)
+    spanning = all(orbit_sum(d, lam).poly in span for lam in weights)
 
     decs = {k: decompose_into_orbit_sums(d, monomials[k]) for k in weights}
     columns = sorted(set(weights) | {lam for dec in decs.values() for lam in dec})
@@ -277,21 +253,6 @@ def finiteness_probe(d: RootDatum, module_gens: list[LaurentPoly], height_bound:
         if g.rank != d.rank:
             raise ValueError("generator rank mismatch")
     extra = max(g.height() for g in module_gens)
-    inv_weights = dominant_weights_in_box(d, height_bound + extra)
-    products = []
-    for lam in inv_weights:
-        os_poly = orbit_sum(d, lam).poly
-        for g in module_gens:
-            products.append(os_poly * g)
-    supports = sorted({e for f in products for e in f.terms})
-    index = {e: i for i, e in enumerate(supports)}
-    space = RowSpace(len(index))
-    for f in products:
-        space.add(coefficient_row(f, index))
-
-    for e in _box(d.rank, height_bound):
-        if e not in index:
-            return False
-        if not space.contains(coefficient_row(LaurentPoly.monomial(e), index)):
-            return False
-    return True
+    sums = (orbit_sum(d, lam).poly for lam in dominant_weights_in_box(d, height_bound + extra))
+    span = Span(f * g for f in sums for g in module_gens)
+    return all(LaurentPoly.monomial(e) in span for e in _box(d.rank, height_bound))

@@ -15,6 +15,7 @@ from operator import add, sub
 
 from .cyclotomic import Cyclo, demote
 from .lattice import Matrix, mat_vec
+from .linalg import RowSpace
 
 
 class LaurentPoly:
@@ -198,6 +199,25 @@ def coefficient_row(f: LaurentPoly, index: dict) -> list:
     for e, c in f.terms.items():
         row[index[e]] = c
     return row
+
+
+class Span:
+    """The linear span of some Laurent polynomials: their coefficient rows,
+    over the exponents they use, in one RowSpace.  A polynomial lies in
+    the span exactly when its exponents are among those and its row
+    reduces to zero.  The columns are the exponents in sorted order, so
+    each pivot is a row's least exponent and the rows stay sparse."""
+
+    def __init__(self, polys) -> None:
+        polys = list(polys)
+        self.index = {e: i for i, e in enumerate(sorted({e for f in polys for e in f.terms}))}
+        self.space = RowSpace(len(self.index))
+        for f in polys:
+            self.space.add(coefficient_row(f, self.index))
+
+    def __contains__(self, f: LaurentPoly) -> bool:
+        return (all(e in self.index for e in f.terms)
+                and self.space.contains(coefficient_row(f, self.index)))
 
 
 def augmentation(f: LaurentPoly):

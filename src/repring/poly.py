@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from .cyclotomic import Cyclo
 from .laurent import LaurentPoly
@@ -94,6 +95,36 @@ class Poly(LaurentPoly):
 def grevlex_key(e: Monomial):
     """Graded reverse lexicographic order as a sort key (larger sorts last)."""
     return (sum(e), tuple(-x for x in reversed(e)))
+
+
+def monomials_below(nvars: int, bound: int) -> list[Monomial]:
+    """The exponent vectors in nvars variables of total degree below the
+    bound, in grevlex order."""
+    return sorted((tuple(combo.count(k) for k in range(nvars))
+                   for deg in range(bound)
+                   for combo in combinations_with_replacement(range(nvars), deg)),
+                  key=grevlex_key)
+
+
+def monomial_values(values: list[LaurentPoly], exponents, cut=None) -> list[LaurentPoly]:
+    """The value of x^e for each exponent tuple e (a collection, read
+    twice), given each variable's value, all of one Laurent rank.  Each
+    monomial is made once: a first power is the variable's value, any
+    other the monomial with one fewer factor of its last variable times
+    that variable's value, each put through cut if given."""
+    zero = (0,) * len(values)
+    table = {zero: LaurentPoly.one(values[0].rank if values else 0)}
+    for e in exponents:
+        steps = []
+        while e not in table:
+            k = max(i for i, x in enumerate(e) if x)
+            prev = (*e[:k], e[k] - 1, *e[k + 1:])
+            steps.append((e, prev, k))
+            e = prev
+        for e, prev, k in reversed(steps):
+            value = values[k] if prev == zero else table[prev] * values[k]
+            table[e] = value if cut is None else cut(value)
+    return [table[e] for e in exponents]
 
 
 def make_elim_key(block: int):

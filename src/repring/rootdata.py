@@ -137,6 +137,14 @@ def standard_datum(type_label: str, rank: int, variant: str = "simply_connected"
                      name=f"{label}-{variant}", variant=variant)
 
 
+def json_int(value, field: str) -> int:
+    """A JSON input field that must be an integer: a float (even 2.0), a
+    boolean or a string raises ValueError naming the field."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f'"{field}" must be an integer, got {value!r}')
+    return value
+
+
 def datum_from_dict(data: dict) -> RootDatum:
     """Build a datum from plain data: rank, simple roots, simple coroots.
 
@@ -147,9 +155,9 @@ def datum_from_dict(data: dict) -> RootDatum:
     if not isinstance(data, dict):
         raise ValueError("a datum must be a JSON object")
     try:
-        rank = int(data["rank"])
-        roots = tuple(tuple(map(int, v)) for v in data["simple_roots"])
-        coroots = tuple(tuple(map(int, v)) for v in data["simple_coroots"])
+        rank = json_int(data["rank"], "rank")
+        roots, coroots = (tuple(tuple(json_int(x, field) for x in v) for v in data[field])
+                          for field in ("simple_roots", "simple_coroots"))
     except TypeError as exc:
         raise ValueError(f"malformed datum: {exc}") from None
     return RootDatum(rank, roots, coroots,

@@ -215,6 +215,23 @@ def _case_with(**fields):
     ("validate", "--presentation-file", {"images": [{"monomial": 5}]}),
     ("validate", "--presentation-file", {"images": [{"terms": [["1/0", [1]]]}]}),
     ("validate", "--presentation-file", {"images": [{"orbit_sum": 5}]}),
+    # A float (even 2.0), a boolean or a string where an integer belongs.
+    ("pi1", "--datum-file", {"rank": 2, "simple_roots": [[2, -1.7], [-1, 2]],
+                             "simple_coroots": [[1, 0], [0, 1]]}),
+    ("pi1", "--datum-file", {"rank": 1.5, "simple_roots": [[2]], "simple_coroots": [[1]]}),
+    ("pi1", "--datum-file", {"rank": 1, "simple_roots": [[True]], "simple_coroots": [[2]]}),
+    ("pi1", "--datum-file", {"rank": 1, "simple_roots": [[2.0]], "simple_coroots": [[1]]}),
+    ("nal-check", "--case", _case_with(target_presentation={
+        "images": [{"terms": [["1", [1, 0]], ["1", [-1, 1]]]}, {"monomial": "12"}],
+        "inverted": [2]})),
+    ("nal-check", "--case", _case_with(source_presentation={
+        "images": [{"orbit_sum": [1, 0]}, {"orbit_sum": "01"}]})),
+    ("validate", "--presentation-file", {"images": [{"terms": [["1", [1.0]]]}]}),
+    ("nal-check", "--case", _case_with(j_max=2.9)),
+    ("nal-check", "--case", _case_with(target_presentation={
+        "images": [{"terms": [["1", [1, 0]], ["1", [-1, 1]]]}, {"monomial": [0, 1]}],
+        "inverted": [2.7]})),
+    ("nal-check", "--case", _case_with(datum={"type": "A", "rank": "2"})),
 ])
 def test_valid_json_of_the_wrong_shape_exits_2(tmp_path, capsys, command, flag, content):
     path = tmp_path / "input.json"
@@ -227,6 +244,16 @@ def test_valid_json_of_the_wrong_shape_exits_2(tmp_path, capsys, command, flag, 
     assert out == ""
     assert err.startswith("invalid input:") and err.count("\n") == 1
     assert "coordinates" not in err
+
+
+def test_a_case_point_needs_one_literal_per_coordinate(tmp_path, capsys):
+    # Joined with commas, ["2,4"] would read as the two coordinates 2 and 4.
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(_case_with(point=["2,4"])), encoding="utf-8")
+    code, out, err = invoke(capsys, ["nal-check", "--case", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == "invalid input: expected 2 coordinates, got 1\n"
 
 
 def test_validate_with_presentation(tmp_path, capsys):

@@ -12,25 +12,31 @@ whatever order their cyclotomic coefficients are stored at, division by
 a cyclotomic leading coefficient is exact, and reflections act as
 involutions.  |W| of a product of built-in data, counted from root
 heights, is the size of the orbit of 2 rho.  Equal term signatures of a
-prepared block at two rows give equal values.  Every test is derandomized, so a run always draws the
+prepared block at two rows give equal values.  The generator-monomial
+primitives agree with their definitions: the degree enumerator with a
+filtered box, the monomial value table with Poly.substitute (and with
+the cut of the uncut value), and span membership with solving for
+coordinates.  Every test is derandomized, so a run always draws the
 same examples.
 """
 
 from datetime import timedelta
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from itertools import combinations, product as box
+from math import comb, gcd
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from repring.completion import _cut  # noqa: E402
 from repring.cyclotomic import Cyclo, euler_phi  # noqa: E402
-from repring.laurent import LaurentPoly, exact_divide, weyl_act  # noqa: E402
+from repring.laurent import LaurentPoly, Span, coefficient_row, exact_divide, weyl_act  # noqa: E402
 from repring.lattice import (det, identity_matrix, kernel, mat_inverse_unimodular,  # noqa: E402
                              mat_mul, mat_vec, smith_normal_form)
-from repring.linalg import rank as q_rank  # noqa: E402
+from repring.linalg import rank as q_rank, solve_coordinates  # noqa: E402
+from repring.poly import Poly, grevlex_key, monomial_values, monomials_below  # noqa: E402
 from repring.rootdata import (is_invariant, product, standard_datum, torus_datum,  # noqa: E402
                               weyl_group, weyl_order)
 from repring.spectrum import (EvalPoint, _evaluate, _prepare, _signature,  # noqa: E402
@@ -317,3 +323,65 @@ def products_of_rank_at_most_5(draw):
 @given(products_of_rank_at_most_5())
 def test_weyl_order_of_a_product_is_the_size_of_the_orbit_of_two_rho(d):
     assert weyl_order(d) == weyl_order_by_orbit(d)
+
+
+@PROPERTY
+@given(st.integers(0, 4), st.integers(0, 5))
+def test_monomials_below_is_the_grevlex_sorted_degree_filter_of_a_box(n, b):
+    expected = sorted((e for e in box(range(b), repeat=n) if sum(e) < b), key=grevlex_key)
+    assert monomials_below(n, b) == expected
+    assert len(expected) == (comb(n + b - 1, n) if b else 0)
+
+
+@st.composite
+def variable_values(draw, low):
+    """One to three values, Laurent polynomials of rank 2 with exponents in
+    [low, 2], and up to six exponent vectors of entries at most 3."""
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(low, 2)] * 2)
+    values = [LaurentPoly(2, draw(st.dictionaries(exps, COEFFS, max_size=3))) for _ in range(n)]
+    return values, draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=6))
+
+
+@PROPERTY
+@given(variable_values(-2))
+def test_monomial_values_agree_with_substitution(case):
+    values, exponents = case
+    got = monomial_values(values, exponents)
+    assert got == [Poly(len(values), {e: 1}).substitute(values) for e in exponents]
+
+
+@PROPERTY
+@given(variable_values(0), st.integers(1, 6))
+def test_cut_monomial_values_are_the_cut_of_the_uncut_values(case, bound):
+    values, exponents = case
+    got = monomial_values(values, exponents, lambda f: _cut(f, bound))
+    assert got == [_cut(f, bound) for f in monomial_values(values, exponents)]
+
+
+@st.composite
+def spans_and_targets(draw):
+    """Up to four rank-2 polynomials with exponents in [-1, 1] and a target:
+    a combination of them, a polynomial with exponents in [-2, 2], or a
+    combination plus one monomial outside the box."""
+    exps = st.tuples(*[st.integers(-1, 1)] * 2)
+    polys = draw(st.lists(st.builds(lambda t: LaurentPoly(2, t),
+                                    st.dictionaries(exps, FRACTIONS, max_size=4)), max_size=4))
+    kind = draw(st.sampled_from(["combination", "random", "outside"]))
+    if kind == "random":
+        wide = st.tuples(*[st.integers(-2, 2)] * 2)
+        return polys, LaurentPoly(2, draw(st.dictionaries(wide, FRACTIONS, max_size=4)))
+    target = sum((p * draw(FRACTIONS) for p in polys), LaurentPoly.zero(2))
+    if kind == "outside":
+        target = target + LaurentPoly.monomial((2, draw(st.integers(-2, 2))), draw(FRACTIONS))
+    return polys, target
+
+
+@PROPERTY
+@given(spans_and_targets())
+def test_span_membership_is_solving_for_coordinates(case):
+    polys, target = case
+    index = {e: i for i, e in enumerate({e for f in polys + [target] for e in f.terms})}
+    rows = [coefficient_row(f, index) for f in polys]
+    solvable = solve_coordinates(rows, coefficient_row(target, index)) is not None
+    assert (target in Span(polys)) == solvable
