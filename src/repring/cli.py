@@ -182,10 +182,10 @@ def _cmd_centralizer(args) -> tuple[dict, dict]:
 def _cmd_fiber(args) -> tuple[dict, dict]:
     d = _resolve_datum(args)
     p = parse_point(args.point, d.rank)
-    ideals = fiber_over_RG(d, p)
+    points = fiber_over_RG(d, p)
     return {"datum": d.name, "point": args.point}, {
-        "size": len(ideals),
-        "points": sorted(render_point(m.point) for m in ideals),
+        "size": len(points),
+        "points": sorted(map(render_point, points)),
     }
 
 
@@ -205,11 +205,11 @@ def _cmd_character(args) -> tuple[dict, dict]:
     d = _resolve_datum(args)
     w = _parse_weight(args.weight, d.rank)
     chi = weyl_character(d, w)
-    dim = augmentation(chi.poly)
+    dim = augmentation(chi)
     assert Fraction(dim).denominator == 1
     return {"datum": d.name, "weight": args.weight}, {
         "dimension": int(dim),
-        "character": render(chi.poly),
+        "character": render(chi),
     }
 
 
@@ -218,7 +218,7 @@ def _cmd_twist_check(args) -> tuple[dict, dict]:
     p = parse_point(args.point, d.rank)
     if args.height < 0:
         raise ValueError("height bound must be nonnegative")
-    polys = [orbit_sum(d, w).poly for w in dominant_weights_in_box(d, args.height)]
+    polys = [orbit_sum(d, w) for w in dominant_weights_in_box(d, args.height)]
     ok = all(twist_augmentation_check(f, p) for f in polys)
     if ok:
         ok = all(twist_multiplicativity_check(polys[i], polys[j], p)
@@ -298,6 +298,11 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2
+    for name, value in vars(args).items():
+        if isinstance(value, list):  # argparse before 3.13 reads "--opt=--" as []
+            print(f"invalid input: --{name.replace('_', '-')} cannot take the value '--'",
+                  file=sys.stderr)
+            return 2
     try:
         echo, result = _HANDLERS[args.command](args)
     except ResourceCapError as exc:

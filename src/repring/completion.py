@@ -199,7 +199,7 @@ def validate_presentation(pres: Presentation, d: RootDatum,
     # Orbit sums of height at most the bound, one per orbit.  Such an
     # orbit lies in the coordinate box, so its dominant weight does too;
     # orbits that leave the box are filtered out by their actual height.
-    sums = (orbit_sum(d, lam).poly for lam in dominant_weights_in_box(d, height_bound))
+    sums = (orbit_sum(d, lam) for lam in dominant_weights_in_box(d, height_bound))
     targets = [t for t in sums if t.height() <= height_bound]
     spans = all(t in span for t in targets)
 

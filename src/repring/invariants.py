@@ -23,34 +23,34 @@ from .rootdata import (RootDatum, dominant_representative, is_dominant, is_invar
                        orbit, positive_roots, two_rho, weyl_group)
 
 
-@dataclass(frozen=True)
-class InvariantElement:
-    """A Laurent polynomial together with its parent datum.
-
-    certified_invariant records that invariance under all simple
-    reflections was verified at construction time.
-    """
-
-    datum: RootDatum
-    poly: LaurentPoly
-    certified_invariant: bool
-
-    def __post_init__(self) -> None:
-        if self.poly.rank != self.datum.rank:
-            raise ValueError("polynomial rank does not match datum rank")
-
-
-def orbit_sum(d: RootDatum, weight) -> InvariantElement:
-    """Sum of e^mu over the Weyl orbit of a dominant weight."""
+def orbit_sum(d: RootDatum, weight) -> LaurentPoly:
+    """Sum of e^mu over the Weyl orbit of a dominant weight, verified invariant."""
     lam = tuple(map(int, weight))
     if not is_dominant(d, lam):
         raise ValueError(f"weight {lam} is not dominant")
     terms = dict.fromkeys(orbit(d, lam), 1)
-    return InvariantElement(d, LaurentPoly(d.rank, terms),
-                            certified_invariant=is_invariant(d, terms))
+    if not is_invariant(d, terms):
+        raise AssertionError("orbit sum failed the invariance check")
+    return LaurentPoly(d.rank, terms)
 
 
-def weyl_character(d: RootDatum, weight) -> InvariantElement:
+def _dominant_below(d: RootDatum, weights) -> set[tuple[int, ...]]:
+    """The dominant weights below some given dominant weight: subtracting
+    positive roots, keeping dominant results, reaches them all (Stembridge)."""
+    roots = [a for a, _ in positive_roots(d)]
+    found = set(weights)
+    frontier = list(found)
+    while frontier:
+        mu = frontier.pop()
+        for a in roots:
+            nu = tuple(map(sub, mu, a))
+            if nu not in found and is_dominant(d, nu):
+                found.add(nu)
+                frontier.append(nu)
+    return found
+
+
+def weyl_character(d: RootDatum, weight) -> LaurentPoly:
     """The character with a given dominant highest weight, by Freudenthal's
     formula (Humphreys 22.3) on the dominant weights mu below lam:
 
@@ -60,9 +60,9 @@ def weyl_character(d: RootDatum, weight) -> InvariantElement:
     their first zero, with the integral invariant form (x, y) = sum of
     <x, b><y, b> over positive coroots b (Bourbaki VI.1.12).  Subtracting
     positive roots from lam, keeping dominant results, reaches every mu
-    (Stembridge); solving by decreasing |mu+rho|^2 puts the weights above
+    (_dominant_below); solving by decreasing |mu+rho|^2 puts the weights above
     mu first.  Multiplicities are spread over orbits, and these integer
-    terms are verified invariant before the polynomial is built and certified.
+    terms are verified invariant before the polynomial is built.
     """
     lam = tuple(map(int, weight))
     if not is_dominant(d, lam):
@@ -76,15 +76,7 @@ def weyl_character(d: RootDatum, weight) -> InvariantElement:
         return [sum(map(mul, ks, col)) for col in zip(*coroots)]
 
     flats = [(a, flat(a)) for a, _ in pos]
-    weights = {lam}
-    frontier = [lam]
-    while frontier:
-        mu = frontier.pop()
-        for a, _ in flats:
-            nu = tuple(map(sub, mu, a))
-            if nu not in weights and is_dominant(d, nu):
-                weights.add(nu)
-                frontier.append(nu)
+    weights = _dominant_below(d, [lam])
     rho2 = two_rho(d)
     gap = {mu: sum(map(mul, flat(tuple(map(sub, lam, mu))),
                        [x + y + z for x, y, z in zip(lam, mu, rho2)]))
@@ -105,11 +97,11 @@ def weyl_character(d: RootDatum, weight) -> InvariantElement:
     terms = {nu: m for mu, m in mult.items() for nu in orbit(d, mu)}
     if not is_invariant(d, terms):
         raise AssertionError("character failed the invariance check")
-    return InvariantElement(d, LaurentPoly(d.rank, terms), certified_invariant=True)
+    return LaurentPoly(d.rank, terms)
 
 
 def character_dimension(d: RootDatum, weight) -> Fraction:
-    return augmentation(weyl_character(d, weight).poly)
+    return augmentation(weyl_character(d, weight))
 
 
 def dominant_weights_in_box(d: RootDatum, height_bound: int) -> list[tuple[int, ...]]:
@@ -147,7 +139,7 @@ def decompose_into_orbit_sums(d: RootDatum, f: LaurentPoly) -> dict[tuple[int, .
         c = rem.terms[mu]
         lam = dominant_representative(d, mu)
         out[lam] = out.get(lam, Fraction(0)) + c
-        rem = rem - orbit_sum(d, lam).poly * c
+        rem = rem - orbit_sum(d, lam) * c
     return {k: v for k, v in out.items() if v != 0}
 
 
@@ -202,20 +194,21 @@ def fundamental_character_probe(d: RootDatum, degree_bound: int) -> CharacterBas
     Requires a built-in simply connected datum, where the basis weights
     are the fundamental weights.  Checks exact linear independence of
     the character monomials, that every orbit sum below the bound lies
-    in their span, and returns the transition matrix from character
-    monomials to orbit sums (rows and columns share an index set of
-    dominant weights, sorted).
+    in the span of those of all dominant weights below it, and returns
+    the transition matrix from character monomials to orbit sums (rows
+    and columns share an index set of dominant weights, sorted).
     """
     if d.variant != "simply_connected":
         raise ValueError("fundamental-character probe needs a built-in "
                          "simply connected datum")
-    fundamentals = [weyl_character(d, [int(i == k) for k in range(d.rank)]).poly
+    fundamentals = [weyl_character(d, [int(i == k) for k in range(d.rank)])
                     for i in range(d.rank)]
     weights = sorted(monomials_below(d.rank, degree_bound + 1))
-    monomials = dict(zip(weights, monomial_values(fundamentals, weights)))
+    below = sorted(_dominant_below(d, weights))
+    monomials = dict(zip(below, monomial_values(fundamentals, below)))
+    independent = Span(monomials[k] for k in weights).space.rank == len(weights)
     span = Span(monomials.values())
-    independent = span.space.rank == len(weights)
-    spanning = all(orbit_sum(d, lam).poly in span for lam in weights)
+    spanning = all(orbit_sum(d, lam) in span for lam in weights)
 
     decs = {k: decompose_into_orbit_sums(d, monomials[k]) for k in weights}
     columns = sorted(set(weights) | {lam for dec in decs.values() for lam in dec})
@@ -253,6 +246,6 @@ def finiteness_probe(d: RootDatum, module_gens: list[LaurentPoly], height_bound:
         if g.rank != d.rank:
             raise ValueError("generator rank mismatch")
     extra = max(g.height() for g in module_gens)
-    sums = (orbit_sum(d, lam).poly for lam in dominant_weights_in_box(d, height_bound + extra))
+    sums = (orbit_sum(d, lam) for lam in dominant_weights_in_box(d, height_bound + extra))
     span = Span(f * g for f in sums for g in module_gens)
     return all(LaurentPoly.monomial(e) in span for e in _box(d.rank, height_bound))

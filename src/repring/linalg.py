@@ -76,13 +76,6 @@ def rank(rows: list[list]) -> int:
     return space.rank
 
 
-def span_contains(rows: list[list], target: list) -> bool:
-    space = RowSpace(len(target))
-    for r in rows:
-        space.add(r)
-    return space.contains(target)
-
-
 def solve_coordinates(rows: list[list], target: list) -> list[Fraction] | None:
     """Express target as a combination of the given rows.
 

@@ -306,14 +306,12 @@ def weyl_group(d: RootDatum, cap: int = WEYL_ORDER_CAP) -> WeylGroup:
     return WeylGroup(rank, elements, inverse_transposes)
 
 
-def orbit(d: RootDatum, v, cap: int | None = None) -> list[tuple[int, ...]]:
+def orbit(d: RootDatum, v) -> list[tuple[int, ...]]:
     """The Weyl orbit of a character vector, sorted: its closure under the
     simple reflections of d (for a centralizer, pass its LeviDatum's
     datum), each applied as a rank-one update and skipped where the
-    pairing is 0.  Capped at cap points (WEYL_ORDER_CAP, read at call
-    time, when not given), since an infinite reflection group has
-    infinite orbits."""
-    limit = WEYL_ORDER_CAP if cap is None else cap
+    pairing is 0.  Capped at WEYL_ORDER_CAP points (read at call time),
+    since an infinite reflection group has infinite orbits."""
     start = tuple(map(int, v))
     if len(start) != d.rank:
         raise ValueError("vector length does not match the datum rank")
@@ -325,9 +323,9 @@ def orbit(d: RootDatum, v, cap: int | None = None) -> list[tuple[int, ...]]:
         for a, av in pairs:
             y = _reflect(x, a, av)
             if y not in seen:
-                if len(seen) >= limit:
-                    name = "WEYL_ORDER_CAP = " if cap is None else ""
-                    raise ResourceCapError(f"orbit closure exceeded {name}{limit} points")
+                if len(seen) >= WEYL_ORDER_CAP:
+                    raise ResourceCapError(
+                        f"orbit closure exceeded WEYL_ORDER_CAP = {WEYL_ORDER_CAP} points")
                 seen.add(y)
                 queue.append(y)
     return sorted(seen)

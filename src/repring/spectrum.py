@@ -321,33 +321,12 @@ def support(p: EvalPoint) -> SupportDesc:
                        connected=quot.is_torsion_free)
 
 
-@dataclass(frozen=True)
-class MaxIdealDesc:
-    """A maximal ideal of the invariant ring, named by one point on it.
-
-    Two descriptors are equal when their points are Galois-conjugate:
-    same rational parts and torsion parts related by a unit multiplier.
-    """
-
-    point: EvalPoint
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MaxIdealDesc):
-            return NotImplemented
-        return ideal_equal(self, other)
-
-    def __hash__(self) -> int:
-        return hash(_galois_key(self.point.rows))
-
-
-def ideal_equal(p, q) -> bool:
+def ideal_equal(p: EvalPoint, q: EvalPoint) -> bool:
     """Whether two points define the same maximal ideal of evaluation:
     equal ranks and equal Galois keys, that is, equal rational parts and
     torsion vectors related by a unit multiplier (the Galois action on
     roots of unity)."""
-    a = p.point if isinstance(p, MaxIdealDesc) else p
-    b = q.point if isinstance(q, MaxIdealDesc) else q
-    return a.rank == b.rank and _galois_key(a.rows) == _galois_key(b.rows)
+    return p.rank == q.rank and _galois_key(p.rows) == _galois_key(q.rows)
 
 
 def _galois_key(rows) -> tuple:
@@ -392,11 +371,12 @@ def _invariant_probe(d: RootDatum) -> list[LaurentPoly]:
     sums of the distinct dominant representatives of the basis vectors."""
     lams = dict.fromkeys(dominant_representative(d, [int(i == j) for j in range(d.rank)])
                          for i in range(d.rank))
-    return [LaurentPoly.one(d.rank)] + [orbit_sum(d, lam).poly for lam in lams]
+    return [LaurentPoly.one(d.rank)] + [orbit_sum(d, lam) for lam in lams]
 
 
-def fiber_over_RG(d: RootDatum, p: EvalPoint) -> list[MaxIdealDesc]:
-    """The distinct maximal ideals over the invariant-ring ideal of p.
+def fiber_over_RG(d: RootDatum, p: EvalPoint) -> list[EvalPoint]:
+    """The distinct maximal ideals over the invariant-ring ideal of p, one
+    point on each.
 
     Walks W in sorted order on the point's rows, keeping the first
     translate of each Galois class, the only ones made points.  Each must
@@ -416,7 +396,7 @@ def fiber_over_RG(d: RootDatum, p: EvalPoint) -> list[MaxIdealDesc]:
     for rows in classes.values():
         if _signature(rows, probes) != base:
             raise AssertionError("fiber member disagrees on an invariant probe")
-    return [MaxIdealDesc(_point_from_rows(rows)) for rows in classes.values()]
+    return [_point_from_rows(rows) for rows in classes.values()]
 
 
 @dataclass(frozen=True)

@@ -9,33 +9,16 @@ classes modulo a sublattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .lattice import Sublattice, coset_representative
 from .laurent import LaurentPoly, augmentation
 from .spectrum import EvalPoint, evaluate_char, evaluate_poly
 
 
-@dataclass(frozen=True)
-class IsotypicDecomposition:
-    """A polynomial split by exponent classes modulo a sublattice."""
+def isotypic_decompose(f: LaurentPoly, k: Sublattice) -> dict[tuple[int, ...], LaurentPoly]:
+    """The terms of f grouped by their coset modulo k, one piece per coset.
 
-    kernel_lattice: Sublattice
-    pieces: dict[tuple[int, ...], LaurentPoly]
-
-    def total(self) -> LaurentPoly:
-        rank = self.kernel_lattice.ambient_rank
-        acc = LaurentPoly.zero(rank)
-        for piece in self.pieces.values():
-            acc = acc + piece
-        return acc
-
-
-def isotypic_decompose(f: LaurentPoly, k: Sublattice) -> IsotypicDecomposition:
-    """Group the terms of f by their coset modulo k.
-
-    Keys are canonical coset representatives, so two decompositions
-    against the same sublattice are directly comparable.
+    Keys are canonical coset representatives, in sorted order, so two
+    decompositions against the same sublattice are directly comparable.
     """
     if f.rank != k.ambient_rank:
         raise ValueError("polynomial rank does not match sublattice rank")
@@ -43,28 +26,17 @@ def isotypic_decompose(f: LaurentPoly, k: Sublattice) -> IsotypicDecomposition:
     for e, c in f.terms.items():
         key = coset_representative(k, e)
         pieces.setdefault(key, {})[e] = c
-    return IsotypicDecomposition(
-        kernel_lattice=k,
-        pieces={key: LaurentPoly(f.rank, terms) for key, terms in sorted(pieces.items())},
-    )
+    return {key: LaurentPoly(f.rank, terms) for key, terms in sorted(pieces.items())}
 
 
-@dataclass(frozen=True)
-class TwistedElement:
-    """Result of twisting: coefficients live in a cyclotomic field."""
-
-    point: EvalPoint
-    poly: LaurentPoly
-
-
-def twist_element(f: LaurentPoly, p: EvalPoint) -> TwistedElement:
+def twist_element(f: LaurentPoly, p: EvalPoint) -> LaurentPoly:
     """Rescale each term of f by the point's value on its exponent."""
     if f.rank != p.rank:
         raise ValueError("polynomial rank does not match point rank")
     out: dict[tuple[int, ...], object] = {}
     for e, c in f.terms.items():
         out[e] = c * evaluate_char(p, e)
-    return TwistedElement(point=p, poly=LaurentPoly(f.rank, out))
+    return LaurentPoly(f.rank, out)
 
 
 def twist_augmentation_check(f: LaurentPoly, p: EvalPoint) -> bool:
@@ -74,15 +46,15 @@ def twist_augmentation_check(f: LaurentPoly, p: EvalPoint) -> bool:
     coefficient summation, the right through evaluate_poly's slot sum.
     Both read the point's value on each exponent from its integer form.
     """
-    left = augmentation(twist_element(f, p).poly)
+    left = augmentation(twist_element(f, p))
     right = evaluate_poly(p, f)
     return left == right
 
 
 def twist_multiplicativity_check(f: LaurentPoly, g: LaurentPoly, p: EvalPoint) -> bool:
     """twist(f * g) must equal twist(f) * twist(g), exactly."""
-    lhs = twist_element(f * g, p).poly
-    rhs = twist_element(f, p).poly * twist_element(g, p).poly
+    lhs = twist_element(f * g, p)
+    rhs = twist_element(f, p) * twist_element(g, p)
     return lhs == rhs
 
 

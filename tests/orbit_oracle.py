@@ -17,10 +17,10 @@ from repring.rootdata import orbit, two_rho, weyl_group
 from repring.spectrum import weyl_translate
 
 
-def weyl_order_by_orbit(d, cap=None) -> int:
+def weyl_order_by_orbit(d) -> int:
     """|W| as the size of the orbit of 2 rho, which is strictly dominant
     and so has a trivial stabilizer (Humphreys 10.3)."""
-    return len(orbit(d, two_rho(d), cap))
+    return len(orbit(d, two_rho(d)))
 
 
 def galois_key(p) -> tuple:

@@ -66,14 +66,14 @@ def sample_point(rng, rank):
 
 def sl2_presentation():
     d = standard_datum("A", 1)
-    return Presentation(rank=1, images=(orbit_sum(d, (1,)).poly,),
+    return Presentation(rank=1, images=(orbit_sum(d, (1,)),),
                         inverted=(), relations=())
 
 
 def sl3_presentation():
     d = standard_datum("A", 2)
-    return Presentation(rank=2, images=(orbit_sum(d, (1, 0)).poly,
-                                        orbit_sum(d, (0, 1)).poly),
+    return Presentation(rank=2, images=(orbit_sum(d, (1, 0)),
+                                        orbit_sum(d, (0, 1))),
                         inverted=(), relations=())
 
 
@@ -173,7 +173,7 @@ def test_criterion_5_twist_checks():
     all_sums = {}
     for label, rank in [("A", 1), ("A", 2), ("C", 2)]:
         d = standard_datum(label, rank)
-        sums = [orbit_sum(d, lam).poly for lam in dominant_weights_in_box(d, 3)]
+        sums = [orbit_sum(d, lam) for lam in dominant_weights_in_box(d, 3)]
         all_sums[(label, rank)] = sums
         points = [sample_point(rng, rank) for _ in range(10)]
         for f in sums:

@@ -334,6 +334,22 @@ def test_exit_two_missing_case_file(capsys):
     assert err.startswith("invalid input:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["fiber", "--type", "A", "--rank", "1", "--point=--"],
+    ["orbit", "--type", "A", "--rank", "1", "--weight=--"],
+    ["roots", "--type=--", "--rank", "1"],
+    ["support", "--datum-file=--", "--point", "1"],
+    ["nal-check", "--case=--"],
+    ["nal-check", "--case", SL3_CASE, "--j-max=--"],
+    ["validate", "--type", "A", "--rank", "1", "--presentation-file=--"],
+])
+def test_exit_two_for_an_option_value_of_double_dash(capsys, argv):
+    # argparse before Python 3.13 reads "--opt=--" as an empty list.
+    code, out, _ = invoke(capsys, argv)
+    assert code == 2
+    assert out == ""
+
+
 def test_exit_two_unknown_subcommand(capsys):
     code, _, _ = invoke(capsys, ["frobnicate"])
     assert code == 2

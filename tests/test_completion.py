@@ -34,14 +34,14 @@ from groebner_oracle import groebner_levels, groebner_truncation, quotient_inver
 
 def sl2_presentation():
     d = standard_datum("A", 1)
-    return Presentation(rank=1, images=(orbit_sum(d, (1,)).poly,),
+    return Presentation(rank=1, images=(orbit_sum(d, (1,)),),
                         inverted=(), relations=())
 
 
 def sl3_presentation():
     d = standard_datum("A", 2)
-    return Presentation(rank=2, images=(orbit_sum(d, (1, 0)).poly,
-                                        orbit_sum(d, (0, 1)).poly),
+    return Presentation(rank=2, images=(orbit_sum(d, (1, 0)),
+                                        orbit_sum(d, (0, 1))),
                         inverted=(), relations=())
 
 

@@ -255,10 +255,8 @@ def test_monomial_cap_raises():
 
 
 def test_row_space_and_solver():
-    from repring.linalg import RowSpace, rank, solve_coordinates, span_contains
+    from repring.linalg import RowSpace, rank, solve_coordinates
     assert rank([[1, 0], [0, 1], [1, 1]]) == 2
-    assert span_contains([[1, 2], [0, 1]], [3, 1])
-    assert not span_contains([[2, 0]], [1, 1])
     coords = solve_coordinates([[1, 0], [1, 1]], [3, 2])
     assert coords == [Fraction(1), Fraction(2)]
     assert solve_coordinates([[1, 0]], [0, 1]) is None

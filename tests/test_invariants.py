@@ -15,6 +15,7 @@ import pytest
 from character_oracle import alternating_sum_character
 from reflection_oracle import simple_reflections
 
+from repring import invariants
 from repring.invariants import (character_dimension, decompose_into_orbit_sums,
                                 dominance_leq, dominant_weights_in_box,
                                 finiteness_probe, fundamental_character_probe,
@@ -22,9 +23,9 @@ from repring.invariants import (character_dimension, decompose_into_orbit_sums,
                                 weyl_character)
 from repring.lattice import mat_vec
 from repring.laurent import LaurentPoly, augmentation, weyl_act
-from repring.rootdata import (all_roots, gl_datum, is_dominant, positive_roots,
-                              product, standard_datum, torus_datum, two_rho,
-                              weyl_group)
+from repring.rootdata import (all_roots, gl_datum, is_dominant, is_invariant,
+                              positive_roots, product, standard_datum,
+                              torus_datum, two_rho, weyl_group)
 
 
 def dimension_formula(d, lam):
@@ -41,10 +42,10 @@ def dimension_formula(d, lam):
 def test_orbit_sum_frozen_examples():
     d = standard_datum("A", 1)
     m2 = orbit_sum(d, (2,))
-    assert m2.poly == LaurentPoly(1, {(2,): 1, (-2,): 1})
-    assert m2.certified_invariant
+    assert m2 == LaurentPoly(1, {(2,): 1, (-2,): 1})
+    assert is_invariant(d, m2.terms)
     m0 = orbit_sum(d, (0,))
-    assert m0.poly == LaurentPoly.one(1)
+    assert m0 == LaurentPoly.one(1)
     with pytest.raises(ValueError):
         orbit_sum(d, (-1,))
 
@@ -58,7 +59,7 @@ def test_orbit_sum_matches_manual_symmetrization():
             lam = tuple(rng.randint(0, 3) for _ in range(rank))
             if not is_dominant(d, lam):
                 continue
-            got = orbit_sum(d, lam).poly
+            got = orbit_sum(d, lam)
             whole = {tuple(mat_vec(m, lam)) for m in w.elements}
             expected = LaurentPoly(rank, {mu: 1 for mu in whole})
             assert got == expected
@@ -68,7 +69,7 @@ def test_orbit_sum_matches_manual_symmetrization():
 def test_sl2_characters_frozen():
     d = standard_datum("A", 1)
     for m in range(6):
-        chi = weyl_character(d, (m,)).poly
+        chi = weyl_character(d, (m,))
         expected = LaurentPoly(1, {(m - 2 * k,): 1 for k in range(m + 1)})
         assert chi == expected
         assert character_dimension(d, (m,)) == m + 1
@@ -76,7 +77,7 @@ def test_sl2_characters_frozen():
 
 def test_sl3_adjoint_character_structure():
     d = standard_datum("A", 2)
-    chi = weyl_character(d, (1, 1)).poly
+    chi = weyl_character(d, (1, 1))
     expected_terms = {tuple(a): Fraction(1) for a, _ in all_roots(d)}
     expected_terms[(0, 0)] = Fraction(2)
     assert chi == LaurentPoly(2, expected_terms)
@@ -103,16 +104,25 @@ def test_characters_are_invariant():
     d = standard_datum("C", 2)
     for lam in [(1, 0), (0, 1), (1, 1), (2, 1)]:
         chi = weyl_character(d, lam)
-        assert chi.certified_invariant
+        assert is_invariant(d, chi.terms)
         for s in simple_reflections(d):
-            assert weyl_act([list(r) for r in s], chi.poly) == chi.poly
+            assert weyl_act([list(r) for r in s], chi) == chi
+
+
+def test_orbit_sums_and_characters_raise_when_the_invariance_check_fails(monkeypatch):
+    d = standard_datum("A", 2)
+    monkeypatch.setattr(invariants, "is_invariant", lambda d, terms: False)
+    with pytest.raises(AssertionError, match="orbit sum failed"):
+        orbit_sum(d, (1, 0))
+    with pytest.raises(AssertionError, match="character failed"):
+        weyl_character(d, (1, 0))
 
 
 def test_character_dimension_is_augmentation():
     d = standard_datum("A", 2)
     for lam in [(1, 0), (2, 0), (1, 1)]:
         chi = weyl_character(d, lam)
-        assert augmentation(chi.poly) == character_dimension(d, lam)
+        assert augmentation(chi) == character_dimension(d, lam)
 
 
 def test_dominant_weights_in_box():
@@ -136,14 +146,14 @@ def test_decompose_round_trip():
             f = LaurentPoly.zero(rank)
             for lam, c in coeffs.items():
                 if c:
-                    f = f + orbit_sum(d, lam).poly * c
+                    f = f + orbit_sum(d, lam) * c
             dec = decompose_into_orbit_sums(d, f)
             assert dec == {lam: c for lam, c in coeffs.items() if c}
 
 
 def test_decompose_adjoint_character():
     d = standard_datum("A", 2)
-    chi = weyl_character(d, (1, 1)).poly
+    chi = weyl_character(d, (1, 1))
     dec = decompose_into_orbit_sums(d, chi)
     assert dec == {(1, 1): Fraction(1), (0, 0): Fraction(2)}
 
@@ -183,6 +193,16 @@ def test_fundamental_character_probe_transition_is_unitriangular():
                     assert dominance_leq(d, lam, k)
                     if lam != k:
                         assert dominance_leq(d, lam, k) and not dominance_leq(d, k, lam)
+
+
+@pytest.mark.parametrize("label,rank,bound", [("G", 2, 2), ("G", 2, 3), ("B", 3, 2),
+                                              ("B", 3, 3), ("D", 4, 2), ("D", 4, 3)])
+def test_fundamental_character_probe_spans_where_dominance_leaves_the_bound(label, rank, bound):
+    # R(G) is polynomial on the fundamental characters (Steinberg), but here
+    # an orbit sum below the bound needs character monomials of dominated
+    # weights of higher degree.
+    report = fundamental_character_probe(standard_datum(label, rank), bound)
+    assert report.independent and report.spanning and report.all_passed
 
 
 def test_fundamental_character_probe_rejects_adjoint():
@@ -239,5 +259,5 @@ def test_freudenthal_matches_the_alternating_sum_oracle():
         height = 2 if d.num_simple <= 2 else 1
         for lam in boxes(range(-height, height + 1), repeat=d.rank):
             if is_dominant(d, lam) and (d.name not in large or sum(lam) <= 1):
-                got = weyl_character(d, lam).poly
+                got = weyl_character(d, lam)
                 assert got.terms == alternating_sum_character(d, lam).terms, (d.name, lam)

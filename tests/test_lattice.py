@@ -20,7 +20,7 @@ from repring.lattice import (FinAbGroup, Sublattice, coset_representative,
                              identity_matrix, is_member, kernel, mat_mul,
                              mat_vec, quotient_group, saturate,
                              smith_normal_form)
-from repring.linalg import rank as q_rank, span_contains
+from repring.linalg import rank as q_rank, solve_coordinates
 
 
 def minor_gcd(a, k):
@@ -204,7 +204,7 @@ def test_saturation_against_rational_span_oracle():
         def walk(prefix):
             if len(prefix) == n:
                 v = list(prefix)
-                in_span = span_contains(gens_q, [Fraction(x) for x in v])
+                in_span = solve_coordinates(gens_q, [Fraction(x) for x in v]) is not None
                 assert in_span == is_member(sat, v)
                 return
             for x in box:

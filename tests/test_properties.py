@@ -16,10 +16,18 @@ prepared block at two rows give equal values.  The generator-monomial
 primitives agree with their definitions: the degree enumerator with a
 filtered box, the monomial value table with Poly.substitute (and with
 the cut of the uncut value), and span membership with solving for
-coordinates.  Every test is derandomized, so a run always draws the
-same examples.
+coordinates.  At the command-line boundary, argv drawn from a small
+grammar of subcommands, data, point literals and bounds never lets an
+exception escape, exits 0, 2 or 3 (2 for an option value of "--"),
+repeats itself byte for byte and finishes in seconds.  Every test is
+derandomized, so a run always draws the same examples.
 """
 
+import io
+import json
+import pathlib
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from fractions import Fraction
 from itertools import combinations, product as box
@@ -28,8 +36,9 @@ from math import comb, gcd
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from repring.cli import run  # noqa: E402
 from repring.completion import _cut  # noqa: E402
 from repring.cyclotomic import Cyclo, euler_phi  # noqa: E402
 from repring.laurent import LaurentPoly, Span, coefficient_row, exact_divide, weyl_act  # noqa: E402
@@ -385,3 +394,115 @@ def test_span_membership_is_solving_for_coordinates(case):
     rows = [coefficient_row(f, index) for f in polys]
     solvable = solve_coordinates(rows, coefficient_row(target, index)) is not None
     assert (target in Span(polys)) == solvable
+
+
+# The command-line fuzz grammar.  "{dir}" stands for one directory of
+# JSON inputs written once per module: data of rank at most 2, some of
+# them of the wrong shape, a presentation of each shape, and a file that
+# is not JSON.
+FUZZ_FILES = {
+    "a1.json": {"rank": 1, "simple_roots": [[2]], "simple_coroots": [[1]]},
+    "a2.json": {"rank": 2, "simple_roots": [[2, -1], [-1, 2]],
+                "simple_coroots": [[1, 0], [0, 1]]},
+    "g2.json": {"rank": 2, "simple_roots": [[2, -1], [-3, 2]],
+                "simple_coroots": [[1, 0], [0, 1]]},
+    "affine.json": {"rank": 2, "simple_roots": [[2, -2], [-2, 2]],
+                    "simple_coroots": [[1, 0], [0, 1]]},
+    "torus.json": {"rank": 2, "simple_roots": [], "simple_coroots": []},
+    "rank0.json": {"rank": 0, "simple_roots": [], "simple_coroots": []},
+    "list.json": [1, 2],
+    "bad_roots.json": {"rank": 1, "simple_roots": 5, "simple_coroots": [[2]]},
+    "float_rank.json": {"rank": 1.5, "simple_roots": [[2]], "simple_coroots": [[1]]},
+    "pres.json": {"images": [{"orbit_sum": [1]}]},
+    "bad_pres.json": {"images": 3},
+    "not_json.json": "{rank: 1",
+}
+FILE_RANKS = {"{dir}/" + name: doc["rank"] for name, doc in FUZZ_FILES.items()
+              if isinstance(doc, dict) and type(doc.get("rank")) is int}
+FILE_VALUES = ["{dir}/" + name for name in FUZZ_FILES] + ["{dir}/no-such.json", "--"]
+SL3_CASE = str(pathlib.Path(__file__).resolve().parent.parent / "cases" / "sl3_levi.json")
+BUILT_IN_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3),
+                  ("D", 3), ("G", 2)]
+GOOD_POINT_TOKENS = ["1", "2", "1/2", "2^-1", "zeta(2)", "zeta(3)^1", "zeta(12)^5",
+                     "zeta(6)^5*3", "999983"]
+BAD_POINT_TOKENS = ["--", "zeta(0)", "zeta(4)^2", "1.5", "", "0", "-1"]
+POINT_COMMANDS = {"support", "centralizer", "fiber", "stabilizer", "twist-check"}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli_fuzz")
+    for name, doc in FUZZ_FILES.items():
+        text = doc if isinstance(doc, str) else json.dumps(doc)
+        (root / name).write_text(text, encoding="utf-8")
+    return str(root)
+
+
+@st.composite
+def cli_argv(draw):
+    """One argv of the fuzz grammar, every option written --name=value."""
+    command = draw(st.sampled_from(["pi1", "roots", "orbit", "support", "centralizer",
+                                    "fiber", "stabilizer", "character", "twist-check",
+                                    "nal-check", "validate"]))
+    argv = [command]
+    if command == "nal-check":
+        argv.append("--case=" + draw(st.sampled_from([SL3_CASE, *FILE_VALUES])))
+        if draw(st.booleans()):
+            argv.append(f"--j-max={draw(st.integers(-1, 2))}")
+        return argv
+    source = draw(st.sampled_from(["type", "type", "type", "file", "file", "none", "both"]))
+    rank = 1
+    if source in ("type", "both"):
+        label, rank = draw(st.one_of(st.sampled_from(BUILT_IN_TYPES),
+                                     st.tuples(st.sampled_from("ABCDGE"), st.integers(-1, 3))))
+        argv += [f"--type={label}", f"--rank={rank}"]
+        if draw(st.booleans()):
+            argv.append("--variant=" + draw(st.sampled_from(["simply_connected", "adjoint"])))
+    if source in ("file", "both"):
+        path = draw(st.sampled_from(FILE_VALUES))
+        argv.append("--datum-file=" + path)
+        rank = FILE_RANKS.get(path, rank)
+
+    def literal(entries):
+        # Mostly one entry per coordinate of the datum.
+        n = draw(st.one_of(st.just(max(rank, 1)), st.integers(1, 3)))
+        return ",".join(draw(st.lists(entries, min_size=n, max_size=n)))
+
+    if command in POINT_COMMANDS:
+        tokens = draw(st.sampled_from([GOOD_POINT_TOKENS, GOOD_POINT_TOKENS + BAD_POINT_TOKENS]))
+        argv.append("--point=" + literal(st.sampled_from(tokens)))
+    if command in ("orbit", "character"):
+        argv.append("--weight=" + literal(st.one_of(st.integers(-1, 1).map(str),
+                                                    st.integers(0, 1).map(str),
+                                                    st.sampled_from(["--", "x", ""]))))
+    if command == "twist-check" or command == "validate" and draw(st.booleans()):
+        argv.append(f"--height={draw(st.integers(-1, 1))}")
+    if command in ("roots", "validate") and draw(st.booleans()):
+        argv.append(f"--cap={draw(st.integers(-1, 5))}")
+    if command == "validate" and draw(st.booleans()):
+        argv.append("--presentation-file=" + draw(st.sampled_from(FILE_VALUES)))
+    return argv
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return (code, out.getvalue(), err.getvalue()), time.perf_counter() - start
+
+
+@settings(PROPERTY, max_examples=200)
+@given(cli_argv())
+@example(["fiber", "--type=A", "--rank=1", "--point=--"])
+@example(["validate", "--type=A", "--rank=1", "--presentation-file=--"])
+def test_the_cli_exits_0_2_or_3_deterministically_and_quickly(fuzz_dir, argv):
+    argv = [arg.replace("{dir}", fuzz_dir) for arg in argv]
+    first, seconds = _run_captured(argv)
+    assert first[0] in (0, 2, 3), (argv, first)
+    if any(arg.endswith("=--") for arg in argv):
+        assert first[0] == 2 and first[1] == "", (argv, first)
+    assert seconds < 5, (argv, seconds)
+    second, seconds = _run_captured(argv)
+    assert second == first, argv
+    assert seconds < 5, (argv, seconds)
