@@ -11,18 +11,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .completion import load_case_config, local_isomorphism_check, \
     presentation_from_config, validate_presentation
 from .errors import ResourceCapError
 from .invariants import dominant_weights_in_box, orbit_sum, weyl_character
-from .lattice import FinAbGroup, Sublattice
+from .lattice import FinAbGroup
 from .laurent import augmentation, render
 from .rootdata import (RootDatum, all_roots, centralizer_subsystem,
                        datum_from_dict, dominant_representative,
                        fundamental_group, orbit, standard_datum, weyl_order)
-from .spectrum import (fiber_over_RG, parse_point, render_point,
+from .spectrum import (EvalPoint, fiber_over_RG, parse_point, render_point,
                        stabilizer_check, support)
 from .twist import twist_augmentation_check, twist_multiplicativity_check
 
@@ -32,19 +33,13 @@ def _group_doc(g: FinAbGroup) -> dict:
             "invariant_factors": list(g.invariant_factors)}
 
 
-def _lattice_doc(s: Sublattice) -> list[list[int]]:
-    return [list(row) for row in s.hnf_rows]
-
-
 def _resolve_datum(args) -> RootDatum:
-    file_given = getattr(args, "datum_file", None) is not None
-    type_given = getattr(args, "type", None) is not None
-    if file_given and type_given:
+    if args.datum_file is not None and args.type is not None:
         raise ValueError("give either --type/--rank or --datum-file, not both")
-    if file_given:
+    if args.datum_file is not None:
         with open(args.datum_file, encoding="utf-8") as fh:
             return datum_from_dict(json.load(fh))
-    if not type_given:
+    if args.type is None:
         raise ValueError("no datum given: use --type with --rank, or --datum-file")
     if args.rank is None:
         raise ValueError("--type needs --rank")
@@ -70,24 +65,140 @@ def _add_datum_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--datum-file", help="JSON file with a custom root datum")
 
 
+def _under_cap(d: RootDatum, cap: int | None, *readers) -> list:
+    """Each reader's value on d under the --cap override, which a cap error names."""
+    try:
+        return [read(d) if cap is None else read(d, cap) for read in readers]
+    except ResourceCapError as exc:
+        if cap is None:
+            raise
+        raise ResourceCapError(f"{exc} (--cap = {cap})") from None
+
+
+def _pi1(d: RootDatum, _, args) -> dict:
+    return _group_doc(fundamental_group(d))
+
+
+def _roots(d: RootDatum, _, args) -> dict:
+    pairs, = _under_cap(d, args.cap, all_roots)
+    return {"count": len(pairs), "roots": [list(a) for a, _ in pairs],
+            "coroots": [list(av) for _, av in pairs]}
+
+
+def _orbit(d: RootDatum, w: list[int], args) -> dict:
+    pts = orbit(d, w)
+    return {
+        "size": len(pts),
+        "orbit": [list(v) for v in pts],
+        "dominant_representative": list(dominant_representative(d, w)),
+    }
+
+
+def _support(d: RootDatum, p: EvalPoint, args) -> dict:
+    desc = support(p)
+    return {"connected": desc.connected, "quotient": _group_doc(desc.quotient),
+            "kernel_lattice": [list(row) for row in desc.kernel_lattice.hnf_rows]}
+
+
+def _centralizer(d: RootDatum, p: EvalPoint, args) -> dict:
+    levi = centralizer_subsystem(d, support(p).kernel_lattice)
+    return {
+        "roots": [list(r) for r in levi.roots],
+        "base_roots": [list(r) for r in levi.datum.simple_roots],
+        "weyl_order": weyl_order(levi.datum),
+        "saturation_applied": levi.saturation_applied,
+    }
+
+
+def _fiber(d: RootDatum, p: EvalPoint, args) -> dict:
+    points = fiber_over_RG(d, p)
+    return {"size": len(points), "points": sorted(map(render_point, points))}
+
+
+def _stabilizer(d: RootDatum, p: EvalPoint, args) -> dict:
+    report = stabilizer_check(d, p)
+    return {"geometric_order": report.geometric.order, "ideal_order": report.ideal.order,
+            "subsystem_order": report.subsystem.order, "agree": report.agree}
+
+
+def _character(d: RootDatum, w: list[int], args) -> dict:
+    chi = weyl_character(d, w)
+    dim = augmentation(chi)
+    assert Fraction(dim).denominator == 1
+    return {"dimension": int(dim), "character": render(chi)}
+
+
+def _twist_check(d: RootDatum, p: EvalPoint, args) -> dict:
+    if args.height < 0:
+        raise ValueError("height bound must be nonnegative")
+    polys = [orbit_sum(d, w) for w in dominant_weights_in_box(d, args.height)]
+    ok = all(twist_augmentation_check(f, p) for f in polys)
+    if ok:
+        ok = all(twist_multiplicativity_check(polys[i], polys[j], p)
+                 for i in range(len(polys)) for j in range(i, len(polys)))
+    return {"all_passed": ok}
+
+
+def _nal_check(case: dict, j_max: int, args) -> dict:
+    report = local_isomorphism_check(case["datum"], case["point"],
+                                     case["source"], case["target"],
+                                     case["restriction"], j_max)
+    return {
+        "all_passed": report.all_passed,
+        "restriction_valid": report.restriction_valid,
+        "levels": [{**asdict(lv), "isomorphic": lv.isomorphic} for lv in report.levels],
+    }
+
+
+def _validate(d: RootDatum, _, args) -> dict:
+    pairs, order = _under_cap(d, args.cap, all_roots, weyl_order)
+    result = {
+        "datum_ok": True,
+        "rank": d.rank,
+        "roots_count": len(pairs),
+        "weyl_order": order,
+        "fundamental_group": _group_doc(fundamental_group(d)),
+    }
+    if args.presentation_file:
+        with open(args.presentation_file, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        pres = presentation_from_config(cfg, d)
+        result["presentation"] = asdict(validate_presentation(pres, d, args.height))
+    return result
+
+
+_DASHES = object()
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads the option value "--" (as in --point=--) as _DASHES on every
+    Python, where argparse before 3.13 reads [] and 3.13 the string "--"."""
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            return _DASHES
+        return super()._get_values(action, arg_strings)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repring",
         description="Exact computations with root data and invariant rings.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name, needs_point, extra in [
-        ("pi1", False, []),
-        ("roots", False, ["cap"]),
-        ("orbit", False, ["weight"]),
-        ("support", True, []),
-        ("centralizer", True, []),
-        ("fiber", True, []),
-        ("stabilizer", True, []),
-        ("character", False, ["weight"]),
-        ("twist-check", True, ["height"]),
+    for name, handler, needs_point, extra in [
+        ("pi1", _pi1, False, []),
+        ("roots", _roots, False, ["cap"]),
+        ("orbit", _orbit, False, ["weight"]),
+        ("support", _support, True, []),
+        ("centralizer", _centralizer, True, []),
+        ("fiber", _fiber, True, []),
+        ("stabilizer", _stabilizer, True, []),
+        ("character", _character, False, ["weight"]),
+        ("twist-check", _twist_check, True, ["height"]),
     ]:
         sub = subs.add_parser(name)
+        sub.set_defaults(handler=handler)
         _add_datum_args(sub)
         if needs_point:
             sub.add_argument("--point", required=True,
@@ -103,12 +214,14 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="enumeration cap override")
 
     nal = subs.add_parser("nal-check")
+    nal.set_defaults(handler=_nal_check)
     nal.add_argument("--case", required=True,
                      help="JSON case file with presentations and restriction")
     nal.add_argument("--j-max", type=int, default=None,
                      help="override the truncation level bound from the case")
 
     val = subs.add_parser("validate")
+    val.set_defaults(handler=_validate)
     _add_datum_args(val)
     val.add_argument("--presentation-file", default=None,
                      help="JSON presentation to validate against the datum")
@@ -119,175 +232,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _under_cap(d: RootDatum, cap: int | None, *readers) -> list:
-    """Each reader's value on d under the --cap override, which a cap error names."""
-    try:
-        return [read(d) if cap is None else read(d, cap) for read in readers]
-    except ResourceCapError as exc:
-        if cap is None:
-            raise
-        raise ResourceCapError(f"{exc} (--cap = {cap})") from None
-
-
-def _cmd_pi1(args) -> tuple[dict, dict]:
+def _dispatch(args) -> tuple[dict, dict]:
+    """The inputs echo and the result of one parsed command.  Inputs are read
+    in one order, so the first bad one is the one reported: the datum (for
+    nal-check, the case file), then the point or the weight, then the
+    command's own options, read by its handler.  A handler is called with
+    the datum (the case), the point or weight or None (j_max) and args."""
+    for name, value in vars(args).items():
+        if value is _DASHES:
+            raise ValueError(f"--{name.replace('_', '-')} cannot take the value '--'")
+    if "case" in args:
+        case = load_case_config(args.case)
+        j_max = case["j_max"] if args.j_max is None else args.j_max
+        echo = {"case": args.case, "datum": case["datum"].name, "j_max": j_max}
+        return echo, args.handler(case, j_max, args)
     d = _resolve_datum(args)
-    return {"datum": d.name}, _group_doc(fundamental_group(d))
-
-
-def _cmd_roots(args) -> tuple[dict, dict]:
-    d = _resolve_datum(args)
-    pairs, = _under_cap(d, args.cap, all_roots)
-    return {"datum": d.name}, {
-        "count": len(pairs),
-        "roots": [list(a) for a, _ in pairs],
-        "coroots": [list(av) for _, av in pairs],
-    }
-
-
-def _cmd_orbit(args) -> tuple[dict, dict]:
-    d = _resolve_datum(args)
-    w = _parse_weight(args.weight, d.rank)
-    pts = orbit(d, w)
-    return {"datum": d.name, "weight": args.weight}, {
-        "size": len(pts),
-        "orbit": [list(v) for v in pts],
-        "dominant_representative": list(dominant_representative(d, w)),
-    }
-
-
-def _cmd_support(args) -> tuple[dict, dict]:
-    d = _resolve_datum(args)
-    p = parse_point(args.point, d.rank)
-    desc = support(p)
-    return {"datum": d.name, "point": args.point}, {
-        "connected": desc.connected,
-        "kernel_lattice": _lattice_doc(desc.kernel_lattice),
-        "quotient": _group_doc(desc.quotient),
-    }
-
-
-def _cmd_centralizer(args) -> tuple[dict, dict]:
-    d = _resolve_datum(args)
-    p = parse_point(args.point, d.rank)
-    desc = support(p)
-    levi = centralizer_subsystem(d, desc.kernel_lattice)
-    return {"datum": d.name, "point": args.point}, {
-        "roots": [list(r) for r in levi.roots],
-        "base_roots": [list(r) for r in levi.datum.simple_roots],
-        "weyl_order": weyl_order(levi.datum),
-        "saturation_applied": levi.saturation_applied,
-    }
-
-
-def _cmd_fiber(args) -> tuple[dict, dict]:
-    d = _resolve_datum(args)
-    p = parse_point(args.point, d.rank)
-    points = fiber_over_RG(d, p)
-    return {"datum": d.name, "point": args.point}, {
-        "size": len(points),
-        "points": sorted(map(render_point, points)),
-    }
-
-
-def _cmd_stabilizer(args) -> tuple[dict, dict]:
-    d = _resolve_datum(args)
-    p = parse_point(args.point, d.rank)
-    report = stabilizer_check(d, p)
-    return {"datum": d.name, "point": args.point}, {
-        "geometric_order": report.geometric.order,
-        "ideal_order": report.ideal.order,
-        "subsystem_order": report.subsystem.order,
-        "agree": report.agree,
-    }
-
-
-def _cmd_character(args) -> tuple[dict, dict]:
-    d = _resolve_datum(args)
-    w = _parse_weight(args.weight, d.rank)
-    chi = weyl_character(d, w)
-    dim = augmentation(chi)
-    assert Fraction(dim).denominator == 1
-    return {"datum": d.name, "weight": args.weight}, {
-        "dimension": int(dim),
-        "character": render(chi),
-    }
-
-
-def _cmd_twist_check(args) -> tuple[dict, dict]:
-    d = _resolve_datum(args)
-    p = parse_point(args.point, d.rank)
-    if args.height < 0:
-        raise ValueError("height bound must be nonnegative")
-    polys = [orbit_sum(d, w) for w in dominant_weights_in_box(d, args.height)]
-    ok = all(twist_augmentation_check(f, p) for f in polys)
-    if ok:
-        ok = all(twist_multiplicativity_check(polys[i], polys[j], p)
-                 for i in range(len(polys)) for j in range(i, len(polys)))
-    echo = {"datum": d.name, "point": args.point, "height": args.height}
-    return echo, {"all_passed": ok}
-
-
-def _cmd_nal_check(args) -> tuple[dict, dict]:
-    case = load_case_config(args.case)
-    j_max = args.j_max if args.j_max is not None else case["j_max"]
-    report = local_isomorphism_check(case["datum"], case["point"],
-                                     case["source"], case["target"],
-                                     case["restriction"], j_max)
-    echo = {"case": args.case, "datum": case["datum"].name, "j_max": j_max}
-    return echo, {
-        "all_passed": report.all_passed,
-        "restriction_valid": report.restriction_valid,
-        "levels": [{
-            "level": lv.level,
-            "dim_source": lv.dim_source,
-            "dim_target": lv.dim_target,
-            "surjective": lv.surjective,
-            "isomorphic": lv.isomorphic,
-        } for lv in report.levels],
-    }
-
-
-def _cmd_validate(args) -> tuple[dict, dict]:
-    d = _resolve_datum(args)
-    pairs, order = _under_cap(d, args.cap, all_roots, weyl_order)
-    echo = {"datum": d.name}
-    result = {
-        "datum_ok": True,
-        "rank": d.rank,
-        "roots_count": len(pairs),
-        "weyl_order": order,
-        "fundamental_group": _group_doc(fundamental_group(d)),
-    }
-    if args.presentation_file:
-        echo["presentation_file"] = args.presentation_file
+    echo, value = {"datum": d.name}, None
+    if "point" in args:
+        echo["point"], value = args.point, parse_point(args.point, d.rank)
+    if "weight" in args:
+        echo["weight"], value = args.weight, _parse_weight(args.weight, d.rank)
+    # validate reads --height only together with --presentation-file.
+    if "height" in args and vars(args).get("presentation_file", True):
         echo["height"] = args.height
-        with open(args.presentation_file, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        pres = presentation_from_config(cfg, d)
-        rep = validate_presentation(pres, d, args.height)
-        result["presentation"] = {
-            "images_invariant": rep.images_invariant,
-            "relations_vanish": rep.relations_vanish,
-            "spans_orbit_sums": rep.spans_orbit_sums,
-            "degree_bound": rep.degree_bound,
-            "all_passed": rep.all_passed,
-        }
-    return echo, result
-
-
-_HANDLERS = {
-    "pi1": _cmd_pi1,
-    "roots": _cmd_roots,
-    "orbit": _cmd_orbit,
-    "support": _cmd_support,
-    "centralizer": _cmd_centralizer,
-    "fiber": _cmd_fiber,
-    "stabilizer": _cmd_stabilizer,
-    "character": _cmd_character,
-    "twist-check": _cmd_twist_check,
-    "nal-check": _cmd_nal_check,
-    "validate": _cmd_validate,
-}
+    if vars(args).get("presentation_file"):
+        echo["presentation_file"] = args.presentation_file
+    return echo, args.handler(d, value, args)
 
 
 def run(argv: list[str]) -> int:
@@ -296,15 +266,9 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return 0 if code == 0 else 2
-    for name, value in vars(args).items():
-        if isinstance(value, list):  # argparse before 3.13 reads "--opt=--" as []
-            print(f"invalid input: --{name.replace('_', '-')} cannot take the value '--'",
-                  file=sys.stderr)
-            return 2
+        return 0 if exc.code == 0 else 2
     try:
-        echo, result = _HANDLERS[args.command](args)
+        echo, result = _dispatch(args)
     except ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 3

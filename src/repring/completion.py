@@ -250,7 +250,7 @@ def point_ideal(pres: Presentation, p: EvalPoint) -> list[Poly]:
     for i, v in enumerate(values):
         var = Poly.variable(total, i + 1)
         gens.append(var - _value_to_z_poly(v, total, order))
-    gb = groebner(gens, key=make_elim_key(1), order_name="eliminate-z")
+    gb = groebner(gens, key=make_elim_key(1))
     out = []
     for g in gb.polys:
         if any(e[0] != 0 for e in g.terms):
@@ -428,7 +428,6 @@ class LevelReport:
 class LocalIsoReport:
     """Outcome of the truncated local comparison at an evaluation point."""
 
-    point: EvalPoint
     levi: LeviDatum
     restriction_valid: bool
     levels: tuple[LevelReport, ...]
@@ -508,7 +507,7 @@ def local_isomorphism_check(d: RootDatum, p: EvalPoint,
         levels.append(LevelReport(level=j, dim_source=trunc_s.dimension,
                                   dim_target=trunc_t.dimension,
                                   surjective=surj))
-    return LocalIsoReport(point=p, levi=levi, restriction_valid=valid,
+    return LocalIsoReport(levi=levi, restriction_valid=valid,
                           levels=tuple(levels))
 
 

@@ -140,22 +140,20 @@ def _interreduce(basis: list[Poly], key=grevlex_key) -> list[Poly]:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced basis together with the order it was computed in."""
+    """A reduced basis and the number of variables of its ring."""
 
     nvars: int
     polys: tuple[Poly, ...]
-    order_name: str = "grevlex"
 
     def leading_terms(self, key=grevlex_key) -> list[Monomial]:
         return [leading_term(g, key)[0] for g in self.polys]
 
 
 def groebner(gens: list[Poly], key=grevlex_key,
-             pair_cap: int = DEFAULT_PAIR_CAP,
-             order_name: str = "grevlex") -> GroebnerBasis:
+             pair_cap: int = DEFAULT_PAIR_CAP) -> GroebnerBasis:
     basis = groebner_basis(gens, key, pair_cap)
     nvars = gens[0].nvars if gens else 0
-    return GroebnerBasis(nvars=nvars, polys=tuple(basis), order_name=order_name)
+    return GroebnerBasis(nvars=nvars, polys=tuple(basis))
 
 
 def ideal_membership(f: Poly, gb: GroebnerBasis, key=grevlex_key) -> bool:

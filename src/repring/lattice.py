@@ -215,7 +215,7 @@ class Sublattice:
     normal form of the generator matrix with zero rows dropped.
     """
 
-    __slots__ = ("ambient_rank", "generators", "hnf_rows")
+    __slots__ = ("ambient_rank", "hnf_rows")
 
     def __init__(self, ambient_rank: int, generators) -> None:
         if ambient_rank < 0:
@@ -225,7 +225,6 @@ class Sublattice:
             if len(g) != ambient_rank:
                 raise ValueError("generator length does not match ambient rank")
         self.ambient_rank = ambient_rank
-        self.generators = tuple(tuple(g) for g in gens)
         if gens:
             h, _ = hermite_normal_form(gens)
             rows = tuple(tuple(r) for r in h if any(r))

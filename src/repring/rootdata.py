@@ -280,12 +280,15 @@ class WeylGroup:
 
 def weyl_group(d: RootDatum, cap: int = WEYL_ORDER_CAP) -> WeylGroup:
     """Close the simple reflections s of d, once its root closure has refused
-    a datum with no finite Weyl group.  An element m is named by u m, for u
-    the sum of the positive coroots, which pairs nonzero with every root and
-    so has trivial stabilizer; as u (m s) = (u m) s, a step reflects one
-    vector, and only a new element's rows of m s and of the carried
-    (m s)^-T = m^-T s^T are built, each a rank-one update."""
+    a datum with no finite Weyl group and |W|, counted from the heights as
+    weyl_order counts it, has been compared with cap.  An element m is
+    named by u m, for u the sum of the positive coroots, which pairs nonzero
+    with every root and so has trivial stabilizer; as u (m s) = (u m) s, a
+    step reflects one vector, and only a new element's rows of m s and of
+    the carried (m s)^-T = m^-T s^T are built, each a rank-one update."""
     closed = _base_closure(d)
+    if _order_from_heights(closed) > max(cap, 1):
+        raise ResourceCapError(f"group enumeration exceeded cap {cap}")
     rank, pairs = d.rank, d.simple_pairs
     ident: MatrixT = tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
     u = tuple(map(sum, zip([0] * rank, *(av for _, av, h in closed if h > 0))))
@@ -296,8 +299,6 @@ def weyl_group(d: RootDatum, cap: int = WEYL_ORDER_CAP) -> WeylGroup:
         for a, av in pairs:
             nxt = _reflect(key, av, a)
             if nxt not in seen:
-                if len(seen) >= cap:
-                    raise ResourceCapError(f"group enumeration exceeded cap {cap}")
                 m, inv_t = seen[key]
                 seen[nxt] = (tuple([_reflect(row, av, a) for row in m]),
                              tuple([_reflect(row, a, av) for row in inv_t]))
@@ -390,6 +391,12 @@ def two_rho(d: RootDatum) -> tuple[int, ...]:
     return tuple(map(sum, zip([0] * d.rank, *(a for a, _ in positive_roots(d)))))
 
 
+def _order_from_heights(closed) -> int:
+    """|W| from the heights of a root closure, as weyl_order states it."""
+    count = Counter(h for _, _, h in closed if h > 0)
+    return prod((k + 1) ** (n - count[k + 1]) for k, n in count.items())
+
+
 def weyl_order(d: RootDatum, cap: int | None = None) -> int:
     """|W| = prod (k + 1)^(n_k - n_(k+1)), n_k the number of positive roots
     of height k: the exponents of W are the partition dual to the heights
@@ -399,8 +406,7 @@ def weyl_order(d: RootDatum, cap: int | None = None) -> int:
     given), which the trivial group, counted without enumeration, always
     passes."""
     limit = WEYL_ORDER_CAP if cap is None else cap
-    count = Counter(h for _, _, h in _base_closure(d) if h > 0)
-    order = prod((k + 1) ** (n - count[k + 1]) for k, n in count.items())
+    order = _order_from_heights(_base_closure(d))
     if order > max(limit, 1):
         name = "WEYL_ORDER_CAP = " if cap is None else "the cap "
         raise ResourceCapError(f"Weyl group order {order} exceeds {name}{limit}")

@@ -291,8 +291,10 @@ def test_criterion_8_oracle_suites():
     finish(8, "normal form, Weyl order, and division oracles", t0, 60.0)
 
 
-def test_criterion_9_cli_golden_outputs(capsys):
+def test_criterion_9_cli_golden_outputs(capsys, tmp_path):
     t0 = time.monotonic()
+    pres = tmp_path / "sl2_pres.json"
+    pres.write_text(json.dumps({"images": [{"orbit_sum": [1]}]}), encoding="utf-8")
     expected = [
         (["pi1", "--type", "A", "--rank", "1", "--variant", "adjoint"],
          '{"command":"pi1","inputs_echo":{"datum":"A1-adjoint"},'
@@ -308,6 +310,48 @@ def test_criterion_9_cli_golden_outputs(capsys):
          '{"command":"twist-check","inputs_echo":'
          '{"datum":"A1-simply_connected","height":3,"point":"2"},'
          '"result":{"all_passed":true}}\n'),
+        (["roots", "--type", "A", "--rank", "1"],
+         '{"command":"roots","inputs_echo":{"datum":"A1-simply_connected"},'
+         '"result":{"coroots":[[-1],[1]],"count":2,"roots":[[-2],[2]]}}\n'),
+        (["orbit", "--type", "A", "--rank", "2", "--weight", "1,0"],
+         '{"command":"orbit","inputs_echo":'
+         '{"datum":"A2-simply_connected","weight":"1,0"},'
+         '"result":{"dominant_representative":[1,0],'
+         '"orbit":[[-1,1],[0,-1],[1,0]],"size":3}}\n'),
+        (["centralizer", "--type", "A", "--rank", "2", "--point", "2,4"],
+         '{"command":"centralizer","inputs_echo":'
+         '{"datum":"A2-simply_connected","point":"2,4"},'
+         '"result":{"base_roots":[[2,-1]],"roots":[[-2,1],[2,-1]],'
+         '"saturation_applied":false,"weyl_order":2}}\n'),
+        (["fiber", "--type", "A", "--rank", "1", "--point", "2"],
+         '{"command":"fiber","inputs_echo":'
+         '{"datum":"A1-simply_connected","point":"2"},'
+         '"result":{"points":["1/2","2"],"size":2}}\n'),
+        (["stabilizer", "--type", "A", "--rank", "2", "--point", "2,4"],
+         '{"command":"stabilizer","inputs_echo":'
+         '{"datum":"A2-simply_connected","point":"2,4"},'
+         '"result":{"agree":true,"geometric_order":2,"ideal_order":2,'
+         '"subsystem_order":2}}\n'),
+        (["character", "--type", "A", "--rank", "2", "--weight", "1,0"],
+         '{"command":"character","inputs_echo":'
+         '{"datum":"A2-simply_connected","weight":"1,0"},'
+         '"result":{"character":"x1^-1*x2^1 + x2^-1 + x1^1","dimension":3}}\n'),
+        (["nal-check", "--case", SL3_CASE, "--j-max", "2"],
+         '{"command":"nal-check","inputs_echo":'
+         f'{{"case":{json.dumps(SL3_CASE)},"datum":"A2-simply_connected","j_max":2}},'
+         '"result":{"all_passed":true,"levels":['
+         '{"dim_source":1,"dim_target":1,"isomorphic":true,"level":1,"surjective":true},'
+         '{"dim_source":3,"dim_target":3,"isomorphic":true,"level":2,"surjective":true}],'
+         '"restriction_valid":true}}\n'),
+        (["validate", "--type", "A", "--rank", "1",
+          "--presentation-file", str(pres), "--height", "3"],
+         '{"command":"validate","inputs_echo":{"datum":"A1-simply_connected",'
+         f'"height":3,"presentation_file":{json.dumps(str(pres))}}},'
+         '"result":{"datum_ok":true,"fundamental_group":'
+         '{"free_rank":0,"invariant_factors":[]},"presentation":'
+         '{"all_passed":true,"degree_bound":6,"images_invariant":true,'
+         '"relations_vanish":true,"spans_orbit_sums":true},'
+         '"rank":1,"roots_count":2,"weyl_order":2}}\n'),
     ]
     for argv, golden in expected:
         code = cli_run(argv)

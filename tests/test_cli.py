@@ -344,10 +344,52 @@ def test_exit_two_missing_case_file(capsys):
     ["validate", "--type", "A", "--rank", "1", "--presentation-file=--"],
 ])
 def test_exit_two_for_an_option_value_of_double_dash(capsys, argv):
-    # argparse before Python 3.13 reads "--opt=--" as an empty list.
-    code, out, _ = invoke(capsys, argv)
-    assert code == 2
-    assert out == ""
+    # argparse before Python 3.13 reads "--opt=--" as an empty list, and 3.13
+    # as the string "--"; every version gets the same refusal.
+    option = next(a for a in argv if a.endswith("=--")).removesuffix("=--")
+    code, out, err = invoke(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: {option} cannot take the value '--'\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # An abbreviation is refused under the option's full name.
+    (["fiber", "--type", "A", "--rank", "1", "--poi=--"], "invalid input: --point"),
+    # Options are checked in the order the command declares them.
+    (["fiber", "--point=--", "--type=--"], "invalid input: --type"),
+    # A command without the option, or a token after a bare "--", is
+    # left to argparse.
+    (["pi1", "--point=--"], "unrecognized arguments: --point=--"),
+    (["pi1", "--type", "A", "--rank", "1", "--", "--point=--"],
+     "unrecognized arguments: -- --point=--"),
+])
+def test_double_dash_refusal_names_the_declared_option(capsys, argv, message):
+    code, out, err = invoke(capsys, argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # The datum is read first, then the point or the weight, then the
+    # command's own options; validate reads --cap before --presentation-file.
+    (["support", "--type", "Q", "--rank", "1", "--point", "0"], 2,
+     "invalid input: unknown type label 'Q'"),
+    (["twist-check", "--type", "A", "--rank", "1", "--point", "0", "--height=-1"], 2,
+     "invalid input: zero is not an evaluation value"),
+    (["character", "--type", "A", "--rank", "2", "--weight", "-1"], 2,
+     "invalid input: weight needs 2 comma-separated integers"),
+    (["validate", "--type", "A", "--rank", "2", "--cap", "3",
+      "--presentation-file", "no-such-file.json"], 3,
+     "resource cap exceeded: root closure exceeded cap 3 (--cap = 3)"),
+    (["support", "--datum-file", "no-such-file.json", "--point", "0"], 2,
+     "invalid input: [Errno 2] No such file or directory: 'no-such-file.json'"),
+    (["pi1", "--type", "A", "--rank", "1", "--datum-file", "no-such-file.json"], 2,
+     "invalid input: give either --type/--rank or --datum-file, not both"),
+    (["nal-check", "--case", "no-such-file.json", "--j-max", "-1"], 2,
+     "invalid input: [Errno 2] No such file or directory: 'no-such-file.json'"),
+])
+def test_the_first_bad_input_is_the_one_reported(capsys, argv, code, message):
+    assert invoke(capsys, argv) == (code, "", message + "\n")
 
 
 def test_exit_two_unknown_subcommand(capsys):
@@ -651,3 +693,29 @@ def test_fiber_refuses_a_huge_field_before_walking_w(capsys):
     assert time.perf_counter() - start < 2.0
     assert (code, out) == (3, "")
     assert "CYCLOTOMIC_DEGREE_CAP = 256" in err
+
+
+def _exceptional(rank: int, edges) -> dict:
+    # The simply connected datum: simple roots are the rows of the Cartan
+    # matrix (Bourbaki numbering), and the simple coroots are the identity.
+    cartan = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j in edges:
+        cartan[i - 1][j - 1] = cartan[j - 1][i - 1] = -1
+    return {"rank": rank, "simple_roots": cartan,
+            "simple_coroots": [[int(i == j) for j in range(rank)] for i in range(rank)]}
+
+
+@pytest.mark.parametrize("command", ["fiber", "stabilizer"])
+@pytest.mark.parametrize("rank", [7, 8])
+def test_a_weyl_group_over_the_cap_is_refused_before_the_walk(tmp_path, capsys, command, rank):
+    # |W(E7)| = 2,903,040 and |W(E8)| = 696,729,600 exceed WEYL_ORDER_CAP; the
+    # walk over W once ran to the cap for about 50 s before refusing them.
+    edges = [(1, 3), (2, 4)] + [(k, k + 1) for k in range(3, rank)]
+    path = tmp_path / f"e{rank}.json"
+    path.write_text(json.dumps(_exceptional(rank, edges)))
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, [command, "--datum-file", str(path),
+                                     "--point", ",".join(["1"] * (rank - 1) + ["2"])])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == "resource cap exceeded: group enumeration exceeded cap 1000000\n"

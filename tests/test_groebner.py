@@ -197,8 +197,7 @@ def test_elimination_order_projects_ideal():
     # Adjoin z with z^2 = -1, set y = z, then eliminate z.
     names = ["z", "y"]
     key = make_elim_key(1)
-    gb = groebner([P("z^2 + 1", names), P("y - z", names)], key=key,
-                  order_name="elim")
+    gb = groebner([P("z^2 + 1", names), P("y - z", names)], key=key)
     z_free = [g for g in gb.polys if all(e[0] == 0 for e in g.terms)]
     assert z_free == [P("y^2 + 1", names)]
 
