@@ -28,7 +28,7 @@ from .invariants import (CharacterBasisReport, character_dimension,
                          orbit_sum, weyl_character)
 from .spectrum import (EvalPoint, StabilizerReport, SupportDesc,
                        evaluate_char, evaluate_poly, fiber_over_RG,
-                       ideal_equal, parse_point, render_point,
+                       ideal_equal, parse_point, render_point, render_rows,
                        stabilizer_check, support, unique_lift_check,
                        weyl_translate)
 from .twist import (inverse_point, isotypic_decompose,

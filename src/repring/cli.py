@@ -23,7 +23,7 @@ from .laurent import augmentation, render
 from .rootdata import (RootDatum, all_roots, centralizer_subsystem,
                        datum_from_dict, dominant_representative,
                        fundamental_group, orbit, standard_datum, weyl_order)
-from .spectrum import (EvalPoint, fiber_over_RG, parse_point, render_point,
+from .spectrum import (EvalPoint, fiber_over_RG, parse_point, render_rows,
                        stabilizer_check, support)
 from .twist import twist_augmentation_check, twist_multiplicativity_check
 
@@ -111,8 +111,8 @@ def _centralizer(d: RootDatum, p: EvalPoint, args) -> dict:
 
 
 def _fiber(d: RootDatum, p: EvalPoint, args) -> dict:
-    points = fiber_over_RG(d, p)
-    return {"size": len(points), "points": sorted(map(render_point, points))}
+    members = fiber_over_RG(d, p)
+    return {"size": len(members), "points": sorted(map(render_rows, members))}
 
 
 def _stabilizer(d: RootDatum, p: EvalPoint, args) -> dict:

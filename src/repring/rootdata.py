@@ -248,12 +248,15 @@ def _root_closure(d: RootDatum, cap: int = ROOT_CLOSURE_CAP):
 
 
 def _base_closure(d: RootDatum):
-    """d's closure for a reader of a base or of |W|: after the closure has
-    refused infinite type, dependent simple roots are refused too."""
+    """d's closure for a reader of a base, of |W| or of an orbit: after the
+    closure has refused infinite type, dependent simple roots are refused
+    too.  Only the verdict that they are independent is kept on d."""
     closed = _root_closure(d)
-    if Sublattice(d.rank, d.simple_roots).rank != d.num_simple:
-        raise ValueError("the simple roots are linearly dependent; "
-                         "the datum is not of finite type")
+    if not vars(d).get("_independent"):
+        if Sublattice(d.rank, d.simple_roots).rank != d.num_simple:
+            raise ValueError("the simple roots are linearly dependent; "
+                             "the datum is not of finite type")
+        object.__setattr__(d, "_independent", True)
     return closed
 
 
@@ -278,15 +281,17 @@ class WeylGroup:
         return len(self.elements)
 
 
-def weyl_group(d: RootDatum, cap: int = WEYL_ORDER_CAP) -> WeylGroup:
+def weyl_group(d: RootDatum, cap: int | None = None) -> WeylGroup:
     """Close the simple reflections s of d, once its root closure has refused
     a datum with no finite Weyl group and |W|, counted from the heights as
-    weyl_order counts it, has been compared with cap.  An element m is
-    named by u m, for u the sum of the positive coroots, which pairs nonzero
-    with every root and so has trivial stabilizer; as u (m s) = (u m) s, a
-    step reflects one vector, and only a new element's rows of m s and of
-    the carried (m s)^-T = m^-T s^T are built, each a rank-one update."""
+    weyl_order counts it, has been compared with cap (WEYL_ORDER_CAP, read
+    at call time, when not given).  An element m is named by u m, for u
+    the sum of the positive coroots, which pairs nonzero with every root
+    and so has trivial stabilizer; as u (m s) = (u m) s, a step reflects
+    one vector, and only a new element's rows of m s and of the carried
+    (m s)^-T = m^-T s^T are built, each a rank-one update."""
     closed = _base_closure(d)
+    cap = WEYL_ORDER_CAP if cap is None else cap
     if _order_from_heights(closed) > max(cap, 1):
         raise ResourceCapError(f"group enumeration exceeded cap {cap}")
     rank, pairs = d.rank, d.simple_pairs
@@ -311,11 +316,13 @@ def orbit(d: RootDatum, v) -> list[tuple[int, ...]]:
     """The Weyl orbit of a character vector, sorted: its closure under the
     simple reflections of d (for a centralizer, pass its LeviDatum's
     datum), each applied as a rank-one update and skipped where the
-    pairing is 0.  Capped at WEYL_ORDER_CAP points (read at call time),
-    since an infinite reflection group has infinite orbits."""
+    pairing is 0.  A datum of infinite type is refused first, as by
+    every reader of a base; the closure is still capped at WEYL_ORDER_CAP
+    points (read at call time)."""
     start = tuple(map(int, v))
     if len(start) != d.rank:
         raise ValueError("vector length does not match the datum rank")
+    _base_closure(d)
     pairs = d.simple_pairs
     seen = {start}
     queue = [start]

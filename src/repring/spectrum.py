@@ -12,6 +12,8 @@ sublattice of characters they kill.
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -178,25 +180,31 @@ def parse_point(text: str, rank: int) -> EvalPoint:
     return EvalPoint.from_parts(torsion, rational)
 
 
-def render_point(p: EvalPoint) -> str:
-    """Canonical literal for a point; parse_point round-trips it."""
+def render_rows(rows) -> str:
+    """Canonical literal for the point with integer form rows (as
+    EvalPoint.rows); parse_point round-trips it."""
+    m, zeta_row, prime_rows = rows
     out = []
-    for i in range(p.rank):
+    for i, a in enumerate(zeta_row):
         parts = []
-        t = p.torsion[i]
-        if t != 0:
-            parts.append(f"zeta({t.denominator})^{t.numerator}")
-        num = 1
-        den = 1
-        for prime, e in p.rational[i]:
-            if e > 0:
-                num *= prime ** e
-            else:
-                den *= prime ** (-e)
+        if a:
+            g = gcd(a, m)
+            parts.append(f"zeta({m // g})^{a // g}")
+        num = den = 1
+        for prime, row in prime_rows:
+            if row[i] > 0:
+                num *= prime ** row[i]
+            elif row[i] < 0:
+                den *= prime ** -row[i]
         if num != 1 or den != 1:
             parts.append(str(num) if den == 1 else f"{num}/{den}")
         out.append("*".join(parts) if parts else "1")
     return ",".join(out)
+
+
+def render_point(p: EvalPoint) -> str:
+    """Canonical literal for a point; parse_point round-trips it."""
+    return render_rows(p.rows)
 
 
 def _character(rows, n) -> tuple[int, Fraction]:
@@ -222,9 +230,9 @@ def evaluate_char(p: EvalPoint, n) -> Fraction | Cyclo:
 
 
 def _prepare(fs) -> tuple:
-    """Polynomials fs for evaluation, or term signatures, at many points
-    as one block: the exponent columns of all their rational terms,
-    concatenated, with numerators over one denominator, where each
+    """Polynomials fs for evaluation, or for the fiber's probe check, at
+    many points as one block: the exponent columns of all their rational
+    terms, concatenated, with numerators over one denominator, where each
     polynomial's terms end, and each polynomial's Cyclo terms."""
     terms, ends, cyclo_terms = [], [], []
     for f in fs:
@@ -273,18 +281,75 @@ def _evaluate(rows, block) -> list[Fraction | Cyclo]:
     return out
 
 
-def _signature(rows, block) -> list[list[tuple]]:
-    """Each polynomial of a prepared block at rows as the sorted list of
-    its terms' (zeta_m power, prime exponents, numerator): equal signatures
-    give equal values.  A block with Cyclo terms is refused."""
-    m, zeta_row, prime_rows = rows
+# Array type codes by item size: slots of these sizes unpack in one call.
+_SLOT_CODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
+def _slots(x: int, count: int, size: int) -> list[int]:
+    """The count unsigned slots of size bytes that make up x, lowest first."""
+    raw = x.to_bytes(count * size, "little")
+    if size not in _SLOT_CODES:
+        return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
+    slots = array(_SLOT_CODES[size], raw)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots.tolist()
+
+
+def _check_probe_terms(block, base, classes) -> None:
+    """Raise unless, at each rows of classes (of base's m and primes), every
+    polynomial of a prepared block has the terms it has at base: the same
+    (power of zeta_m, prime exponents, numerator), permuted.  Equal terms
+    give equal values.  A block with Cyclo terms is refused.
+
+    One integer pass per rows.  A term's key is its power of zeta, plus m
+    times its prime exponents as digits in a base B, with its numerator
+    and its polynomial's index above them.  B and the slot widths come
+    from bounds taken over base, classes and the block every call,
+    |<r, e>| <= max|r_i| * max_j sum_i |e_j,i|, so keys are injective on
+    any rows, and rows whose pairings leave base's range fail.  Each
+    exponent column is packed once into an integer of 2n slots: the rows'
+    pairings are then one product per coordinate and one unpack, the zeta
+    pairings in the even slots, all shifted by one constant (so their
+    residues mod m are permuted alike for every rows), and the rest of
+    the keys in the odd ones."""
     columns, values, _, ends, cyclo_terms = block
     if any(cyclo_terms):
         raise AssertionError("a block with Cyclo terms has no integer signature")
-    n = len(values)
-    terms = list(zip([k % m for k in _dots(zeta_row, columns, n)],
-                     *(_dots(row, columns, n) for _, row in prime_rows), values))
-    return [sorted(terms[start:end]) for start, end in zip([0, *ends], ends)]
+    m, _, base_primes = base
+    classes = list(classes)
+    every = [base, *classes]
+    reach = max((sum(map(abs, e)) for e in zip(*columns)), default=0)
+    zeta_bound = reach * max((abs(a) for _, row, _ in every for a in row), default=0)
+    digit = 2 * reach * max((abs(x) for *_, primes in every for _, row in primes for x in row),
+                            default=0) + 1
+    # Below a numerator's digit: m times the prime digits, each shifted
+    # into [0, B), plus the power of zeta.
+    low = m * digit ** len(base_primes)
+    lowest = min(values, default=0)
+    top = low * (max(values, default=0) - lowest + 1)
+    polys = [k for k, (start, end) in enumerate(zip([0, *ends], ends)) for _ in range(start, end)]
+    rests = [m * (digit ** len(base_primes) - 1) // 2 + low * (v - lowest) + top * k
+             for v, k in zip(values, polys)]
+    size = (max(2 * zeta_bound, top * len(ends)).bit_length() + 7) // 8
+    size = min((s for s in _SLOT_CODES if s >= size), default=size)
+    width = 8 * size
+    packed = [sum(e << (2 * width * j) for j, e in enumerate(col)) for col in columns]
+    fixed = sum((zeta_bound + (rest << width)) << (2 * width * j) for j, rest in enumerate(rests))
+    weights = [m * digit ** t << width for t in range(len(base_primes))]
+
+    def keys(rows) -> list[int]:
+        _, zeta_row, prime_rows = rows
+        coeffs = list(zeta_row)
+        for weight, (_, row) in zip(weights, prime_rows):
+            coeffs = list(map(add, coeffs, [weight * x for x in row]))
+        slots = _slots(sum(map(mul, coeffs, packed), fixed), 2 * len(values), size)
+        return sorted([z % m + rest for z, rest in zip(slots[::2], slots[1::2])])
+
+    expected = keys(base)
+    for rows in classes:
+        if keys(rows) != expected:
+            raise AssertionError("fiber member disagrees on an invariant probe")
 
 
 def evaluate_poly(p: EvalPoint, f: LaurentPoly) -> Fraction | Cyclo:
@@ -331,10 +396,18 @@ def ideal_equal(p: EvalPoint, q: EvalPoint) -> bool:
 
 def _galois_key(rows) -> tuple:
     """The Galois-normal key of the point at rows: its rational part, m,
-    and the least unit multiple of its torsion row."""
+    and the least unit multiple of its torsion row.  With a the row's
+    first nonzero entry and g = gcd(a, m), the least first entry a unit
+    multiple reaches is g, reached exactly by the units k = (a/g)^-1 mod
+    m/g; the least is taken over those alone."""
     m, zeta_row, prime_rows = rows
-    return prime_rows, m, min(tuple(k * a % m for a in zeta_row)
-                              for k in range(1, m + 1) if gcd(k, m) == 1)
+    a = next((a for a in zeta_row if a), 0)
+    if not a:
+        return prime_rows, m, zeta_row
+    g = gcd(a, m)
+    first = pow(a // g, -1, m // g)
+    return prime_rows, m, min(tuple(k * b % m for b in zeta_row)
+                              for k in range(first, m, m // g) if gcd(k, m) == 1)
 
 
 def _translate_rows(p: EvalPoint, inv_t) -> tuple:
@@ -374,14 +447,14 @@ def _invariant_probe(d: RootDatum) -> list[LaurentPoly]:
     return [LaurentPoly.one(d.rank)] + [orbit_sum(d, lam) for lam in lams]
 
 
-def fiber_over_RG(d: RootDatum, p: EvalPoint) -> list[EvalPoint]:
-    """The distinct maximal ideals over the invariant-ring ideal of p, one
-    point on each.
+def fiber_over_RG(d: RootDatum, p: EvalPoint) -> list[tuple]:
+    """The distinct maximal ideals over the invariant-ring ideal of p, as
+    the rows (EvalPoint.rows) of one point on each; render_rows writes one.
 
     Walks W in sorted order on the point's rows, keeping the first
-    translate of each Galois class, the only ones made points.  Each must
-    give p's term signatures on a probe set of rational invariants, one
-    prepared block, which is stronger than equal values; a violation raises.
+    translate of each Galois class.  Each must give p's terms on a probe
+    set of rational invariants, one prepared block, which is stronger than
+    equal values; a violation raises.
     """
     if d.rank != p.rank:
         raise ValueError("datum and point rank differ")
@@ -391,12 +464,8 @@ def fiber_over_RG(d: RootDatum, p: EvalPoint) -> list[EvalPoint]:
     for inv_t in w.inverse_transposes:
         rows = _translate_rows(p, inv_t)
         classes.setdefault(_galois_key(rows), rows)
-    probes = _prepare(_invariant_probe(d))
-    base = _signature(p.rows, probes)
-    for rows in classes.values():
-        if _signature(rows, probes) != base:
-            raise AssertionError("fiber member disagrees on an invariant probe")
-    return [_point_from_rows(rows) for rows in classes.values()]
+    _check_probe_terms(_prepare(_invariant_probe(d)), p.rows, classes.values())
+    return list(classes.values())
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ a Weyl group on a point's integer rows, building a point only for the
 first translate of each Galois class.  These references do it the long
 way: |W| is the size of the free orbit of 2 rho, every group element
 gives a full EvalPoint through weyl_translate, Galois keys are read off
-the points, and a polynomial is evaluated term by term.
+the points with a search over every unit, a polynomial is evaluated term
+by term, and a probe block's terms at rows are compared as tuples.
 """
 
 from fractions import Fraction
@@ -23,12 +24,29 @@ def weyl_order_by_orbit(d) -> int:
     return len(orbit(d, two_rho(d)))
 
 
+def least_unit_multiple(m, zeta_row) -> tuple:
+    """The least of the rows k * zeta_row mod m over every unit k mod m."""
+    return min(tuple(k * a % m for a in zeta_row)
+               for k in range(1, m + 1) if gcd(k, m) == 1)
+
+
 def galois_key(p) -> tuple:
     """The rational part, the torsion order m, and the least unit
     multiple of the torsion vector written in integers over m."""
     m, zeta_row, _ = p.rows
-    return p.rational, m, min(tuple(k * a % m for a in zeta_row)
-                              for k in range(1, m + 1) if gcd(k, m) == 1)
+    return p.rational, m, least_unit_multiple(m, zeta_row)
+
+
+def probe_signature(rows, block) -> list[list[tuple]]:
+    """Each polynomial of a prepared block of rational terms at rows as
+    the sorted list of its terms' (power of zeta mod m, each prime's
+    exponent, numerator), every pairing summed term by term."""
+    m, zeta_row, prime_rows = rows
+    columns, values, _, ends, _ = block
+    terms = [(sum(map(mul, zeta_row, e)) % m,
+              *(sum(map(mul, row, e)) for _, row in prime_rows), value)
+             for e, value in zip(zip(*columns), values)]
+    return [sorted(terms[start:end]) for start, end in zip([0, *ends], ends)]
 
 
 def translates(d, p):

@@ -427,16 +427,20 @@ AFFINE_A1 = {"name": "affine-A1", "rank": 2,
              "simple_coroots": [[1, 0], [0, 1]]}
 
 
-def test_orbit_of_an_infinite_reflection_group_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("args", [["orbit", "--weight", "1,0"],
+                                  ["twist-check", "--point", "2,3", "--height", "1"]],
+                         ids=["orbit", "twist-check"])
+def test_orbit_of_an_infinite_reflection_group_exits_2(tmp_path, capsys, args):
+    # The root closure refuses the datum before any orbit closure; the
+    # orbit once ran to WEYL_ORDER_CAP points (5 s, 171 MB) and exited 3.
     path = tmp_path / "affine.json"
     path.write_text(json.dumps(AFFINE_A1))
     start = time.perf_counter()
-    code, out, err = invoke(capsys, [
-        "orbit", "--datum-file", str(path), "--weight", "1,0"])
-    assert time.perf_counter() - start < 30.0
-    assert code == 3
-    assert out == ""
-    assert "WEYL_ORDER_CAP = 1000000" in err
+    code, out, err = invoke(capsys, args[:1] + ["--datum-file", str(path)] + args[1:])
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert err == ("invalid input: inconsistent coroot produced by reflection closure; "
+                   "the datum is not of finite type\n")
 
 
 def test_roots_of_an_affine_datum_exits_2(tmp_path, capsys):
@@ -564,11 +568,15 @@ AFFINE_A2 = {"rank": 2, "simple_roots": [[2, -1], [-1, 2], [-1, -1]],
 @pytest.mark.parametrize("args", [["centralizer", "--point", "1,1"],
                                   ["stabilizer", "--point", "1,1"],
                                   ["fiber", "--point", "2,3"],
-                                  ["character", "--weight=0,0"]])
+                                  ["character", "--weight=0,0"],
+                                  ["orbit", "--weight=1,0"],
+                                  ["orbit", "--weight=0,0"],
+                                  ["twist-check", "--point", "2,3", "--height", "1"]])
 def test_every_reader_of_a_base_refuses_dependent_simple_roots(tmp_path, capsys, args):
     # Affine A2 on Z^2 has a finite root closure but no base: these
     # commands once printed a Levi with no base and |W| 1, a disagreeing
-    # stabilizer, a character, or ran a 10^4-step descent.
+    # stabilizer, a character, a one-point orbit or a passed twist check,
+    # or ran a 10^4-step descent.
     path = tmp_path / "affine_a2.json"
     path.write_text(json.dumps(AFFINE_A2))
     start = time.perf_counter()
@@ -703,6 +711,18 @@ def _exceptional(rank: int, edges) -> dict:
         cartan[i - 1][j - 1] = cartan[j - 1][i - 1] = -1
     return {"rank": rank, "simple_roots": cartan,
             "simple_coroots": [[int(i == j) for j in range(rank)] for i in range(rank)]}
+
+
+def test_every_walk_over_w_reads_the_module_cap_when_called(monkeypatch, capsys):
+    # |W(C4)| = 384: under a module cap of 100 the count of validate and
+    # the walks of fiber and stabilizer all refuse it.
+    monkeypatch.setattr(rootdata, "WEYL_ORDER_CAP", 100)
+    datum = ["--type", "C", "--rank", "4"]
+    for argv in (["validate", *datum], ["fiber", *datum, "--point", "2,3,5,7"],
+                 ["stabilizer", *datum, "--point", "2,3,5,7"]):
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("resource cap exceeded: ") and "100" in err, argv
 
 
 @pytest.mark.parametrize("command", ["fiber", "stabilizer"])

@@ -12,7 +12,8 @@ whatever order their cyclotomic coefficients are stored at, division by
 a cyclotomic leading coefficient is exact, and reflections act as
 involutions.  |W| of a product of built-in data, counted from root
 heights, is the size of the orbit of 2 rho.  Equal term signatures of a
-prepared block at two rows give equal values.  The generator-monomial
+prepared block at two rows give equal values, and the fiber's integer
+probe check passes exactly the rows whose signatures are equal.  The generator-monomial
 primitives agree with their definitions: the degree enumerator with a
 filtered box, the monomial value table with Poly.substitute (and with
 the cut of the uncut value), and span membership with solving for
@@ -48,9 +49,9 @@ from repring.linalg import rank as q_rank, solve_coordinates  # noqa: E402
 from repring.poly import Poly, grevlex_key, monomial_values, monomials_below  # noqa: E402
 from repring.rootdata import (is_invariant, product, standard_datum, torus_datum,  # noqa: E402
                               weyl_group, weyl_order)
-from repring.spectrum import (EvalPoint, _evaluate, _prepare, _signature,  # noqa: E402
+from repring.spectrum import (EvalPoint, _check_probe_terms, _evaluate, _prepare,  # noqa: E402
                               parse_point, render_point)
-from orbit_oracle import weyl_order_by_orbit  # noqa: E402
+from orbit_oracle import probe_signature, weyl_order_by_orbit  # noqa: E402
 from reflection_oracle import simple_reflections  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -301,13 +302,24 @@ def blocks_and_row_pairs(draw):
 
 @PROPERTY
 @given(blocks_and_row_pairs())
+@example(([LaurentPoly(2, {(1, 0): Fraction(1)}), LaurentPoly(2, {(-1, 0): Fraction(1)})],
+          (1, (0, 0), ((2, (1, 0)), (3, (0, 0)))), (1, (0, 0), ((2, (-1, 0)), (3, (0, 0)))),
+          False))
 def test_equal_probe_signatures_give_equal_values(case):
+    # The integer kernel passes the other rows exactly when the tuple
+    # signatures agree.  In the example the two polynomials trade their
+    # terms, which the kernel must tell from each keeping its own.
     polys, rows, other, must_agree = case
     block = _prepare(polys)
-    signature = _signature(rows, block)
-    assert not must_agree or _signature(other, block) == signature
-    if _signature(other, block) == signature:
+    signature = probe_signature(rows, block)
+    agree = probe_signature(other, block) == signature
+    assert not must_agree or agree
+    if agree:
         assert _evaluate(other, block) == _evaluate(rows, block)
+        _check_probe_terms(block, rows, [other])
+    else:
+        with pytest.raises(AssertionError, match="disagrees on an invariant probe"):
+            _check_probe_terms(block, rows, [other])
 
 
 FACTORS = [(label, rank) for label, ranks in [("A", range(1, 6)), ("B", range(2, 6)),

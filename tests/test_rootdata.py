@@ -502,11 +502,28 @@ def test_closure_heights_are_the_coefficient_sums_over_the_simple_roots():
         assert 2 * sum(h > 0 for _, _, h in closed) == len(closed), d.name
 
 
+def test_only_the_first_orbit_on_a_datum_checks_its_simple_roots(monkeypatch):
+    # The verdict that the simple roots are independent is kept on the
+    # datum, so further orbits on it build no lattice.
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Sublattice(*args)
+
+    monkeypatch.setattr(rootdata, "Sublattice", counting)
+    d = standard_datum("C", 3)
+    for v in [(1, 0, 0), (0, 1, 0), (1, 1, 1)]:
+        orbit(d, v)
+    assert len(built) == 1
+
+
 def test_orbit_closure_is_capped(monkeypatch):
-    # The affine A1 datum generates an infinite reflection group.
+    # The affine A1 datum generates an infinite reflection group: its root
+    # closure refuses it before any orbit closure, under any cap.
     d = RootDatum(2, ((2, -2), (-2, 2)), ((1, 0), (0, 1)))
     monkeypatch.setattr(rootdata, "WEYL_ORDER_CAP", 50)
-    with pytest.raises(ResourceCapError, match="WEYL_ORDER_CAP = 50"):
+    with pytest.raises(ValueError, match="not of finite type"):
         orbit(d, (1, 0))
     # A finite orbit of exactly the cap's size still closes.
     b2 = standard_datum("B", 2)

@@ -11,7 +11,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from orbit_oracle import evaluate_by_terms, fiber_points, stabilizers
+from orbit_oracle import (evaluate_by_terms, fiber_points, least_unit_multiple,
+                          probe_signature, stabilizers)
 
 from repring.cyclotomic import Cyclo, demote
 from repring.lattice import (FinAbGroup, Sublattice, is_member, mat_inverse_unimodular,
@@ -20,7 +21,7 @@ from repring.laurent import LaurentPoly
 from repring.rootdata import product, standard_datum, torus_datum, weyl_group, weyl_order
 from repring.spectrum import (EvalPoint, evaluate_char, evaluate_poly,
                               fiber_over_RG, ideal_equal, parse_coordinate,
-                              parse_point, render_point, stabilizer_check,
+                              parse_point, render_point, render_rows, stabilizer_check,
                               support, unique_lift_check, weyl_translate)
 
 
@@ -220,7 +221,7 @@ def test_fiber_sl2_generic():
     d = standard_datum("A", 1)
     fiber = fiber_over_RG(d, parse_point("2", 1))
     assert len(fiber) == 2
-    rendered = sorted(map(render_point, fiber))
+    rendered = sorted(map(render_rows, fiber))
     assert rendered == ["1/2", "2"]
 
 
@@ -456,7 +457,7 @@ def test_fiber_and_stabilizers_match_a_walk_over_full_points():
         assert any(p.torsion_order > 1 for p in points)
         assert any(e < 0 for p in points for coord in p.rational for _, e in coord)
         for p in points:
-            assert fiber_over_RG(d, p) == fiber_points(d, p)
+            assert fiber_over_RG(d, p) == [q.rows for q in fiber_points(d, p)]
             if support(p).connected:
                 report = stabilizer_check(d, p)
                 geo, idl = stabilizers(d, p)
@@ -562,7 +563,7 @@ def test_the_fiber_probe_check_fires_on_a_zeta_row_off_by_one(monkeypatch):
 def test_every_weyl_element_gives_the_points_probe_signature(label, rank):
     # Not only the fiber's class representatives: every translate of p
     # carries the probe terms of p, permuted.
-    from repring.spectrum import _invariant_probe, _prepare, _signature, _translate_rows
+    from repring.spectrum import _check_probe_terms, _invariant_probe, _prepare, _translate_rows
     d = standard_datum(label, rank)
     probes = _prepare(_invariant_probe(d))
     w = weyl_group(d)
@@ -570,9 +571,8 @@ def test_every_weyl_element_gives_the_points_probe_signature(label, rank):
     rng = random.Random(2718)
     for _ in range(6):
         p = random_point(rng, rank)
-        base = _signature(p.rows, probes)
-        assert all(_signature(_translate_rows(p, inv_t), probes) == base
-                   for inv_t in w.inverse_transposes)
+        _check_probe_terms(probes, p.rows, [_translate_rows(p, inv_t)
+                                            for inv_t in w.inverse_transposes])
 
 
 def test_the_fiber_refuses_a_probe_with_cyclotomic_coefficients(monkeypatch):
@@ -585,3 +585,77 @@ def test_the_fiber_refuses_a_probe_with_cyclotomic_coefficients(monkeypatch):
                         lambda d: real(d) + [LaurentPoly.one(2) * Cyclo.zeta(3, 1)])
     with pytest.raises(AssertionError, match="a block with Cyclo terms has no integer signature"):
         fiber_over_RG(d, p)
+
+
+def point_of_order_dividing_60(rng, rank):
+    """A seeded point whose torsion order divides 60, with negative exponents."""
+    torsion, rational = [], []
+    for _ in range(rank):
+        m = rng.choice([1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60])
+        torsion.append(Fraction(rng.choice([a for a in range(m) if gcd(a, m) == 1]), m))
+        rational.append({q: rng.choice([-3, -1, 1, 2]) for q in (2, 3, 5, 7)
+                         if rng.random() < 0.5})
+    return EvalPoint.from_parts(torsion, rational)
+
+
+@pytest.mark.parametrize("label, rank", [("C", 3), ("B", 2), ("G", 2)])
+def test_the_integer_probe_check_agrees_with_the_tuple_signatures(label, rank):
+    # Every translate passes, and a translate with one prime row negated or
+    # one zeta entry moved by 1 mod m fails exactly when its tuple signature
+    # differs from the point's (at 2,1,... the negated row is the translate
+    # by -1, in W here).  Exponents above 2^64 widen the slots past eight
+    # bytes; the fiber is compared in rows, never rendered.
+    from repring.spectrum import _check_probe_terms, _invariant_probe, _prepare, _translate_rows
+    d = standard_datum(label, rank)
+    probes = _prepare(_invariant_probe(d))
+    inverse_transposes = weyl_group(d).inverse_transposes
+    rng = random.Random(6060)
+    huge = 2 ** 64 + 1
+    points = [point_of_order_dividing_60(rng, rank) for _ in range(5)]
+    points += [parse_point(",".join(["2", "1", "1"][:rank]), rank),
+               parse_point(",".join([f"2^{huge}", "3", "5"][:rank]), rank),
+               parse_point(",".join([f"zeta(60)^7*3^-{huge}*5", f"2^{huge}*7", "1"][:rank]), rank)]
+    assert max(p.torsion_order for p in points) == 60
+    outcomes = set()
+    for p in points:
+        assert fiber_over_RG(d, p) == [q.rows for q in fiber_points(d, p)]
+        base = probe_signature(p.rows, probes)
+        translates = [_translate_rows(p, inv_t) for inv_t in inverse_transposes]
+        _check_probe_terms(probes, p.rows, translates)
+        m = p.torsion_order
+        for m_, zeta_row, prime_rows in translates:
+            wrong = []
+            if prime_rows:
+                (prime, row), *rest = prime_rows
+                wrong.append((m, zeta_row, ((prime, tuple(-x for x in row)), *rest)))
+            if m > 1:
+                wrong.append((m, ((zeta_row[0] + 1) % m, *zeta_row[1:]), prime_rows))
+            for rows in wrong:
+                differs = probe_signature(rows, probes) != base
+                outcomes.add(differs)
+                if differs:
+                    with pytest.raises(AssertionError, match="disagrees on an invariant probe"):
+                        _check_probe_terms(probes, p.rows, [rows])
+                else:
+                    _check_probe_terms(probes, p.rows, [rows])
+    assert outcomes == {True, False}
+
+
+def test_galois_key_takes_the_least_over_the_units_that_reach_the_least_entry():
+    # The coset search gives the all-units minimum, for unit and non-unit
+    # first nonzero entries, with zero entries before them, and zero rows.
+    from repring.spectrum import _galois_key
+    rng = random.Random(512)
+    for m in (1, 2, 12, 60, 210, 512):
+        units = [a for a in range(1, m) if gcd(a, m) == 1]
+        others = [a for a in range(2, m) if gcd(a, m) > 1]
+        rows = [(0, 0, 0)]
+        for zeros in range(3):
+            for first in rng.sample(units, min(3, len(units))) + rng.sample(others, min(3, len(others))):
+                rows.append((0,) * zeros + (first,)
+                            + tuple(rng.randrange(m) for _ in range(2 - zeros)))
+        assert m < 12 or {gcd(row[row.index(next(filter(None, row)))], m) > 1
+                          for row in rows[1:]} == {True, False}
+        primes = ((2, (1, -1, 0)),)
+        for row in rows:
+            assert _galois_key((m, row, primes)) == (primes, m, least_unit_multiple(m, row))

@@ -6,8 +6,9 @@ which translate is printed; `stabilizer` prints the orders of three
 groups.  For every built-in (all have |W| <= 384) in both variants, at
 three seeded points, one of them rational, one cyclotomic in every
 coordinate and one mixed, the sha256 of argv, exit code and stdout of
-both commands is pinned.  The digests were recorded before the Weyl
-closure was keyed by one reflected vector.
+both commands is pinned, and so is `fiber` on D5 at two points.  The
+digests were recorded before the Weyl closure was keyed by one reflected
+vector, those of D5 before the fiber's probe check was packed into integers.
 """
 
 import contextlib
@@ -19,6 +20,9 @@ from math import gcd
 from repring.cli import run
 from repring.rootdata import standard_datum, weyl_order
 
+# |W(D5)| = 1920, the largest walk of the tests; at zeta(512) each Galois
+# key is a search over the units of Z/512.
+D5_POINTS = ("zeta(3)^1,2,3,5,7", "zeta(512)^1,2,3,5,7")
 SC_BUILTINS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
                ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4), ("G", 2)]
 VARIANTS = ("simply_connected", "adjoint")
@@ -45,6 +49,8 @@ def invocations():
                 point = ",".join(coordinate(rng, kind) for _ in range(rank))
                 for command in ("fiber", "stabilizer"):
                     yield f"{label}{rank}-{variant}", [command, *datum, "--point", point]
+    for point in D5_POINTS:
+        yield f"D5-{point}", ["fiber", "--type", "D", "--rank", "5", "--point", point]
 
 
 def digests() -> dict[str, str]:
@@ -86,6 +92,8 @@ GOLDEN = {
     "D4-adjoint": "b6dd47d0b5b2a327fa38ef489f1f7d37b47029de6bd21d2f1e20f306f38858dd",
     "G2-simply_connected": "e1a44a1d4f8aedd905e4bf80c779c710e4b8aa8a2c99c7d3ab7c28b517b7df94",
     "G2-adjoint": "c514e0dd708a7ed4c417be1c95170390e7ade7362cdb6841abdad519f944822c",
+    "D5-zeta(3)^1,2,3,5,7": "9d679ff868744d90b3b827b46cf15832b68eefc6b43f8c7004b8a6cd0d133081",
+    "D5-zeta(512)^1,2,3,5,7": "983acaa16da0e7370d894cb5fa01a4512ad2ff3dab8e017d39ef24c099fffb70",
 }
 
 
