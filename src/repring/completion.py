@@ -24,7 +24,7 @@ from .errors import ResourceCapError
 from .groebner import groebner
 from .invariants import dominant_weights_in_box, orbit_sum
 from .laurent import LaurentPoly, Span, coefficient_row, inverse_monomial
-from .linalg import RowSpace, rank as matrix_rank
+from .linalg import RowSpace
 from .poly import Monomial, Poly, make_elim_key, monomial_values, monomials_below, parse_poly
 from .rootdata import (LeviDatum, RootDatum, centralizer_subsystem, is_invariant, json_int,
                        orbit, standard_datum)
@@ -387,7 +387,8 @@ class _MacaulayEchelon:
                                 monomials=monos)
 
     def normal_form(self, f: LaurentPoly) -> list:
-        """Coordinates of f, cut below the bound, on the non-pivot columns."""
+        """A nonzero multiple of f's coordinates, cut below the bound, on the
+        non-pivot columns (see RowSpace.reduce)."""
         reduced = self.space.reduce(coefficient_row(f, self.index))
         return [reduced[i] for i in self.free]
 
@@ -459,8 +460,9 @@ def local_isomorphism_check(d: RootDatum, p: EvalPoint,
     sends the source's shifted variables to the restriction images
     expanded around the point, with the u-variables going to truncated
     geometric-series inverses; surjectivity is the rank of the reduced
-    images of the source's non-pivot monomials.  Either side's Macaulay
-    matrix is capped at MACAULAY_COLUMN_CAP columns (ResourceCapError).
+    images of the source's non-pivot monomials, every level's read off
+    one echelon.  Either side's Macaulay matrix is capped at
+    MACAULAY_COLUMN_CAP columns (ResourceCapError).
     """
     if j_max < 1:
         raise ValueError("need at least one truncation level")
@@ -491,18 +493,21 @@ def local_isomorphism_check(d: RootDatum, p: EvalPoint,
     t_images = [img - v for img, v in zip(var_images, src.values)]
     images = monomial_values(t_images, [src.columns[i] for i in src.free],
                              lambda g: _cut(g, j_max))
-    coords = [tgt.normal_form(img) for img in images]
+    # One echelon of the images' normal forms, fed level by level: its rows
+    # are zero left of their pivots, so level j's rank (n_s(j) rows cut to
+    # n_t(j) columns) is the number of pivots left of n_t(j).
+    space = RowSpace(len(tgt.free))
     levels = []
     for j in range(1, j_max + 1):
-        trunc_s = src.report(j)
-        trunc_t = tgt.report(j)
+        trunc_s, trunc_t = src.report(j), tgt.report(j)
         width = len(trunc_t.monomials)
-        rows = [row[:width] for row in coords[:len(trunc_s.monomials)]]
+        for img in images[len(src.free_below(j - 1)):len(trunc_s.monomials)]:
+            space.add(tgt.normal_form(img))
         # Over Q(zeta) both sides split into Galois-conjugate factors, and
         # the map is surjective exactly when it is on the factor at v.  A
         # local ring cannot map onto a product of several nonzero factors,
         # so a target with more conjugates than the source is not reached.
-        surj = matrix_rank(rows) == width and (
+        surj = sum(col < width for col in space.pivots) == width and (
             width == 0 or src.kappa_degree == tgt.kappa_degree)
         levels.append(LevelReport(level=j, dim_source=trunc_s.dimension,
                                   dim_target=trunc_t.dimension,

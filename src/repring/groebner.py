@@ -11,7 +11,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count, product
+from operator import add, le, sub
 
 from .errors import ResourceCapError
 from .poly import Monomial, Poly, grevlex_key
@@ -28,38 +30,50 @@ def leading_term(f: Poly, key=grevlex_key) -> tuple[Monomial, Fraction]:
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
+
+
+class _Largest(tuple):
+    """A (key, monomial) heap entry that pops the largest key first."""
+
+    __slots__ = ()
+
+    def __lt__(self, other) -> bool:
+        return other[0] < self[0]
 
 
 def reduce_poly(f: Poly, basis: list[Poly], key=grevlex_key) -> Poly:
-    """Full normal form of f against the basis (every term reduced)."""
+    """Full normal form of f against the basis (every term reduced), the
+    work terms in a heap keyed once each, the largest reduced first."""
     if not basis:
         return f
     lts = [leading_term(g, key) for g in basis]
     rem: dict[Monomial, Fraction] = {}
     work = dict(f.terms)
-    while work:
-        e = max(work, key=key)
+    heap = [_Largest((key(e), e)) for e in work]
+    heapq.heapify(heap)
+    while heap:
+        e = heapq.heappop(heap)[1]
         c = work.pop(e)
         if not c:
             continue
         hit = next((i for i, (lt, _) in enumerate(lts) if _divides(lt, e)), None)
         if hit is None:
-            rem[e] = rem.get(e, Fraction(0)) + c
+            rem[e] = c
             continue
         g = basis[hit]
         lt, lc = lts[hit]
-        factor = c / lc
-        shift = tuple(a - b for a, b in zip(e, lt))
+        factor = c if lc == 1 else c / lc
+        shift = tuple(map(sub, e, lt))
         for eg, cg in g.terms.items():
             if eg == lt:
                 continue
-            e2 = tuple(a + b for a, b in zip(shift, eg))
-            s = work.get(e2, Fraction(0)) - factor * cg
-            if s:
-                work[e2] = s
+            e2 = tuple(map(add, shift, eg))
+            if e2 in work:
+                work[e2] -= factor * cg
             else:
-                work.pop(e2, None)
+                work[e2] = -factor * cg
+                heapq.heappush(heap, _Largest((key(e2), e2)))
     return Poly(f.nvars, rem)
 
 
@@ -77,6 +91,7 @@ def s_polynomial(f: Poly, g: Poly, key=grevlex_key) -> Poly:
 def groebner_basis(gens: list[Poly], key=grevlex_key,
                    pair_cap: int = DEFAULT_PAIR_CAP) -> list[Poly]:
     """Reduced monic Groebner basis of the ideal generated by gens."""
+    key = lru_cache(maxsize=None)(key)   # every reduction finds the leading terms again
     basis = [g for g in gens if not g.is_zero()]
     if not basis:
         return []

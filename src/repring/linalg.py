@@ -1,37 +1,61 @@
 """Small exact linear-algebra helpers over Q (and cyclotomic scalars).
 
-Everything here works on dense rows of Fraction (or Cyclo) entries and
-is only meant for the modest matrix sizes this package produces.
+Everything here works on dense rows of int, Fraction or Cyclo entries
+and is only meant for the modest matrix sizes this package produces.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from math import gcd, lcm
+
+
+def _clear(v: list, row: list, p: int, support, exact: bool) -> list:
+    """v with column p cleared by a row nonzero on support: int rows go
+    v -> a*v - c*row, a = row[p] and c = v[p] over their gcd; others lose
+    (c/a)*row and are never rescaled."""
+    c, a = v[p], row[p]
+    if exact:
+        g = gcd(a, c)
+        if g != a:
+            v = [x * (a // g) for x in v]
+        c //= g
+    elif a != 1:
+        c = c / Fraction(a)
+    for k in support:
+        v[k] = v[k] - c * row[k]
+    return v
 
 
 class RowSpace:
     """An incrementally built row space with exact membership tests.
 
-    The stored rows are in reduced echelon form: each is normalized to 1
-    at its pivot, the first nonzero column of the vector when it was
-    added, and zero at every other row's pivot.  Arithmetic only touches
-    the nonzero columns of each stored row.
-    """
+    The rows are in echelon form by increasing pivot, the first nonzero
+    column of the vector when it was added.  A row over Q is a primitive
+    int row with a positive pivot, eliminated fraction-free (Bareiss, Math.
+    Comp. 22, 1968); a row with a cyclotomic entry is 1 at its pivot.
+    Arithmetic only touches the nonzero columns of each stored row."""
 
     def __init__(self, width: int) -> None:
         self.width = width
-        self.rows: list[list] = []      # reduced rows, pivot normalized to 1
-        self.pivots: list[int] = []
+        self.rows: list[list] = []      # primitive int rows, or 1 at the pivot
+        self.pivots: list[int] = []     # increasing
         self._support: list[list[int]] = []   # nonzero columns of each row
 
     def reduce(self, vec) -> list:
-        """The normal form of a vector: zero at every pivot column."""
+        """A nonzero multiple of the normal form, zero at every pivot; the
+        normal form itself for a vector with a cyclotomic entry."""
         v = list(vec)
+        types = set(map(type, v))
+        exact = types <= {int, Fraction}
+        if exact and Fraction in types:
+            scale = lcm(*(x.denominator for x in v))
+            v = [x.numerator * (scale // x.denominator) for x in v]
         for row, p, support in zip(self.rows, self.pivots, self._support):
-            c = v[p]
-            if c:
-                for k in support:
-                    v[k] = v[k] - c * row[k]
+            if v[p]:
+                exact = exact and type(row[p]) is int
+                v = _clear(v, row, p, support, exact)
         return v
 
     def add(self, vec) -> bool:
@@ -43,24 +67,23 @@ class RowSpace:
         if not support:
             return False
         piv = support[0]
-        inv = Fraction(1) / v[piv]
-        for k in support:
-            v[k] = v[k] * inv
-        for row, row_support in zip(self.rows, self._support):
-            c = row[piv]
-            if c:
-                for k in support:
-                    row[k] = row[k] - c * v[k]
-                row_support[:] = [k for k in sorted(set(row_support).union(support))
-                                  if row[k]]
-        self.rows.append(v)
-        self.pivots.append(piv)
-        self._support.append(support)
+        if all(type(v[k]) is int for k in support):
+            g = gcd(*(v[k] for k in support))
+            g = -g if v[piv] < 0 else g
+            for k in support:
+                v[k] //= g
+        else:
+            inv = Fraction(1) / v[piv]
+            for k in support:
+                v[k] = v[k] * inv
+        at = bisect_left(self.pivots, piv)
+        self.rows.insert(at, v)
+        self.pivots.insert(at, piv)
+        self._support.insert(at, support)
         return True
 
     def contains(self, vec) -> bool:
-        v = self.reduce(list(vec))
-        return not any(v)
+        return not any(self.reduce(vec))
 
     @property
     def rank(self) -> int:
@@ -68,12 +91,8 @@ class RowSpace:
 
 
 def rank(rows: list[list]) -> int:
-    if not rows:
-        return 0
-    space = RowSpace(len(rows[0]))
-    for r in rows:
-        space.add(r)
-    return space.rank
+    space = RowSpace(len(rows[0]) if rows else 0)
+    return sum(space.add(r) for r in rows)
 
 
 def solve_coordinates(rows: list[list], target: list) -> list[Fraction] | None:
@@ -95,10 +114,8 @@ def solve_coordinates(rows: list[list], target: list) -> list[Fraction] | None:
         space.add(list(r) + [int(i == k) for k in range(n)])
     v = list(target) + [Fraction(0)] * n
     for row, p, support in zip(space.rows, space.pivots, space._support):
-        c = v[p]
-        if p < width and c:
-            for k in support:
-                v[k] = v[k] - c * row[k]
+        if p < width and v[p]:
+            v = _clear(v, row, p, support, False)
     if any(v[:width]):
         return None
     return [-x for x in v[width:]]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import neg
 
 from .cyclotomic import Cyclo
 from .laurent import LaurentPoly
@@ -94,7 +95,7 @@ class Poly(LaurentPoly):
 
 def grevlex_key(e: Monomial):
     """Graded reverse lexicographic order as a sort key (larger sorts last)."""
-    return (sum(e), tuple(-x for x in reversed(e)))
+    return (sum(e), tuple(map(neg, reversed(e))))
 
 
 def monomials_below(nvars: int, bound: int) -> list[Monomial]:

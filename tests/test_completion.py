@@ -6,7 +6,9 @@ is decided exactly.  Truncation dimensions are compared against the
 closed forms for smooth points: dim R/m^j = j in one variable and
 j(j+1)/2 in two.  The shifted Macaulay echelon behind the local
 comparison is checked level by level against the Groebner path in
-`groebner_oracle`.
+`groebner_oracle`, and its one echelon of the restriction images, from
+which every level's rank is read, against the pivot-1 reference of
+`rowspace_oracle` ranking each level's block afresh.
 """
 
 import pathlib
@@ -17,7 +19,7 @@ import pytest
 
 CASES_DIR = pathlib.Path(__file__).resolve().parent.parent / "cases"
 
-from repring.completion import (LocalIsoReport, Presentation,
+from repring.completion import (LocalIsoReport, Presentation, _MacaulayEchelon,
                                 inversion_relations, load_case_config,
                                 local_isomorphism_check, point_ideal,
                                 presentation_from_config, truncated_quotient,
@@ -30,6 +32,7 @@ from repring.rootdata import standard_datum, torus_datum
 from repring.spectrum import EvalPoint, parse_point
 
 from groebner_oracle import groebner_levels, groebner_truncation, quotient_inverse
+from rowspace_oracle import rank as oracle_rank
 
 
 def sl2_presentation():
@@ -389,9 +392,9 @@ def test_non_invertible_restriction_image_is_input_error():
         groebner_levels(pres, pres, p, ["y1 - 2"], 2)
 
 
-def test_truncation_matches_groebner_on_random_singular_relations():
-    # Extra relations in m or m^2 make the local rings non-smooth, so the
-    # prefix reading is checked where relations start above degree one.
+def singular_presentations():
+    """30 seeded presentations whose extra relations lie in m or m^2 of a
+    point, so their local rings there are not smooth, with that point."""
     rng = random.Random(2024)
     values = ["2", "3/2", "1", "zeta(3)^1*2", "zeta(4)^1*3", "zeta(6)^1*5"]
     for _ in range(30):
@@ -420,6 +423,71 @@ def test_truncation_matches_groebner_on_random_singular_relations():
                 extra.append(f)
         pres = Presentation(rank=rank, images=base.images, inverted=inverted,
                             relations=base.relations + tuple(extra))
-        for j in range(1, 4 if nv <= 2 else 3):
+        yield pres, p, m
+
+
+def test_truncation_matches_groebner_on_random_singular_relations():
+    # Extra relations in m or m^2 make the local rings non-smooth, so the
+    # prefix reading is checked where relations start above degree one.
+    for pres, p, m in singular_presentations():
+        for j in range(1, 4 if pres.num_vars <= 3 else 3):
             assert (truncated_quotient(pres, p, j).dimension
                     == len(groebner_truncation(pres, m, j)[1]))
+
+
+def oracle_levels(monkeypatch, d, p, source, target, restriction, j_max):
+    """Each level's surjective flag, and the same flag recomputed from the
+    recorded normal-form rows: the oracle's rank of the level's block,
+    the first n_s rows cut to the first n_t columns, computed afresh."""
+    echelons, rows = [], []
+    init, normal_form = _MacaulayEchelon.__init__, _MacaulayEchelon.normal_form
+
+    def record_init(self, *args):
+        init(self, *args)
+        echelons.append(self)
+
+    def record_normal_form(self, f):
+        rows.append(normal_form(self, f))
+        return rows[-1]
+
+    monkeypatch.setattr(_MacaulayEchelon, "__init__", record_init)
+    monkeypatch.setattr(_MacaulayEchelon, "normal_form", record_normal_form)
+    report = local_isomorphism_check(d, p, source, target, restriction, j_max)
+    monkeypatch.undo()
+    src, tgt = echelons
+    got, expected = [], []
+    for lvl in report.levels:
+        n_s, n_t = len(src.free_below(lvl.level)), len(tgt.free_below(lvl.level))
+        full = oracle_rank([row[:n_t] for row in rows[:n_s]]) == n_t
+        expected.append(full and (n_t == 0 or src.kappa_degree == tgt.kappa_degree))
+        got.append(lvl.surjective)
+    return got, expected
+
+
+def test_one_echelon_levels_match_oracle_ranks_on_curated_cases(monkeypatch):
+    case = load_case_config(str(CASES_DIR / "sl3_levi.json"))
+    got, expected = oracle_levels(monkeypatch, case["datum"], case["point"], case["source"],
+                                  case["target"], case["restriction"], 8)
+    assert got == expected == [True] * 8
+    # At the central point 1, y1 - 2 maps to (x - 1)^2 / x in m^2: from
+    # level two on its row's pivot lies right of the level's columns.
+    got, expected = oracle_levels(monkeypatch, standard_datum("A", 1), parse_point("1", 1),
+                                  sl2_presentation(), torus_presentation(), ["y1 + u1"], 5)
+    assert got == expected == [True] + [False] * 4
+
+
+def test_one_echelon_levels_match_oracle_ranks_on_random_singular_relations(monkeypatch):
+    # Each presentation maps onto itself, and a line maps into it through
+    # the product of its first and last generators: onto some targets at
+    # every level, onto others at level one only, onto some at none.
+    flags = set()
+    for pres, p, _ in singular_presentations():
+        d, g = torus_datum(pres.rank), pres.num_gens
+        line = Presentation(rank=pres.rank, images=(pres.images[0] * pres.images[-1],),
+                            inverted=(), relations=())
+        for source, restriction in ((pres, [f"y{i + 1}" for i in range(g)]),
+                                    (line, [f"y1*y{g}"])):
+            got, expected = oracle_levels(monkeypatch, d, p, source, pres, restriction, 5)
+            assert got == expected
+            flags.add(tuple(got))
+    assert {(True,) * 5, (True,) + (False,) * 4, (False,) * 5} <= flags

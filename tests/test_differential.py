@@ -7,6 +7,8 @@ norm a * (product of the other Galois conjugates of a) with the
 resultant Res(Phi_m, a(x)), which is the product of a(zeta) over the
 primitive m-th roots of unity.  A product of cyclotomic numbers is
 compared with sympy's remainder of the product polynomial modulo Phi_m.
+The rank of a rational matrix, with dependent rows, zero rows and large
+denominators, is compared with sympy's Matrix.rank.
 """
 
 import random
@@ -20,6 +22,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_f
 
 from repring.cyclotomic import Cyclo, cyclotomic_polynomial, euler_phi  # noqa: E402
 from repring.lattice import smith_normal_form  # noqa: E402
+from repring.linalg import rank  # noqa: E402
 
 X = sympy.Symbol("x")
 
@@ -33,6 +36,27 @@ def test_smith_diagonal_matches_sympy():
         theirs = sympy_smith_normal_form(sympy.Matrix(a), domain=sympy.ZZ)
         k = min(m, n)
         assert [d[i][i] for i in range(k)] == [abs(int(theirs[i, i])) for i in range(k)], a
+
+
+def test_rational_rank_matches_sympy():
+    rng = random.Random(1968)
+    for _ in range(200):
+        width = rng.randint(1, 6)
+        rows = []
+        for _ in range(rng.randint(1, 7)):
+            kind = rng.choice(["fresh", "fresh", "zero", "combination"])
+            if kind == "zero":
+                rows.append([Fraction(0)] * width)
+            elif kind == "combination" and rows:
+                a, b = rng.choice(rows), rng.choice(rows)
+                s, t = Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-3, 3)
+                rows.append([s * x + t * y for x, y in zip(a, b)])
+            else:
+                rows.append([Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 9))
+                             if rng.random() < 0.7 else Fraction(0) for _ in range(width)])
+        theirs = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                               for r in rows]).rank()
+        assert rank(rows) == theirs, rows
 
 
 def test_cyclotomic_polynomials_match_sympy():
