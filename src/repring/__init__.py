@@ -19,8 +19,8 @@ from .rootdata import (LeviDatum, RootDatum, WeylGroup, all_roots,
                        centralizer_subsystem, datum_from_dict,
                        dominant_representative, fundamental_group, gl_datum,
                        is_derived_simply_connected, is_dominant, is_invariant,
-                       orbit, positive_roots, product, standard_datum,
-                       torus_datum, weyl_group, weyl_order)
+                       orbit, positive_roots, product, row_orbit, standard_datum,
+                       torus_datum, weyl_group, weyl_order, weyl_walk)
 from .invariants import (CharacterBasisReport, character_dimension,
                          decompose_into_orbit_sums, dominance_leq,
                          dominant_weights_in_box, finiteness_probe,

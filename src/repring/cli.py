@@ -116,9 +116,7 @@ def _fiber(d: RootDatum, p: EvalPoint, args) -> dict:
 
 
 def _stabilizer(d: RootDatum, p: EvalPoint, args) -> dict:
-    report = stabilizer_check(d, p)
-    return {"geometric_order": report.geometric.order, "ideal_order": report.ideal.order,
-            "subsystem_order": report.subsystem.order, "agree": report.agree}
+    return asdict(stabilizer_check(d, p))
 
 
 def _character(d: RootDatum, w: list[int], args) -> dict:

@@ -341,12 +341,13 @@ class _MacaulayEchelon:
     The columns are the monomials t^a of degree below the bound in the
     shifted variables t = x - v, in grevlex order, so by ascending degree.
     Every relation f contributes the row t^a * f(t + v), cut below the
-    bound, for every column t^a.  The RowSpace pivots on the first
-    nonzero column, and t^a * f vanishes below degree j once |a| >= j, so
-    the degree < j prefix of this one echelon form is the echelon form of
-    level j: its non-pivot columns of degree < j are a basis of
-    R/(I + m^j) over the residue field, and the prefix of a normal form
-    is the level-j normal form.
+    bound, for every column t^a of degree below the bound minus the least
+    degree of f(t + v); the cut leaves the other rows zero.  The RowSpace
+    pivots on the first nonzero column, and t^a * f vanishes below degree
+    j once |a| >= j, so the degree < j prefix of this one echelon form is
+    the echelon form of level j: its non-pivot columns of degree < j are a
+    basis of R/(I + m^j) over the residue field, and the prefix of a
+    normal form is the level-j normal form.
     """
 
     def __init__(self, pres: Presentation, p: EvalPoint, bound: int) -> None:
@@ -366,7 +367,10 @@ class _MacaulayEchelon:
         self.space = RowSpace(width)
         for f in pres.relations:
             expanded = _expand(f, self.shift, bound)
+            low = bound - min(map(sum, expanded.terms), default=bound)
             for a in self.columns:
+                if sum(a) >= low:
+                    break
                 row = [0] * width
                 for e, c in expanded.terms.items():
                     col = index.get(tuple(x + y for x, y in zip(a, e)))

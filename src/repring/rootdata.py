@@ -6,12 +6,13 @@ product.  Simple roots live in the character lattice, simple coroots in
 the cocharacter lattice, and dot(root_i, coroot_i) == 2 is enforced.
 
 A reflection is a (root, coroot) pair, applied to a character as the
-rank-one update x -> x - <x, coroot> root.  Orbits and invariance checks
-run on a datum's simple pairs.  A datum's roots, coroots and heights are
-closed once and kept on it; positive roots, a centralizer's base and |W|
+rank-one update x -> x - <x, coroot> root, and to a cocharacter row by
+its transpose; orbits, invariance checks and walks over W run on a
+datum's simple pairs, compiled once.  A datum's roots, coroots and
+heights are closed once and kept on it; positive roots, a centralizer's base and |W|
 (from the heights by Kostant's theorem) read it.  A whole Weyl group, as
 rank x rank integer matrices acting on the character lattice (columns
-act on coordinate vectors), is closed only where its elements are read.
+act on coordinate vectors), is walked only where its elements are read.
 All enumerations are exact and guarded by caps.
 """
 
@@ -19,8 +20,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from math import prod
-from operator import mul, sub
+from operator import index, mul, sub
 
 from .errors import ResourceCapError
 from .lattice import FinAbGroup, Sublattice, is_member, quotient_group, saturate
@@ -173,39 +175,60 @@ def gl_datum(n: int) -> RootDatum:
     """The general-linear datum on Z^n: roots and coroots e_i - e_j."""
     if n < 1:
         raise ValueError("gl datum needs n >= 1")
-    roots = []
-    coroots = []
-    for i in range(n - 1):
-        v = [0] * n
-        v[i] = 1
-        v[i + 1] = -1
-        roots.append(tuple(v))
-        coroots.append(tuple(v))
-    return RootDatum(n, tuple(roots), tuple(coroots), name=f"GL{n}")
+    roots = tuple(tuple(int(k == i) - int(k == i + 1) for k in range(n)) for i in range(n - 1))
+    return RootDatum(n, roots, roots, name=f"GL{n}")
 
 
 def product(d1: RootDatum, d2: RootDatum) -> RootDatum:
     """Block sum of two data on the concatenated lattice."""
     r1, r2 = d1.rank, d2.rank
 
-    def pad_left(v):
-        return tuple(v) + (0,) * r2
+    def pad(first, second):
+        return (tuple(tuple(v) + (0,) * r2 for v in first)
+                + tuple((0,) * r1 + tuple(v) for v in second))
 
-    def pad_right(v):
-        return (0,) * r1 + tuple(v)
-
-    roots = tuple(pad_left(a) for a in d1.simple_roots) + \
-        tuple(pad_right(a) for a in d2.simple_roots)
-    coroots = tuple(pad_left(a) for a in d1.simple_coroots) + \
-        tuple(pad_right(a) for a in d2.simple_coroots)
-    return RootDatum(r1 + r2, roots, coroots, name=f"{d1.name}x{d2.name}")
+    return RootDatum(r1 + r2, pad(d1.simple_roots, d2.simple_roots),
+                     pad(d1.simple_coroots, d2.simple_coroots), name=f"{d1.name}x{d2.name}")
 
 
-def _reflect(x: tuple[int, ...], root, coroot) -> tuple[int, ...]:
-    """x - <x, coroot> root, the reflection as a rank-one update; x itself
-    when the pairing is 0."""
-    k = sum(map(mul, x, coroot))
-    return tuple([xi - k * ri for xi, ri in zip(x, root)]) if k else x
+@lru_cache(maxsize=4096)
+def _compile(root: tuple[int, ...], coroot: tuple[int, ...]):
+    """x -> x - <x, coroot> root on integer tuples as one generated
+    expression that reads only the nonzero entries of coroot, writes only
+    those of root, and returns x itself where the pairing is 0; compiling
+    costs some hundred calls, so it is done once per pair in a process."""
+    pairing = " + ".join(f"x[{i}] * {index(c)}" for i, c in enumerate(coroot) if c) or "0"
+    image = "".join(f"x[{i}] - k * {index(r)}, " if r else f"x[{i}], "
+                    for i, r in enumerate(root))
+    return eval(f"lambda x: x if not (k := {pairing}) else ({image})")
+
+
+def _reflections(d: RootDatum) -> tuple[tuple, tuple]:
+    """d's simple reflections s and their transposes s^T, which act on
+    cocharacter rows, compiled and kept on d."""
+    if "_reflections" not in vars(d):
+        pairs = [(tuple(a), tuple(av)) for a, av in d.simple_pairs]
+        object.__setattr__(d, "_reflections", ([_compile(a, av) for a, av in pairs],
+                                               [_compile(av, a) for a, av in pairs]))
+    return d._reflections
+
+
+def _close(start, moves, cap: int, refusal: str, value=None, carry=None) -> dict:
+    """Every state reached from start by moves, with the value carry(value,
+    i) gives it from the one that first reached it by the i-th move (value
+    at start).  A state beyond the cap-th raises ResourceCapError(refusal)."""
+    seen = {start: value}
+    queue = [start]
+    while queue:
+        x = queue.pop()
+        for i, move in enumerate(moves):
+            y = move(x)
+            if y not in seen:
+                if len(seen) >= cap:
+                    raise ResourceCapError(refusal)
+                seen[y] = carry(seen[x], i) if carry else None
+                queue.append(y)
+    return seen
 
 
 def _close_roots(d: RootDatum, cap: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
@@ -213,16 +236,16 @@ def _close_roots(d: RootDatum, cap: int) -> tuple[tuple[tuple[int, ...], tuple[i
     simple pairs under simple reflections, which act on coroots by the dual
     reflections and on heights, the coefficient sums over the simple roots,
     by height(s_i b) = height(b) - <b, a_i'>, negative roots included."""
-    simple = d.simple_pairs
+    simple = list(zip(d.simple_coroots, *_reflections(d)))
     found: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-    for a, av in simple:
+    for a, av in d.simple_pairs:
         found.setdefault(a, (av, 1))
     queue = list(found)
     while queue:
         a = queue.pop()
         av, height = found[a]
-        for s, sv in simple:
-            b, bv = _reflect(a, s, sv), _reflect(av, sv, s)
+        for sv, s, s_t in simple:
+            b, bv = s(a), s_t(av)
             known = found.get(b)
             if known is None:
                 if len(found) >= cap:
@@ -268,75 +291,76 @@ def all_roots(d: RootDatum, cap: int = ROOT_CLOSURE_CAP) -> list[tuple[tuple[int
 
 @dataclass(frozen=True)
 class WeylGroup:
-    """A finite reflection group given by explicit matrices; one closed from
-    reflections lists them sorted, whatever order the closure reached them
-    in, and also carries inverse_transposes[i] = elements[i]^-T."""
+    """A finite reflection group given by explicit matrices; one walked from
+    reflections lists them sorted, whatever order the walk reached them in."""
 
     rank: int
     elements: tuple[MatrixT, ...]
-    inverse_transposes: tuple[MatrixT, ...] = ()
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
 
+def _order(d: RootDatum, cap, refusal="group enumeration exceeded cap {cap}") -> int:
+    """|W| as weyl_order states it, after the root closure; over cap
+    (WEYL_ORDER_CAP, read at call time, when not given), which the trivial
+    group always passes, refusal is raised, given the order and the cap."""
+    limit = WEYL_ORDER_CAP if cap is None else cap
+    count = Counter(h for _, _, h in _base_closure(d) if h > 0)
+    order = prod((k + 1) ** (n - count[k + 1]) for k, n in count.items())
+    if order > max(limit, 1):
+        raise ResourceCapError(refusal.format(order=order, cap=limit))
+    return order
+
+
+def _step(reflections, value, i: int):
+    """s_i m's columns and rows from m's: s_i maps each column, s_i^T each row."""
+    return tuple(map(reflections[0][i], value[0])), tuple(map(reflections[1][i], value[1]))
+
+
+def weyl_walk(d: RootDatum, rows=(), cap: int | None = None) -> list[tuple[MatrixT, tuple]]:
+    """Each element m of W, sorted, with m^-T r for each cocharacter row r
+    of rows, as a point's rows map to its translate by m (the torsion row
+    unreduced); refused over cap as _order refuses.  W is walked by left
+    multiplication.  m is named by m 2rho, 2rho being regular, so a step to
+    s m reflects one vector, and only a new element's columns and rows
+    ((s m)^-T = s^T m^-T) are mapped (_step)."""
+    order = _order(d, cap)
+    reflections = _reflections(d)
+    ident = tuple(tuple(int(i == j) for j in range(d.rank)) for i in range(d.rank))
+    seen = _close(two_rho(d), reflections[0], order, f"walk exceeded |W| = {order}",
+                  (ident, tuple(map(tuple, rows))), partial(_step, reflections))
+    return sorted((tuple(zip(*columns)), mapped) for columns, mapped in seen.values())
+
+
 def weyl_group(d: RootDatum, cap: int | None = None) -> WeylGroup:
-    """Close the simple reflections s of d, once its root closure has refused
-    a datum with no finite Weyl group and |W|, counted from the heights as
-    weyl_order counts it, has been compared with cap (WEYL_ORDER_CAP, read
-    at call time, when not given).  An element m is named by u m, for u
-    the sum of the positive coroots, which pairs nonzero with every root
-    and so has trivial stabilizer; as u (m s) = (u m) s, a step reflects
-    one vector, and only a new element's rows of m s and of the carried
-    (m s)^-T = m^-T s^T are built, each a rank-one update."""
-    closed = _base_closure(d)
-    cap = WEYL_ORDER_CAP if cap is None else cap
-    if _order_from_heights(closed) > max(cap, 1):
-        raise ResourceCapError(f"group enumeration exceeded cap {cap}")
-    rank, pairs = d.rank, d.simple_pairs
-    ident: MatrixT = tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
-    u = tuple(map(sum, zip([0] * rank, *(av for _, av, h in closed if h > 0))))
-    seen = {u: (ident, ident)}
-    queue = [u]
-    while queue:
-        key = queue.pop()
-        for a, av in pairs:
-            nxt = _reflect(key, av, a)
-            if nxt not in seen:
-                m, inv_t = seen[key]
-                seen[nxt] = (tuple([_reflect(row, av, a) for row in m]),
-                             tuple([_reflect(row, a, av) for row in inv_t]))
-                queue.append(nxt)
-    elements, inverse_transposes = zip(*sorted(seen.values()))
-    return WeylGroup(rank, elements, inverse_transposes)
+    """W as its sorted elements: weyl_walk without rows."""
+    return WeylGroup(d.rank, tuple(m for m, _ in weyl_walk(d, (), cap)))
 
 
 def orbit(d: RootDatum, v) -> list[tuple[int, ...]]:
     """The Weyl orbit of a character vector, sorted: its closure under the
     simple reflections of d (for a centralizer, pass its LeviDatum's
-    datum), each applied as a rank-one update and skipped where the
-    pairing is 0.  A datum of infinite type is refused first, as by
-    every reader of a base; the closure is still capped at WEYL_ORDER_CAP
-    points (read at call time)."""
+    datum).  A datum of infinite type is refused first, as by every reader
+    of a base; the closure is still capped at WEYL_ORDER_CAP points (read
+    at call time)."""
     start = tuple(map(int, v))
     if len(start) != d.rank:
         raise ValueError("vector length does not match the datum rank")
     _base_closure(d)
-    pairs = d.simple_pairs
-    seen = {start}
-    queue = [start]
-    while queue:
-        x = queue.pop()
-        for a, av in pairs:
-            y = _reflect(x, a, av)
-            if y not in seen:
-                if len(seen) >= WEYL_ORDER_CAP:
-                    raise ResourceCapError(
-                        f"orbit closure exceeded WEYL_ORDER_CAP = {WEYL_ORDER_CAP} points")
-                seen.add(y)
-                queue.append(y)
-    return sorted(seen)
+    return sorted(_close(start, _reflections(d)[0], WEYL_ORDER_CAP,
+                         f"orbit closure exceeded WEYL_ORDER_CAP = {WEYL_ORDER_CAP} points"))
+
+
+def row_orbit(d: RootDatum, rows, modulus: int) -> list[tuple]:
+    """The W-orbit, unsorted, of a tuple of cocharacter rows, on which s acts
+    by s^T, the first taken mod modulus: a point's torsion and prime rows.
+    Refused up front over WEYL_ORDER_CAP as _order refuses."""
+    order, start = _order(d, None), tuple(map(tuple, rows))
+    moves = [lambda state, s=s: (tuple([x % modulus for x in s(state[0])]), *map(s, state[1:]))
+             for s in _reflections(d)[1]]
+    return list(_close(start, moves, order, f"orbit exceeded |W| = {order} points"))
 
 
 def is_invariant(d: RootDatum, terms) -> bool:
@@ -344,9 +368,8 @@ def is_invariant(d: RootDatum, terms) -> bool:
     mapping from exponent vectors to coefficients such as LaurentPoly.terms,
     is fixed by the Weyl group: every simple reflection carries each
     exponent to one with the same coefficient."""
-    pairs = d.simple_pairs
-    return all(terms.get(_reflect(e, a, av)) == c
-               for e, c in terms.items() for a, av in pairs)
+    simple = _reflections(d)[0]
+    return all(terms.get(s(e)) == c for e, c in terms.items() for s in simple)
 
 
 def is_dominant(d: RootDatum, v) -> bool:
@@ -360,15 +383,12 @@ def dominant_representative(d: RootDatum, v) -> tuple[int, ...]:
     descent stops after ROOT_CLOSURE_CAP steps with ResourceCapError,
     which on a datum of infinite type it would otherwise never leave.
     """
-    cur = list(map(int, v))
+    cur, simple = tuple(map(int, v)), list(zip(d.simple_coroots, _reflections(d)[0]))
     for _ in range(ROOT_CLOSURE_CAP + 1):
-        for a, av in d.simple_pairs:
-            k = d.pairing(cur, av)
-            if k < 0:
-                cur = [x - k * y for x, y in zip(cur, a)]
-                break
-        else:
-            return tuple(cur)
+        s = next((s for av, s in simple if sum(map(mul, cur, av)) < 0), None)
+        if s is None:
+            return cur
+        cur = s(cur)
     raise ResourceCapError(f"dominant descent exceeded ROOT_CLOSURE_CAP = "
                            f"{ROOT_CLOSURE_CAP} steps")
 
@@ -398,26 +418,14 @@ def two_rho(d: RootDatum) -> tuple[int, ...]:
     return tuple(map(sum, zip([0] * d.rank, *(a for a, _ in positive_roots(d)))))
 
 
-def _order_from_heights(closed) -> int:
-    """|W| from the heights of a root closure, as weyl_order states it."""
-    count = Counter(h for _, _, h in closed if h > 0)
-    return prod((k + 1) ** (n - count[k + 1]) for k, n in count.items())
-
-
 def weyl_order(d: RootDatum, cap: int | None = None) -> int:
     """|W| = prod (k + 1)^(n_k - n_(k+1)), n_k the number of positive roots
     of height k: the exponents of W are the partition dual to the heights
     (Kostant, Amer. J. Math. 81, 1959; Humphreys 3.20).  Infinite type is
     refused, also where dependent simple roots leave the root closure
-    finite.  Capped at cap (WEYL_ORDER_CAP, read at call time, when not
-    given), which the trivial group, counted without enumeration, always
-    passes."""
-    limit = WEYL_ORDER_CAP if cap is None else cap
-    order = _order_from_heights(_base_closure(d))
-    if order > max(limit, 1):
-        name = "WEYL_ORDER_CAP = " if cap is None else "the cap "
-        raise ResourceCapError(f"Weyl group order {order} exceeds {name}{limit}")
-    return order
+    finite.  Capped at cap as _order caps it."""
+    name = "WEYL_ORDER_CAP = " if cap is None else "the cap "
+    return _order(d, cap, "Weyl group order {order} exceeds " + name + "{cap}")
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ from .invariants import orbit_sum
 from .lattice import (FinAbGroup, Sublattice, is_member, kernel,
                       mat_inverse_unimodular, quotient_group, transpose)
 from .laurent import LaurentPoly
-from .rootdata import (RootDatum, WeylGroup, all_roots, centralizer_subsystem,
-                       dominant_representative, weyl_group)
+from .rootdata import (RootDatum, all_roots, centralizer_subsystem, dominant_representative,
+                       row_orbit, weyl_order, weyl_walk)
 
 
 def _is_prime(n: int) -> bool:
@@ -410,33 +410,18 @@ def _galois_key(rows) -> tuple:
                               for k in range(first, m, m // g) if gcd(k, m) == 1)
 
 
-def _translate_rows(p: EvalPoint, inv_t) -> tuple:
-    """The rows of w . p: p's through the inverse-transpose inv_t of w."""
-    m, zeta_row, prime_rows = p.rows
-    return (m, tuple(sum(map(mul, r, zeta_row)) % m for r in inv_t),
-            tuple((prime, tuple(sum(map(mul, r, row)) for r in inv_t))
-                  for prime, row in prime_rows))
-
-
-def _point_from_rows(rows) -> EvalPoint:
-    """The point at rows translated from a validated point's: primes proven."""
-    m, zeta_row, prime_rows = rows
-    coords = tuple(tuple((prime, row[i]) for prime, row in prime_rows if row[i])
-                   for i in range(len(zeta_row)))
-    return EvalPoint(tuple(Fraction(a, m) for a in zeta_row), coords,
-                     frozenset(prime for prime, _ in prime_rows))
-
-
-def weyl_translate(w, p: EvalPoint, inverse_transpose=None) -> EvalPoint:
-    """The translated point (w . p)(n) = p(w^{-1} n).
-
-    The integer rows of the point transform by the inverse-transpose of
-    the integer matrix w (computed here unless given).
-    """
+def weyl_translate(w, p: EvalPoint) -> EvalPoint:
+    """The translated point (w . p)(n) = p(w^{-1} n): p's integer rows
+    through the inverse-transpose of the integer matrix w, with p's
+    primes proven."""
     if len(w) != p.rank:
         raise ValueError("matrix size does not match point rank")
-    inv_t = inverse_transpose or transpose(mat_inverse_unimodular(w))
-    return _point_from_rows(_translate_rows(p, inv_t))
+    inv_t = transpose(mat_inverse_unimodular(w))
+    m, zeta_row, prime_rows = p.rows
+    coords = tuple(tuple((prime, x) for prime, row in prime_rows if (x := sum(map(mul, r, row))))
+                   for r in inv_t)
+    return EvalPoint(tuple(Fraction(sum(map(mul, r, zeta_row)) % m, m) for r in inv_t), coords,
+                     frozenset(prime for prime, _ in prime_rows))
 
 
 def _invariant_probe(d: RootDatum) -> list[LaurentPoly]:
@@ -451,56 +436,61 @@ def fiber_over_RG(d: RootDatum, p: EvalPoint) -> list[tuple]:
     """The distinct maximal ideals over the invariant-ring ideal of p, as
     the rows (EvalPoint.rows) of one point on each; render_rows writes one.
 
-    Walks W in sorted order on the point's rows, keeping the first
-    translate of each Galois class.  Each must give p's terms on a probe
-    set of rational invariants, one prepared block, which is stronger than
-    equal values; a violation raises.
+    Walks W in sorted order on the point's rows (weyl_walk), keeping the
+    first translate of each Galois class.  Each must give p's terms on a
+    probe set of rational invariants, one prepared block, which is
+    stronger than equal values; a violation raises.
     """
     if d.rank != p.rank:
         raise ValueError("datum and point rank differ")
-    w = weyl_group(d)
-    cyclotomic_polynomial(p.torsion_order)  # over its cap the field is refused before the walk
+    m, zeta_row, prime_rows = p.rows
+    primes = [prime for prime, _ in prime_rows]
+    walk = weyl_walk(d, (zeta_row, *(row for _, row in prime_rows)))
+    cyclotomic_polynomial(m)  # over its cap the field is refused before any class is keyed
     classes: dict[tuple, tuple] = {}
-    for inv_t in w.inverse_transposes:
-        rows = _translate_rows(p, inv_t)
-        classes.setdefault(_galois_key(rows), rows)
+    for q in dict.fromkeys((m, tuple([x % m for x in z]), tuple(zip(primes, rs)))
+                           for _, (z, *rs) in walk):
+        classes.setdefault(_galois_key(q), q)
     _check_probe_terms(_prepare(_invariant_probe(d)), p.rows, classes.values())
     return list(classes.values())
 
 
 @dataclass(frozen=True)
 class StabilizerReport:
-    """Three stabilizer computations that must agree for connected support."""
+    """The orders of three stabilizers, and whether they are one group, as
+    they must be for connected support."""
 
-    geometric: WeylGroup
-    ideal: WeylGroup
-    subsystem: WeylGroup
+    geometric_order: int
+    ideal_order: int
+    subsystem_order: int
     agree: bool
 
 
 def stabilizer_check(d: RootDatum, p: EvalPoint) -> StabilizerReport:
     """Compare the point stabilizer, ideal stabilizer, and the Weyl group
     of the centralizer subsystem of the support.  Requires connected
-    support; the three groups must coincide there.  The first two compare
-    each translate's rows, and their Galois keys, with p's."""
+    support; the three groups must coincide there.
+
+    No group is enumerated.  On the orbit of p's rows, |Stab| = |W| /
+    |orbit|, and the ideal stabilizer is |Stab| times the orbit points in
+    p's Galois class.  Stab lies in the ideal stabilizer and contains W_Z
+    if W_Z's simple reflections fix p's rows: the three are one exactly
+    when they do and the three orders are equal."""
     desc = support(p)
     if not desc.connected:
         raise ValueError("stabilizer comparison needs a connected support")
-    w = weyl_group(d)
-    key = _galois_key(p.rows)
-    geo, idl = [], []
-    for m, inv_t in zip(w.elements, w.inverse_transposes):
-        rows = _translate_rows(p, inv_t)
-        if rows == p.rows:
-            geo.append(m)
-        if _galois_key(rows) == key:
-            idl.append(m)
+    m, zeta_row, prime_rows = p.rows
+    key, primes = _galois_key(p.rows), [prime for prime, _ in prime_rows]
+    rows = (zeta_row, *(row for _, row in prime_rows))
+    points = row_orbit(d, rows, m)
+    geometric = weyl_order(d) // len(points)
+    ideal = geometric * sum(_galois_key((m, z, tuple(zip(primes, rs)))) == key
+                            for z, *rs in points)
     levi = centralizer_subsystem(d, desc.kernel_lattice)
-    geo_g = WeylGroup(d.rank, tuple(sorted(geo)))
-    idl_g = WeylGroup(d.rank, tuple(sorted(idl)))
-    sub = weyl_group(levi.datum)
-    agree = geo_g.elements == idl_g.elements == sub.elements
-    return StabilizerReport(geometric=geo_g, ideal=idl_g, subsystem=sub, agree=agree)
+    subsystem = weyl_order(levi.datum)
+    fixed = len(row_orbit(levi.datum, rows, m)) == 1
+    return StabilizerReport(geometric, ideal, subsystem,
+                            fixed and geometric == ideal == subsystem)
 
 
 def unique_lift_check(d: RootDatum, p: EvalPoint) -> bool:

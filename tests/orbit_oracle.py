@@ -1,21 +1,28 @@
 """Whole-orbit and per-element references for |W|, fibers and stabilizers.
 
-The library counts |W| from the heights of the positive roots, and walks
-a Weyl group on a point's integer rows, building a point only for the
-first translate of each Galois class.  These references do it the long
-way: |W| is the size of the free orbit of 2 rho, every group element
-gives a full EvalPoint through weyl_translate, Galois keys are read off
-the points with a search over every unit, a polynomial is evaluated term
-by term, and a probe block's terms at rows are compared as tuples.
+The library counts |W| from the heights of the positive roots, walks a
+Weyl group carrying a point's integer rows, building a point only for the
+first translate of each Galois class, and counts stabilizers on the orbit
+of the point's rows.  These references do it the long way: |W| is the
+size of the free orbit of 2 rho, every group element gives a full
+EvalPoint through weyl_translate, its rows through an inverse computed by
+lattice.mat_inverse_unimodular, Galois keys are read off the points with
+a search over every unit, stabilizers are sets of matrices (the
+centralizer's the dense closure of the reflections in the roots the point
+sends to 1), a polynomial is evaluated term by term, and a probe block's
+terms at rows are compared as tuples.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
+from reflection_oracle import reflection_matrix
+
 from repring.cyclotomic import Cyclo, demote
-from repring.rootdata import orbit, two_rho, weyl_group
-from repring.spectrum import weyl_translate
+from repring.lattice import mat_inverse_unimodular, mat_mul
+from repring.rootdata import all_roots, orbit, two_rho, weyl_group
+from repring.spectrum import evaluate_char, weyl_translate
 
 
 def weyl_order_by_orbit(d) -> int:
@@ -49,11 +56,21 @@ def probe_signature(rows, block) -> list[list[tuple]]:
     return [sorted(terms[start:end]) for start, end in zip([0, *ends], ends)]
 
 
+def translate_rows(p, m) -> tuple:
+    """The rows (EvalPoint.rows) of the translate of p by the matrix m: p's
+    rows through the inverse-transpose of m, one dot product per entry."""
+    mod, zeta_row, prime_rows = p.rows
+    inv = mat_inverse_unimodular(m)
+    columns = list(zip(*inv))
+    return (mod, tuple(sum(map(mul, c, zeta_row)) % mod for c in columns),
+            tuple((prime, tuple(sum(map(mul, c, row)) for c in columns))
+                  for prime, row in prime_rows))
+
+
 def translates(d, p):
     """(element, translated point) over the Weyl group in sorted order."""
-    w = weyl_group(d)
-    for m, inv_t in zip(w.elements, w.inverse_transposes):
-        yield m, weyl_translate(m, p, inv_t)
+    for m in weyl_group(d).elements:
+        yield m, weyl_translate(m, p)
 
 
 def fiber_points(d, p) -> list:
@@ -74,6 +91,22 @@ def stabilizers(d, p) -> tuple[list, list]:
         if galois_key(q) == key:
             idl.append(m)
     return geo, idl
+
+
+def subsystem_elements(d, p) -> set:
+    """W_Z as a set of matrices: the closure, by dense products, of the
+    reflections in every root of d on which p takes the value 1."""
+    gens = [reflection_matrix(a, av) for a, av in all_roots(d) if evaluate_char(p, a) == 1]
+    ident = tuple(tuple(int(i == j) for j in range(d.rank)) for i in range(d.rank))
+    found, frontier = {ident}, [ident]
+    while frontier:
+        m = frontier.pop()
+        for g in gens:
+            prod = tuple(map(tuple, mat_mul(m, g)))
+            if prod not in found:
+                found.add(prod)
+                frontier.append(prod)
+    return found
 
 
 def evaluate_by_terms(p, f):

@@ -11,6 +11,8 @@ import random
 import time
 from fractions import Fraction
 
+from orbit_oracle import stabilizers, subsystem_elements
+
 from repring.cli import run as cli_run
 from repring.completion import (Presentation, inversion_relations,
                                 load_case_config, local_isomorphism_check,
@@ -141,10 +143,14 @@ def test_criterion_3_stabilizers_and_fibers():
             saw_rational = saw_rational or any(p.rational)
             report = stabilizer_check(d, p)
             assert report.agree
-            assert report.geometric.elements == report.ideal.elements
-            assert report.ideal.elements == report.subsystem.elements
+            geo, idl = stabilizers(d, p)
+            sub = subsystem_elements(d, p)
+            assert report.geometric_order == report.ideal_order == report.subsystem_order
+            assert (report.geometric_order, report.ideal_order,
+                    report.subsystem_order) == (len(geo), len(idl), len(sub))
+            assert set(geo) == set(idl) == sub
             fiber = fiber_over_RG(d, p)
-            assert len(fiber) * report.geometric.order == w_order
+            assert len(fiber) * report.geometric_order == w_order
         assert per_datum == 8
     assert sampled >= 20 and saw_torsion and saw_rational
     finish(3, f"stabilizer agreement on {sampled} connected points", t0, 60.0)

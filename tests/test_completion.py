@@ -19,7 +19,7 @@ import pytest
 
 CASES_DIR = pathlib.Path(__file__).resolve().parent.parent / "cases"
 
-from repring.completion import (LocalIsoReport, Presentation, _MacaulayEchelon,
+from repring.completion import (LocalIsoReport, Presentation, _expand, _MacaulayEchelon,
                                 inversion_relations, load_case_config,
                                 local_isomorphism_check, point_ideal,
                                 presentation_from_config, truncated_quotient,
@@ -27,6 +27,7 @@ from repring.completion import (LocalIsoReport, Presentation, _MacaulayEchelon,
 from repring.groebner import groebner, ideal_membership, reduce_poly
 from repring.invariants import orbit_sum
 from repring.laurent import LaurentPoly
+from repring.linalg import RowSpace
 from repring.poly import Poly, parse_poly
 from repring.rootdata import standard_datum, torus_datum
 from repring.spectrum import EvalPoint, parse_point
@@ -433,6 +434,38 @@ def test_truncation_matches_groebner_on_random_singular_relations():
         for j in range(1, 4 if pres.num_vars <= 3 else 3):
             assert (truncated_quotient(pres, p, j).dimension
                     == len(groebner_truncation(pres, m, j)[1]))
+
+
+def test_the_macaulay_echelon_adds_no_row_the_cut_leaves_zero(monkeypatch):
+    # Columns t^a with |a| + (least degree of f(t + v)) >= the bound give
+    # rows the cut leaves zero, so they are not added: the pivots and free
+    # columns are those of the echelon of every column's row, on both sides
+    # of the curated case up to j_max 10.
+    case = load_case_config(str(CASES_DIR / "sl3_levi.json"))
+    added = []
+    real_add = RowSpace.add
+
+    def record_add(self, vec):
+        added.append(any(vec))
+        return real_add(self, vec)
+
+    checked = 0
+    for pres in (case["source"], case["target"]):
+        for bound in range(1, 11):
+            monkeypatch.setattr(RowSpace, "add", record_add)
+            echelon = _MacaulayEchelon(pres, case["point"], bound)
+            monkeypatch.undo()
+            every = RowSpace(len(echelon.columns))
+            for f in pres.relations:
+                expanded = _expand(f, echelon.shift, bound)
+                for a in echelon.columns:
+                    every.add([expanded.terms.get(tuple(x - y for x, y in zip(e, a)), 0)
+                               for e in echelon.columns])
+            assert echelon.space.pivots == every.pivots, bound
+            assert echelon.free == [i for i in range(len(echelon.columns))
+                                    if i not in every.pivots], bound
+            checked += 1
+    assert checked == 20 and added and all(added)
 
 
 def oracle_levels(monkeypatch, d, p, source, target, restriction, j_max):

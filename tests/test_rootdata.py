@@ -33,7 +33,7 @@ from repring.rootdata import (RootDatum, all_roots, centralizer_subsystem,
                               fundamental_group, gl_datum,
                               is_derived_simply_connected, is_dominant, orbit,
                               positive_roots, product, standard_datum,
-                              torus_datum, two_rho, weyl_group, weyl_order)
+                              torus_datum, two_rho, weyl_group, weyl_order, weyl_walk)
 
 
 def test_cartan_matrices_frozen():
@@ -296,8 +296,12 @@ def test_group_closure_matches_dense_products():
         d = standard_datum(label, rank, variant)
         ident = [[int(i == j) for j in range(rank)] for i in range(rank)]
         for group, datum in [(weyl_group(d), d)] + centralizer_groups(d, rng, 1):
-            inv_t = dict(zip(group.elements, group.inverse_transposes))
-            assert len(inv_t) == group.order == len(group.inverse_transposes)
+            # The walk carries the standard basis as rows: m's are m^-T e_j,
+            # the columns of m^-T.
+            walk = weyl_walk(datum, ident)
+            inv_t = {m: tuple(zip(*rows)) for m, rows in walk}
+            assert list(inv_t) == list(group.elements)
+            assert len(inv_t) == group.order == len(walk)
             reached = {tuple(map(tuple, ident))}
             frontier = list(reached)
             while frontier:
@@ -456,10 +460,11 @@ def test_weyl_group_cap_counts_elements_exactly():
 
 
 def test_weyl_group_is_whole_where_the_coroot_sum_has_zero_entries():
-    # weyl_group names each element by its image of the sum of the positive
-    # coroots, which pairs nonzero with every root even where some of its
-    # coordinates are 0 (or all of them, on a torus); GL4's, (3, 1, -1, -3),
-    # has none.
+    # The walk over W names each element m by m 2rho, which is regular even
+    # where some of its coordinates are 0 (or all of them, on a torus), as
+    # an earlier walk named it by the sum of the positive coroots, which
+    # pairs nonzero with every root; on these data both have zero entries
+    # at the same places, and GL4's, (3, 1, -1, -3), have none.
     data = [torus_datum(0), torus_datum(3), gl_datum(3), gl_datum(4), gl_datum(5),
             product(standard_datum("A", 2), torus_datum(1))]
     zeros = []
@@ -467,12 +472,15 @@ def test_weyl_group_is_whole_where_the_coroot_sum_has_zero_entries():
         u = [sum(col) for col in zip([0] * d.rank, *(av for _, av in positive_roots(d)))]
         if 0 in u:
             zeros.append(d.name)
+        assert (0 in u) == (0 in two_rho(d)), d.name
         w = weyl_group(d)
         ident = [[int(i == j) for j in range(d.rank)] for i in range(d.rank)]
         assert len(w.elements) == len(set(w.elements)) == weyl_order(d), d.name
         assert list(w.elements) == sorted(w.elements)
-        for m, inv_t in zip(w.elements, w.inverse_transposes):
-            assert mat_mul(m, transpose(inv_t)) == ident
+        walk = weyl_walk(d, ident)
+        assert [m for m, _ in walk] == list(w.elements)
+        for m, rows in walk:
+            assert mat_mul(m, rows) == ident
     assert zeros == ["torus3", "GL3", "GL5", "A2-simply_connectedxtorus1"]
 
 

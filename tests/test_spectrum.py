@@ -12,13 +12,15 @@ from math import gcd
 
 import pytest
 from orbit_oracle import (evaluate_by_terms, fiber_points, least_unit_multiple,
-                          probe_signature, stabilizers)
+                          probe_signature, stabilizers, subsystem_elements, translate_rows)
 
+from repring import rootdata
 from repring.cyclotomic import Cyclo, demote
 from repring.lattice import (FinAbGroup, Sublattice, is_member, mat_inverse_unimodular,
                              mat_mul, mat_vec)
 from repring.laurent import LaurentPoly
-from repring.rootdata import product, standard_datum, torus_datum, weyl_group, weyl_order
+from repring.rootdata import (LeviDatum, product, standard_datum, torus_datum, weyl_group,
+                              weyl_order)
 from repring.spectrum import (EvalPoint, evaluate_char, evaluate_poly,
                               fiber_over_RG, ideal_equal, parse_coordinate,
                               parse_point, render_point, render_rows, stabilizer_check,
@@ -254,7 +256,7 @@ def test_orbit_stabilizer_count_connected_points():
             rep = stabilizer_check(d, p)
             assert rep.agree
             fiber = fiber_over_RG(d, p)
-            assert len(fiber) * rep.geometric.order == order
+            assert len(fiber) * rep.geometric_order == order
     assert found >= 20
 
 
@@ -268,9 +270,9 @@ def test_stabilizer_frozen_example():
     d = standard_datum("A", 2)
     rep = stabilizer_check(d, parse_point("2,4", 2))
     assert rep.agree
-    assert rep.geometric.order == 2
-    assert rep.ideal.order == 2
-    assert rep.subsystem.order == 2
+    assert rep.geometric_order == 2
+    assert rep.ideal_order == 2
+    assert rep.subsystem_order == 2
 
 
 def test_unique_lift_on_central_point():
@@ -374,8 +376,8 @@ def test_a_translate_passes_the_full_point_checks():
     w = weyl_group(standard_datum("C", 3))
     for _ in range(8):
         p = random_point(rng, 3)
-        for m, inv_t in zip(w.elements, w.inverse_transposes):
-            q = weyl_translate(m, p, inv_t)
+        for m in w.elements:
+            q = weyl_translate(m, p)
             assert q == EvalPoint(q.torsion, q.rational)
 
 
@@ -461,10 +463,93 @@ def test_fiber_and_stabilizers_match_a_walk_over_full_points():
             if support(p).connected:
                 report = stabilizer_check(d, p)
                 geo, idl = stabilizers(d, p)
-                assert report.geometric.elements == tuple(sorted(geo))
-                assert report.ideal.elements == tuple(sorted(idl))
+                sub = subsystem_elements(d, p)
+                assert (report.geometric_order, report.ideal_order,
+                        report.subsystem_order) == (len(geo), len(idl), len(sub))
+                assert report.agree == (set(geo) == set(idl) == sub)
                 checked += 1
     assert checked >= 26
+
+
+def connected_point(rng, rank):
+    """A seeded point of connected support: each coordinate is 1, a prime
+    power, or a root of unity times a prime power, primes often shared."""
+    while True:
+        coords = []
+        for _ in range(rank):
+            kind = rng.random()
+            factors = [] if kind < 0.3 else [rng.choice(["2", "3", "2^-1", "4"])]
+            if kind > 0.6:
+                m = rng.choice([2, 3, 4, 6, 12])
+                factors.append(f"zeta({m})^{rng.choice([a for a in range(1, m) if gcd(a, m) == 1])}")
+            coords.append("*".join(factors) or "1")
+        p = parse_point(",".join(coords), rank)
+        if support(p).connected:
+            return p
+
+
+def test_stabilizer_orders_and_agreement_match_the_brute_force_sets():
+    # The orders are counted on the orbit of the point's rows; the oracle
+    # collects the three groups as sets of matrices.  Every built-in with
+    # |W| <= 384, at seeded connected points, torsion ones included.
+    rng = random.Random(2520)
+    kinds = set()
+    for label, rank, variant in SMALL_BUILTINS:
+        d = standard_datum(label, rank, variant)
+        for _ in range(4):
+            p = connected_point(rng, rank)
+            report = stabilizer_check(d, p)
+            geo, idl = stabilizers(d, p)
+            sub = subsystem_elements(d, p)
+            assert (report.geometric_order, report.ideal_order,
+                    report.subsystem_order) == (len(geo), len(idl), len(sub))
+            assert report.agree == (set(geo) == set(idl) == sub) is True
+            kinds.add((p.torsion_order > 1, len(geo) > 1))
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_the_stabilizer_disagrees_with_a_wrong_centralizer(monkeypatch):
+    # Negative controls on C4.  At 1,1,2,3 the centralizer has roots (Z != T);
+    # with them taken away W_Z is trivial and no longer the stabilizer.  At
+    # 1,2,3,5, W_Z is swapped for the one at 2,1,3,5, of the same order 2,
+    # whose root the point does not send to 1: only that tells them apart.
+    from repring import spectrum
+    d = standard_datum("C", 4)
+    real = spectrum.centralizer_subsystem
+
+    def rootless(datum, k):
+        levi = real(datum, k)
+        assert levi.pairs
+        return LeviDatum(parent=datum, kernel=levi.kernel, pairs=(),
+                         datum=torus_datum(datum.rank), saturation_applied=False)
+
+    def elsewhere(datum, k):
+        return real(datum, support(parse_point("2,1,3,5", 4)).kernel_lattice)
+
+    for point, wrong in (("1,1,2,3", rootless), ("1,2,3,5", elsewhere)):
+        p = parse_point(point, 4)
+        right = stabilizer_check(d, p)
+        assert right.agree
+        monkeypatch.setattr(spectrum, "centralizer_subsystem", wrong)
+        report = stabilizer_check(d, p)
+        monkeypatch.undo()
+        assert not report.agree
+        assert report.geometric_order == report.ideal_order == right.geometric_order
+        assert (report.subsystem_order == right.subsystem_order) == (wrong is elsewhere)
+
+
+def test_the_stabilizer_enumerates_no_group(monkeypatch):
+    # With every walk over W made to raise, stabilizer still answers.
+    from repring import spectrum
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group was enumerated")
+
+    for module in (rootdata, spectrum):
+        for name in ("weyl_group", "weyl_walk"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    report = stabilizer_check(standard_datum("C", 4), parse_point("1,1,2,3", 4))
+    assert report.agree and report.geometric_order == 8
 
 
 def test_evaluate_poly_matches_the_term_by_term_sum():
@@ -514,65 +599,64 @@ def test_a_stacked_block_evaluates_as_its_polynomials_one_by_one():
         assert [type(v) for v in got] == [type(evaluate_by_terms(p, f)) for f in block]
 
 
+def break_one_step(monkeypatch, d, change):
+    """Make the walk's row map give the last element of W, in sorted order
+    and not the identity, its rows changed by change (zeta row, prime rows
+    after it); every element first reached from it inherits them."""
+    target = weyl_group(d).elements[-1]
+    assert target != tuple(tuple(int(i == j) for j in range(d.rank)) for i in range(d.rank))
+    real, hits = rootdata._step, []
+
+    def wrong(reflections, value, i):
+        columns, rows = real(reflections, value, i)
+        if tuple(zip(*columns)) == target:
+            hits.append(i)
+            rows = change(rows)
+        return columns, rows
+
+    monkeypatch.setattr(rootdata, "_step", wrong)
+    return hits
+
+
 @pytest.mark.parametrize("label, rank, point", [("C", 3, "2,3,5"), ("G", 2, "2,zeta(3)^1*3")])
 def test_the_fiber_probe_check_fires_on_a_wrong_translate(monkeypatch, label, rank, point):
     # One non-identity element's translate comes back with its first prime
     # row negated: that class no longer evaluates the probes as p does.
-    from repring import spectrum
     d, p = standard_datum(label, rank), parse_point(point, rank)
     assert len(fiber_over_RG(d, p)) == weyl_order(d)
-    target = weyl_group(d).inverse_transposes[-1]
-    assert target != tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
-    real = spectrum._translate_rows
-
-    def wrong(q, inv_t):
-        m, zeta_row, prime_rows = real(q, inv_t)
-        if q is p and inv_t == target:
-            (prime, row), *rest = prime_rows
-            prime_rows = ((prime, tuple(-x for x in row)), *rest)
-        return m, zeta_row, prime_rows
-
-    monkeypatch.setattr(spectrum, "_translate_rows", wrong)
+    hits = break_one_step(monkeypatch, d, lambda rows: (rows[0], tuple(-x for x in rows[1]),
+                                                        *rows[2:]))
     with pytest.raises(AssertionError, match="fiber member disagrees on an invariant probe"):
         fiber_over_RG(d, p)
+    assert len(hits) == 1
 
 
 def test_the_fiber_probe_check_fires_on_a_zeta_row_off_by_one(monkeypatch):
     # At G2 2,zeta(3)^1*3 (m = 3) one non-identity element's translate comes
     # back with its first zeta entry moved by 1 mod m and its prime rows
     # right: only the zeta powers of the probe terms can tell it from p.
-    from repring import spectrum
     d, p = standard_datum("G", 2), parse_point("2,zeta(3)^1*3", 2)
     assert p.torsion_order == 3 and len(fiber_over_RG(d, p)) == weyl_order(d)
-    target = weyl_group(d).inverse_transposes[-1]
-    assert target != ((1, 0), (0, 1))
-    real = spectrum._translate_rows
-
-    def wrong(q, inv_t):
-        m, zeta_row, prime_rows = real(q, inv_t)
-        if q is p and inv_t == target:
-            zeta_row = ((zeta_row[0] + 1) % m, *zeta_row[1:])
-        return m, zeta_row, prime_rows
-
-    monkeypatch.setattr(spectrum, "_translate_rows", wrong)
+    hits = break_one_step(monkeypatch, d, lambda rows: ((rows[0][0] + 1, *rows[0][1:]),
+                                                        *rows[1:]))
     with pytest.raises(AssertionError, match="fiber member disagrees on an invariant probe"):
         fiber_over_RG(d, p)
+    assert len(hits) == 1
 
 
 @pytest.mark.parametrize("label, rank", [("C", 3), ("G", 2)])
 def test_every_weyl_element_gives_the_points_probe_signature(label, rank):
     # Not only the fiber's class representatives: every translate of p
     # carries the probe terms of p, permuted.
-    from repring.spectrum import _check_probe_terms, _invariant_probe, _prepare, _translate_rows
+    from repring.spectrum import _check_probe_terms, _invariant_probe, _prepare
     d = standard_datum(label, rank)
     probes = _prepare(_invariant_probe(d))
     w = weyl_group(d)
-    assert len(w.inverse_transposes) == weyl_order(d)
+    assert len(w.elements) == weyl_order(d)
     rng = random.Random(2718)
     for _ in range(6):
         p = random_point(rng, rank)
-        _check_probe_terms(probes, p.rows, [_translate_rows(p, inv_t)
-                                            for inv_t in w.inverse_transposes])
+        _check_probe_terms(probes, p.rows, [translate_rows(p, m) for m in w.elements])
 
 
 def test_the_fiber_refuses_a_probe_with_cyclotomic_coefficients(monkeypatch):
@@ -605,10 +689,10 @@ def test_the_integer_probe_check_agrees_with_the_tuple_signatures(label, rank):
     # differs from the point's (at 2,1,... the negated row is the translate
     # by -1, in W here).  Exponents above 2^64 widen the slots past eight
     # bytes; the fiber is compared in rows, never rendered.
-    from repring.spectrum import _check_probe_terms, _invariant_probe, _prepare, _translate_rows
+    from repring.spectrum import _check_probe_terms, _invariant_probe, _prepare
     d = standard_datum(label, rank)
     probes = _prepare(_invariant_probe(d))
-    inverse_transposes = weyl_group(d).inverse_transposes
+    elements = weyl_group(d).elements
     rng = random.Random(6060)
     huge = 2 ** 64 + 1
     points = [point_of_order_dividing_60(rng, rank) for _ in range(5)]
@@ -620,7 +704,7 @@ def test_the_integer_probe_check_agrees_with_the_tuple_signatures(label, rank):
     for p in points:
         assert fiber_over_RG(d, p) == [q.rows for q in fiber_points(d, p)]
         base = probe_signature(p.rows, probes)
-        translates = [_translate_rows(p, inv_t) for inv_t in inverse_transposes]
+        translates = [translate_rows(p, m) for m in elements]
         _check_probe_terms(probes, p.rows, translates)
         m = p.torsion_order
         for m_, zeta_row, prime_rows in translates:

@@ -6,9 +6,15 @@ which translate is printed; `stabilizer` prints the orders of three
 groups.  For every built-in (all have |W| <= 384) in both variants, at
 three seeded points, one of them rational, one cyclotomic in every
 coordinate and one mixed, the sha256 of argv, exit code and stdout of
-both commands is pinned, and so is `fiber` on D5 at two points.  The
-digests were recorded before the Weyl closure was keyed by one reflected
-vector, those of D5 before the fiber's probe check was packed into integers.
+both commands is pinned, and so is `fiber` on D5 at two points.  Torsion
+points whose Galois classes hold several translates, where the least
+element of W decides which translate `fiber` prints, are pinned for both
+commands and variants; `stabilizer` refuses the disconnected ones, and
+is pinned also at connected points with torsion and a nontrivial
+stabilizer.  The digests were recorded before the Weyl closure was keyed
+by one reflected vector, those of D5 before the fiber's probe check was
+packed into integers, and the torsion rows before W was walked by left
+multiplication.
 """
 
 import contextlib
@@ -23,6 +29,10 @@ from repring.rootdata import standard_datum, weyl_order
 # |W(D5)| = 1920, the largest walk of the tests; at zeta(512) each Galois
 # key is a search over the units of Z/512.
 D5_POINTS = ("zeta(3)^1,2,3,5,7", "zeta(512)^1,2,3,5,7")
+# A1 zeta(3)^1 prints zeta(3)^2: the translate by -1, the least element.
+TORSION_POINTS = [("A", 1, "zeta(3)^1"), ("C", 2, "1,zeta(4)^1"), ("C", 2, "1,zeta(2)^1"),
+                  ("G", 2, "zeta(2)^1,1"), ("A", 1, "zeta(3)^1*2"), ("C", 2, "zeta(4)^1*2,1"),
+                  ("G", 2, "zeta(2)^1*3,1")]
 SC_BUILTINS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
                ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4), ("G", 2)]
 VARIANTS = ("simply_connected", "adjoint")
@@ -51,6 +61,11 @@ def invocations():
                     yield f"{label}{rank}-{variant}", [command, *datum, "--point", point]
     for point in D5_POINTS:
         yield f"D5-{point}", ["fiber", "--type", "D", "--rank", "5", "--point", point]
+    for label, rank, point in TORSION_POINTS:
+        for variant in VARIANTS:
+            for command in ("fiber", "stabilizer"):
+                yield f"{label}{rank}-{point}", [command, "--type", label, "--rank", str(rank),
+                                                 "--variant", variant, "--point", point]
 
 
 def digests() -> dict[str, str]:
@@ -94,6 +109,13 @@ GOLDEN = {
     "G2-adjoint": "c514e0dd708a7ed4c417be1c95170390e7ade7362cdb6841abdad519f944822c",
     "D5-zeta(3)^1,2,3,5,7": "9d679ff868744d90b3b827b46cf15832b68eefc6b43f8c7004b8a6cd0d133081",
     "D5-zeta(512)^1,2,3,5,7": "983acaa16da0e7370d894cb5fa01a4512ad2ff3dab8e017d39ef24c099fffb70",
+    "A1-zeta(3)^1": "0f943271dba9a16af2f44e27dcb9418b924250f432d7bb4190269f68f73c32eb",
+    "C2-1,zeta(4)^1": "9a9859ea6e5f6389be44ad4094ce506f44c62ce5d1ff44c1248297ecc756d378",
+    "C2-1,zeta(2)^1": "46f2c1891381eefc0996c85bde62c27bc984eae237eb2aa8798b4dd66e0a3427",
+    "G2-zeta(2)^1,1": "850f81a99e6231335bc3345fe6672bd886182201698da60d14d82d1c104fa719",
+    "A1-zeta(3)^1*2": "7a283a5d3617ccbaa5de2e0f90b97f132b6f9bbe3a6b29f1427fd9f20489bc48",
+    "C2-zeta(4)^1*2,1": "c11539ba6962b19fc1bfe0b68ff72d40d2a11137791bb5cb0d7017aff05d2c74",
+    "G2-zeta(2)^1*3,1": "b821e00817cc20ffbdf8098f5398a8d0c3f9f0eeb85ea284dfdfad86f42793f6",
 }
 
 
