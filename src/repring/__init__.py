@@ -23,16 +23,13 @@ from .rootdata import (LeviDatum, RootDatum, WeylGroup, all_roots,
                        torus_datum, weyl_group, weyl_order, weyl_walk)
 from .invariants import (CharacterBasisReport, character_dimension,
                          decompose_into_orbit_sums, dominance_leq,
-                         dominant_weights_in_box, finiteness_probe,
-                         fundamental_character_probe, invariants_basis_probe,
+                         dominant_weights_in_box, fundamental_character_probe,
                          orbit_sum, weyl_character)
 from .spectrum import (EvalPoint, StabilizerReport, SupportDesc,
                        evaluate_char, evaluate_poly, fiber_over_RG,
-                       ideal_equal, parse_point, render_point, render_rows,
-                       stabilizer_check, support, unique_lift_check,
-                       weyl_translate)
-from .twist import (inverse_point, isotypic_decompose,
-                    twist_augmentation_check, twist_element,
+                       parse_point, render_point, render_rows,
+                       stabilizer_check, support)
+from .twist import (twist_augmentation_check, twist_check, twist_element,
                     twist_multiplicativity_check)
 from .poly import Poly, grevlex_key, make_elim_key, parse_poly
 from .groebner import (GroebnerBasis, groebner, groebner_basis,

@@ -25,7 +25,7 @@ from .rootdata import (RootDatum, all_roots, centralizer_subsystem,
                        fundamental_group, orbit, standard_datum, weyl_order)
 from .spectrum import (EvalPoint, fiber_over_RG, parse_point, render_rows,
                        stabilizer_check, support)
-from .twist import twist_augmentation_check, twist_multiplicativity_check
+from .twist import twist_check
 
 
 def _group_doc(g: FinAbGroup) -> dict:
@@ -130,11 +130,7 @@ def _twist_check(d: RootDatum, p: EvalPoint, args) -> dict:
     if args.height < 0:
         raise ValueError("height bound must be nonnegative")
     polys = [orbit_sum(d, w) for w in dominant_weights_in_box(d, args.height)]
-    ok = all(twist_augmentation_check(f, p) for f in polys)
-    if ok:
-        ok = all(twist_multiplicativity_check(polys[i], polys[j], p)
-                 for i in range(len(polys)) for j in range(i, len(polys)))
-    return {"all_passed": ok}
+    return {"all_passed": twist_check(polys, p)}
 
 
 def _nal_check(case: dict, j_max: int, args) -> dict:

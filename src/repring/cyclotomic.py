@@ -5,8 +5,8 @@ denominator: its coordinates over the power basis 1, zeta_M, ...,
 zeta_M^(phi(M)-1), reduced modulo the M-th cyclotomic polynomial.
 Elements of different orders promote to the lcm order when combined.
 Plain rationals interoperate freely.  demote() is the normal form of an
-exact coefficient everywhere in the package: a Fraction, or a Cyclo
-that is not rational.
+exact coefficient everywhere in the package: an int, a Fraction that is
+not integral, or a Cyclo that is not rational.
 """
 
 from __future__ import annotations
@@ -286,12 +286,14 @@ class Cyclo:
 
 
 def demote(value):
-    """The normal form of a coefficient: a Fraction as it is, an int as a
-    Fraction, and a Cyclo that happens to be rational as its Fraction."""
-    if isinstance(value, Fraction):
+    """The normal form of a coefficient: an int if integral, else a Fraction
+    if rational, else a Cyclo."""
+    if isinstance(value, int):
         return value
     if isinstance(value, Cyclo):
-        return value.as_rational() if value.is_rational() else value
-    if isinstance(value, int):
-        return Fraction(value)
+        if not value.is_rational():
+            return value
+        value = value.as_rational()
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise TypeError(f"unsupported coefficient type {type(value).__name__}")

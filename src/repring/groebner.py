@@ -63,7 +63,7 @@ def reduce_poly(f: Poly, basis: list[Poly], key=grevlex_key) -> Poly:
             continue
         g = basis[hit]
         lt, lc = lts[hit]
-        factor = c if lc == 1 else c / lc
+        factor = c if lc == 1 else Fraction(c, lc)
         shift = tuple(map(sub, e, lt))
         for eg, cg in g.terms.items():
             if eg == lt:
@@ -83,8 +83,8 @@ def s_polynomial(f: Poly, g: Poly, key=grevlex_key) -> Poly:
     lcm_e = tuple(max(a, b) for a, b in zip(ef, eg))
     mf = tuple(a - b for a, b in zip(lcm_e, ef))
     mg = tuple(a - b for a, b in zip(lcm_e, eg))
-    tf = Poly(f.nvars, {mf: 1 / cf})
-    tg = Poly(g.nvars, {mg: 1 / cg})
+    tf = Poly(f.nvars, {mf: Fraction(1, cf)})
+    tg = Poly(g.nvars, {mg: Fraction(1, cg)})
     return tf * f - tg * g
 
 
@@ -99,7 +99,7 @@ def groebner_basis(gens: list[Poly], key=grevlex_key,
     for g in basis:
         if g.nvars != nvars:
             raise ValueError("generators live in different polynomial rings")
-    basis = [g * (1 / leading_term(g, key)[1]) for g in basis]
+    basis = [g * Fraction(1, leading_term(g, key)[1]) for g in basis]
     lts = [leading_term(g, key)[0] for g in basis]
     # Normal selection: smallest lcm of leading terms first, ties in the
     # order the pairs were made.
@@ -126,7 +126,7 @@ def groebner_basis(gens: list[Poly], key=grevlex_key,
         if r.is_zero():
             continue
         e, c = leading_term(r, key)
-        basis.append(r * (1 / c))
+        basis.append(r * Fraction(1, c))
         lts.append(e)
         push_pairs(len(basis) - 1)
     return _interreduce(basis, key)
@@ -148,7 +148,7 @@ def _interreduce(basis: list[Poly], key=grevlex_key) -> list[Poly]:
         others = minimal[:i] + minimal[i + 1:]
         r = reduce_poly(g, others, key) if others else g
         if not r.is_zero():
-            reduced.append(r * (1 / leading_term(r, key)[1]))
+            reduced.append(r * Fraction(1, leading_term(r, key)[1]))
     reduced.sort(key=lambda g: key(leading_term(g, key)[0]))
     return reduced
 

@@ -10,17 +10,16 @@ nothing enumerates the Weyl group.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import add, mul, sub
 
-from .laurent import LaurentPoly, Span, augmentation, weyl_act
+from .laurent import LaurentPoly, Span, augmentation
 from .linalg import solve_coordinates
 from .poly import monomial_values, monomials_below
 from .rootdata import (RootDatum, dominant_representative, is_dominant, is_invariant,
-                       orbit, positive_roots, two_rho, weyl_group)
+                       orbit, positive_roots, two_rho)
 
 
 def orbit_sum(d: RootDatum, weight) -> LaurentPoly:
@@ -143,32 +142,6 @@ def decompose_into_orbit_sums(d: RootDatum, f: LaurentPoly) -> dict[tuple[int, .
     return {k: v for k, v in out.items() if v != 0}
 
 
-def invariants_basis_probe(d: RootDatum, height_bound: int) -> list[tuple[int, ...]]:
-    """Dominant weights indexing the orbit-sum basis below a height bound.
-
-    Before returning, the list is sanity-checked: a pseudorandom
-    polynomial supported in the box is symmetrized and must decompose
-    exactly into orbit sums from the returned list.
-    """
-    weights = dominant_weights_in_box(d, height_bound)
-    rng = random.Random(99173)
-    box = list(_box(d.rank, height_bound))
-    support_size = min(len(box), 6)
-    chosen = rng.sample(box, support_size)
-    f = LaurentPoly(d.rank, {e: Fraction(rng.randint(1, 9)) for e in chosen})
-    w = weyl_group(d)
-    g = LaurentPoly.zero(d.rank)
-    for m in w.elements:
-        g = g + weyl_act(m, f)
-    dec = decompose_into_orbit_sums(d, g)
-    allowed = set(weights)
-    for lam in dec:
-        if lam not in allowed:
-            raise AssertionError(
-                f"symmetrized box polynomial needed orbit sum {lam} outside the box")
-    return weights
-
-
 @dataclass(frozen=True)
 class CharacterBasisReport:
     """Outcome of the fundamental-character probe.
@@ -230,22 +203,3 @@ def dominance_leq(d: RootDatum, lower, upper) -> bool:
     diff = [u - l for u, l in zip(upper, lower)]
     coeffs = solve_coordinates(d.simple_roots, diff)
     return coeffs is not None and all(c >= 0 for c in coeffs)
-
-
-def finiteness_probe(d: RootDatum, module_gens: list[LaurentPoly], height_bound: int) -> bool:
-    """Whether every monomial of height <= bound lies in the span of
-    invariant multiples of the given module generators.
-
-    The invariant side is truncated to orbit sums of dominant weights of
-    height at most bound + max generator height, which suffices for a
-    generating set and keeps the computation finite.
-    """
-    if not module_gens:
-        return height_bound < 0
-    for g in module_gens:
-        if g.rank != d.rank:
-            raise ValueError("generator rank mismatch")
-    extra = max(g.height() for g in module_gens)
-    sums = (orbit_sum(d, lam) for lam in dominant_weights_in_box(d, height_bound + extra))
-    span = Span(f * g for f in sums for g in module_gens)
-    return all(LaurentPoly.monomial(e) in span for e in _box(d.rank, height_bound))

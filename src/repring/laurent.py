@@ -1,8 +1,9 @@
 """Sparse multivariate Laurent polynomials with exact coefficients.
 
 A polynomial of rank r maps exponent vectors in Z^r to nonzero
-coefficients, each either a Fraction or a cyclotomic number.  This is
-the character-ring workhorse: group elements act by relabelling
+coefficients in cyclotomic.demote's normal form (an int, a non-integral
+Fraction, or a cyclotomic number), so integer polynomials stay in ints.
+This is the character-ring workhorse: group elements act by relabelling
 exponents, the augmentation sums coefficients, and exact division by
 leading-term cancellation recovers quotients such as Weyl characters.
 """
@@ -230,7 +231,7 @@ def inverse_monomial(f: LaurentPoly) -> LaurentPoly:
     if len(f.terms) != 1:
         raise ValueError("only monomials are invertible in the Laurent ring")
     (e, c), = f.terms.items()
-    return LaurentPoly(f.rank, {tuple(-x for x in e): 1 / c})
+    return LaurentPoly(f.rank, {tuple(-x for x in e): Fraction(1) / c})
 
 
 def exact_divide(num: LaurentPoly, den: LaurentPoly, step_cap: int = 200_000) -> LaurentPoly:
@@ -248,7 +249,7 @@ def exact_divide(num: LaurentPoly, den: LaurentPoly, step_cap: int = 200_000) ->
     if num.is_zero():
         return LaurentPoly.zero(num.rank)
     den_lead = max(den.terms)
-    inv = 1 / den.terms[den_lead]
+    inv = demote(Fraction(1) / den.terms[den_lead])  # an int for a leading +-1
     lower_bound = tuple(map(sub, min(num.terms), min(den.terms)))
     rem = dict(num.terms)
     minus_den = [(e, -c) for e, c in den.terms.items()]

@@ -23,9 +23,8 @@ Monomial = tuple[int, ...]
 
 
 class Poly(LaurentPoly):
-    """A polynomial in nvars variables with Fraction coefficients: the
-    LaurentPoly with nonnegative exponents and rational coefficients,
-    whose arithmetic it inherits."""
+    """A polynomial in nvars variables: the LaurentPoly with nonnegative
+    exponents and rational coefficients, whose arithmetic it inherits."""
 
     __slots__ = ()
 

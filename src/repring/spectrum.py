@@ -22,11 +22,10 @@ from operator import add, mul
 
 from .cyclotomic import Cyclo, cyclotomic_polynomial, demote, prime_factors
 from .invariants import orbit_sum
-from .lattice import (FinAbGroup, Sublattice, is_member, kernel,
-                      mat_inverse_unimodular, quotient_group, transpose)
+from .lattice import FinAbGroup, Sublattice, kernel, quotient_group
 from .laurent import LaurentPoly
-from .rootdata import (RootDatum, all_roots, centralizer_subsystem, dominant_representative,
-                       row_orbit, weyl_order, weyl_walk)
+from .rootdata import (RootDatum, centralizer_subsystem, dominant_representative, row_orbit,
+                       weyl_order, weyl_walk)
 
 
 def _is_prime(n: int) -> bool:
@@ -207,8 +206,8 @@ def render_point(p: EvalPoint) -> str:
     return render_rows(p.rows)
 
 
-def _character(rows, n) -> tuple[int, Fraction]:
-    """The value on e^n at rows as (k, q): zeta_m^k times the rational q."""
+def _character(rows, n) -> tuple[int, int, int]:
+    """The value on e^n at rows as (k, num, den): zeta_m^k num/den, in lowest terms."""
     m, zeta_row, prime_rows = rows
     num = den = 1
     for prime, row in prime_rows:
@@ -217,16 +216,16 @@ def _character(rows, n) -> tuple[int, Fraction]:
             num *= prime ** x
         elif x < 0:
             den *= prime ** -x
-    return sum(map(mul, zeta_row, n)) % m, Fraction(num, den)
+    return sum(map(mul, zeta_row, n)) % m, num, den
 
 
-def evaluate_char(p: EvalPoint, n) -> Fraction | Cyclo:
+def evaluate_char(p: EvalPoint, n) -> int | Fraction | Cyclo:
     """Value of the point on the lattice character with exponent vector n."""
     vec = list(map(int, n))
     if len(vec) != p.rank:
         raise ValueError("exponent length does not match point rank")
-    k, q = _character(p.rows, vec)
-    return demote(Cyclo.zeta(p.torsion_order, k) * q) if k else q
+    k, num, den = _character(p.rows, vec)
+    return demote(Cyclo.zeta(p.torsion_order, k) * Fraction(num, den) if k else Fraction(num, den))
 
 
 def _prepare(fs) -> tuple:
@@ -253,14 +252,13 @@ def _dots(row, columns, n: int) -> list[int]:
     return acc
 
 
-def _evaluate(rows, block) -> list[Fraction | Cyclo]:
-    """A prepared block of polynomials at rows, one value each, in
-    integers: each rational term puts its numerator times its prime
-    powers, read from one table per prime and shifted by the block's
-    lowest exponent (if negative, into the denominator), into its zeta_m
-    power's slot; each polynomial's slots reduce once as one Cyclo."""
+def _slot_sums(rows, block) -> tuple[list[list[int]], int]:
+    """The rational terms of a prepared block at rows in m slots per
+    polynomial over one denominator: each term's numerator times its prime
+    powers, read from one table per prime and shifted by the block's lowest
+    exponent (if negative, into the denominator), in its zeta_m power's slot."""
     m, zeta_row, prime_rows = rows
-    columns, values, den, ends, cyclo_terms = block
+    columns, values, den, ends, _ = block
     n = len(values)
     for prime, row in prime_rows:
         xs = _dots(row, columns, n)
@@ -268,15 +266,24 @@ def _evaluate(rows, block) -> list[Fraction | Cyclo]:
         powers = {x: prime ** (x - low) for x in set(xs)}
         values = list(map(mul, values, map(powers.__getitem__, xs)))
         den *= prime ** -low
-    ks, out = _dots(zeta_row, columns, n), []
-    for start, end, cyclo in zip([0, *ends], ends, cyclo_terms):
+    ks, sums = _dots(zeta_row, columns, n), []
+    for start, end in zip([0, *ends], ends):
         slots = [0] * m
         for i in range(start, end):
             slots[ks[i] % m] += values[i]
-        value = Cyclo(m, slots, den)
+        sums.append(slots)
+    return sums, den
+
+
+def _evaluate(rows, block) -> list[int | Fraction | Cyclo]:
+    """A prepared block of polynomials at rows, one value each: its slot
+    sums reduced once as one Cyclo, plus its Cyclo terms."""
+    (sums, den), out = _slot_sums(rows, block), []
+    for slots, cyclo in zip(sums, block[4]):
+        value = Cyclo(rows[0], slots, den)
         for e, c in cyclo:
-            k, q = _character(rows, e)
-            value = value + c * Cyclo.zeta(m, k) * q
+            k, num, q_den = _character(rows, e)
+            value = value + c * Cyclo.zeta(rows[0], k) * Fraction(num, q_den)
         out.append(demote(value))
     return out
 
@@ -352,7 +359,7 @@ def _check_probe_terms(block, base, classes) -> None:
             raise AssertionError("fiber member disagrees on an invariant probe")
 
 
-def evaluate_poly(p: EvalPoint, f: LaurentPoly) -> Fraction | Cyclo:
+def evaluate_poly(p: EvalPoint, f: LaurentPoly) -> int | Fraction | Cyclo:
     """Evaluate a Laurent polynomial at the point in one pass, in integers."""
     if f.rank != p.rank:
         raise ValueError("polynomial rank does not match point rank")
@@ -386,14 +393,6 @@ def support(p: EvalPoint) -> SupportDesc:
                        connected=quot.is_torsion_free)
 
 
-def ideal_equal(p: EvalPoint, q: EvalPoint) -> bool:
-    """Whether two points define the same maximal ideal of evaluation:
-    equal ranks and equal Galois keys, that is, equal rational parts and
-    torsion vectors related by a unit multiplier (the Galois action on
-    roots of unity)."""
-    return p.rank == q.rank and _galois_key(p.rows) == _galois_key(q.rows)
-
-
 def _galois_key(rows) -> tuple:
     """The Galois-normal key of the point at rows: its rational part, m,
     and the least unit multiple of its torsion row.  With a the row's
@@ -408,20 +407,6 @@ def _galois_key(rows) -> tuple:
     first = pow(a // g, -1, m // g)
     return prime_rows, m, min(tuple(k * b % m for b in zeta_row)
                               for k in range(first, m, m // g) if gcd(k, m) == 1)
-
-
-def weyl_translate(w, p: EvalPoint) -> EvalPoint:
-    """The translated point (w . p)(n) = p(w^{-1} n): p's integer rows
-    through the inverse-transpose of the integer matrix w, with p's
-    primes proven."""
-    if len(w) != p.rank:
-        raise ValueError("matrix size does not match point rank")
-    inv_t = transpose(mat_inverse_unimodular(w))
-    m, zeta_row, prime_rows = p.rows
-    coords = tuple(tuple((prime, x) for prime, row in prime_rows if (x := sum(map(mul, r, row))))
-                   for r in inv_t)
-    return EvalPoint(tuple(Fraction(sum(map(mul, r, zeta_row)) % m, m) for r in inv_t), coords,
-                     frozenset(prime for prime, _ in prime_rows))
 
 
 def _invariant_probe(d: RootDatum) -> list[LaurentPoly]:
@@ -491,20 +476,3 @@ def stabilizer_check(d: RootDatum, p: EvalPoint) -> StabilizerReport:
     fixed = len(row_orbit(levi.datum, rows, m)) == 1
     return StabilizerReport(geometric, ideal, subsystem,
                             fixed and geometric == ideal == subsystem)
-
-
-def unique_lift_check(d: RootDatum, p: EvalPoint) -> bool:
-    """Whether the point's ideal is the only one over its invariant ideal.
-
-    Preconditions: connected support and every root of d inside the
-    kernel lattice (the point is then central).  Computed honestly from
-    the fiber, which must come out a singleton.
-    """
-    desc = support(p)
-    if not desc.connected:
-        raise ValueError("unique-lift check needs a connected support")
-    for a, _ in all_roots(d):
-        if not is_member(desc.kernel_lattice, a):
-            raise ValueError("unique-lift check needs every root inside the kernel lattice")
-    fiber = fiber_over_RG(d, p)
-    return len(fiber) == 1

@@ -20,9 +20,23 @@ from operator import mul
 from reflection_oracle import reflection_matrix
 
 from repring.cyclotomic import Cyclo, demote
-from repring.lattice import mat_inverse_unimodular, mat_mul
+from repring.lattice import mat_inverse_unimodular, mat_mul, transpose
 from repring.rootdata import all_roots, orbit, two_rho, weyl_group
-from repring.spectrum import evaluate_char, weyl_translate
+from repring.spectrum import EvalPoint, evaluate_char
+
+
+def weyl_translate(w, p: EvalPoint) -> EvalPoint:
+    """The translated point (w . p)(n) = p(w^{-1} n): p's integer rows
+    through the inverse-transpose of the integer matrix w, with p's
+    primes proven."""
+    if len(w) != p.rank:
+        raise ValueError("matrix size does not match point rank")
+    inv_t = transpose(mat_inverse_unimodular(w))
+    m, zeta_row, prime_rows = p.rows
+    coords = tuple(tuple((prime, x) for prime, row in prime_rows if (x := sum(map(mul, r, row))))
+                   for r in inv_t)
+    return EvalPoint(tuple(Fraction(sum(map(mul, r, zeta_row)) % m, m) for r in inv_t), coords,
+                     frozenset(prime for prime, _ in prime_rows))
 
 
 def weyl_order_by_orbit(d) -> int:

@@ -122,7 +122,7 @@ def test_rationality_detection_and_demote():
     assert v.is_rational()
     assert v.as_rational() == -1
     d = demote(v)
-    assert isinstance(d, Fraction) and d == -1
+    assert type(d) is int and d == -1
     assert isinstance(demote(Cyclo.zeta(5)), Cyclo)
     assert not (Cyclo.zeta(3) - Cyclo.zeta(3))
     assert Cyclo.zeta(3)

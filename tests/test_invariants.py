@@ -16,13 +16,12 @@ from character_oracle import alternating_sum_character
 from reflection_oracle import simple_reflections
 
 from repring import invariants
-from repring.invariants import (character_dimension, decompose_into_orbit_sums,
+from repring.invariants import (_box, character_dimension, decompose_into_orbit_sums,
                                 dominance_leq, dominant_weights_in_box,
-                                finiteness_probe, fundamental_character_probe,
-                                invariants_basis_probe, orbit_sum,
+                                fundamental_character_probe, orbit_sum,
                                 weyl_character)
 from repring.lattice import mat_vec
-from repring.laurent import LaurentPoly, augmentation, weyl_act
+from repring.laurent import LaurentPoly, Span, augmentation, weyl_act
 from repring.rootdata import (all_roots, gl_datum, is_dominant, is_invariant,
                               positive_roots, product, standard_datum,
                               torus_datum, two_rho, weyl_group)
@@ -164,6 +163,32 @@ def test_decompose_rejects_non_invariant():
         decompose_into_orbit_sums(d, LaurentPoly.monomial([1]))
 
 
+def invariants_basis_probe(d, height_bound: int) -> list[tuple[int, ...]]:
+    """Dominant weights indexing the orbit-sum basis below a height bound.
+
+    Before returning, the list is sanity-checked: a pseudorandom
+    polynomial supported in the box is symmetrized and must decompose
+    exactly into orbit sums from the returned list.
+    """
+    weights = dominant_weights_in_box(d, height_bound)
+    rng = random.Random(99173)
+    box = list(_box(d.rank, height_bound))
+    support_size = min(len(box), 6)
+    chosen = rng.sample(box, support_size)
+    f = LaurentPoly(d.rank, {e: Fraction(rng.randint(1, 9)) for e in chosen})
+    w = weyl_group(d)
+    g = LaurentPoly.zero(d.rank)
+    for m in w.elements:
+        g = g + weyl_act(m, f)
+    dec = decompose_into_orbit_sums(d, g)
+    allowed = set(weights)
+    for lam in dec:
+        if lam not in allowed:
+            raise AssertionError(
+                f"symmetrized box polynomial needed orbit sum {lam} outside the box")
+    return weights
+
+
 def test_invariants_basis_probe():
     d = standard_datum("A", 1)
     assert invariants_basis_probe(d, 2) == [(0,), (1,), (2,)]
@@ -222,6 +247,25 @@ def test_dominance_order():
     assert dominance_leq(d2, (1, 1), (1, 1))
     assert not dominance_leq(d2, (0, 0), (1, -1))
     assert not dominance_leq(d2, (1, -1), (0, 0))
+
+
+def finiteness_probe(d, module_gens: list[LaurentPoly], height_bound: int) -> bool:
+    """Whether every monomial of height <= bound lies in the span of
+    invariant multiples of the given module generators.
+
+    The invariant side is truncated to orbit sums of dominant weights of
+    height at most bound + max generator height, which suffices for a
+    generating set and keeps the computation finite.
+    """
+    if not module_gens:
+        return height_bound < 0
+    for g in module_gens:
+        if g.rank != d.rank:
+            raise ValueError("generator rank mismatch")
+    extra = max(g.height() for g in module_gens)
+    sums = (orbit_sum(d, lam) for lam in dominant_weights_in_box(d, height_bound + extra))
+    span = Span(f * g for f in sums for g in module_gens)
+    return all(LaurentPoly.monomial(e) in span for e in _box(d.rank, height_bound))
 
 
 def test_finiteness_probe_torus_over_invariants():

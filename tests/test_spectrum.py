@@ -12,19 +12,19 @@ from math import gcd
 
 import pytest
 from orbit_oracle import (evaluate_by_terms, fiber_points, least_unit_multiple,
-                          probe_signature, stabilizers, subsystem_elements, translate_rows)
+                          probe_signature, stabilizers, subsystem_elements, translate_rows,
+                          weyl_translate)
 
 from repring import rootdata
 from repring.cyclotomic import Cyclo, demote
 from repring.lattice import (FinAbGroup, Sublattice, is_member, mat_inverse_unimodular,
                              mat_mul, mat_vec)
 from repring.laurent import LaurentPoly
-from repring.rootdata import (LeviDatum, product, standard_datum, torus_datum, weyl_group,
-                              weyl_order)
-from repring.spectrum import (EvalPoint, evaluate_char, evaluate_poly,
-                              fiber_over_RG, ideal_equal, parse_coordinate,
-                              parse_point, render_point, render_rows, stabilizer_check,
-                              support, unique_lift_check, weyl_translate)
+from repring.rootdata import (LeviDatum, all_roots, product, standard_datum, torus_datum,
+                              weyl_group, weyl_order)
+from repring.spectrum import (EvalPoint, _galois_key, evaluate_char, evaluate_poly,
+                              fiber_over_RG, parse_coordinate, parse_point, render_point,
+                              render_rows, stabilizer_check, support)
 
 
 def random_point(rng, rank, allow_torsion=True):
@@ -169,6 +169,14 @@ def test_support_membership_is_exact():
             assert inside == (evaluate_char(p, n) == 1)
 
 
+def ideal_equal(p: EvalPoint, q: EvalPoint) -> bool:
+    """Whether two points define the same maximal ideal of evaluation:
+    equal ranks and equal Galois keys, that is, equal rational parts and
+    torsion vectors related by a unit multiplier (the Galois action on
+    roots of unity)."""
+    return p.rank == q.rank and _galois_key(p.rows) == _galois_key(q.rows)
+
+
 def test_ideal_equal_galois_pairs():
     assert ideal_equal(parse_point("zeta(3)^1", 1), parse_point("zeta(3)^2", 1))
     assert ideal_equal(parse_point("zeta(5)^1", 1), parse_point("zeta(5)^2", 1))
@@ -273,6 +281,23 @@ def test_stabilizer_frozen_example():
     assert rep.geometric_order == 2
     assert rep.ideal_order == 2
     assert rep.subsystem_order == 2
+
+
+def unique_lift_check(d, p) -> bool:
+    """Whether the point's ideal is the only one over its invariant ideal.
+
+    Preconditions: connected support and every root of d inside the
+    kernel lattice (the point is then central).  Computed honestly from
+    the fiber, which must come out a singleton.
+    """
+    desc = support(p)
+    if not desc.connected:
+        raise ValueError("unique-lift check needs a connected support")
+    for a, _ in all_roots(d):
+        if not is_member(desc.kernel_lattice, a):
+            raise ValueError("unique-lift check needs every root inside the kernel lattice")
+    fiber = fiber_over_RG(d, p)
+    return len(fiber) == 1
 
 
 def test_unique_lift_on_central_point():
