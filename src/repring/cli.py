@@ -30,7 +30,7 @@ from .twist import twist_check
 
 def _group_doc(g: FinAbGroup) -> dict:
     return {"free_rank": g.free_rank,
-            "invariant_factors": list(g.invariant_factors)}
+            "invariant_factors": g.invariant_factors}
 
 
 def _resolve_datum(args) -> RootDatum:
@@ -81,30 +81,30 @@ def _pi1(d: RootDatum, _, args) -> dict:
 
 def _roots(d: RootDatum, _, args) -> dict:
     pairs, = _under_cap(d, args.cap, all_roots)
-    return {"count": len(pairs), "roots": [list(a) for a, _ in pairs],
-            "coroots": [list(av) for _, av in pairs]}
+    return {"count": len(pairs), "roots": [a for a, _ in pairs],
+            "coroots": [av for _, av in pairs]}
 
 
 def _orbit(d: RootDatum, w: list[int], args) -> dict:
     pts = orbit(d, w)
     return {
         "size": len(pts),
-        "orbit": [list(v) for v in pts],
-        "dominant_representative": list(dominant_representative(d, w)),
+        "orbit": pts,
+        "dominant_representative": dominant_representative(d, w),
     }
 
 
 def _support(d: RootDatum, p: EvalPoint, args) -> dict:
     desc = support(p)
     return {"connected": desc.connected, "quotient": _group_doc(desc.quotient),
-            "kernel_lattice": [list(row) for row in desc.kernel_lattice.hnf_rows]}
+            "kernel_lattice": desc.kernel_lattice.hnf_rows}
 
 
 def _centralizer(d: RootDatum, p: EvalPoint, args) -> dict:
     levi = centralizer_subsystem(d, support(p).kernel_lattice)
     return {
-        "roots": [list(r) for r in levi.roots],
-        "base_roots": [list(r) for r in levi.datum.simple_roots],
+        "roots": levi.roots,
+        "base_roots": levi.datum.simple_roots,
         "weyl_order": weyl_order(levi.datum),
         "saturation_applied": levi.saturation_applied,
     }

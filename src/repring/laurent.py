@@ -11,8 +11,9 @@ leading-term cancellation recovers quotients such as Weyl characters.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import chain
-from operator import add, sub
+from operator import add, neg, sub
 
 from .cyclotomic import Cyclo, demote
 from .lattice import Matrix, mat_vec
@@ -238,9 +239,10 @@ def exact_divide(num: LaurentPoly, den: LaurentPoly, step_cap: int = 200_000) ->
     """Exact quotient num / den, or ValueError when den does not divide num.
 
     Division runs by cancelling the lexicographically largest term of the
-    remainder against the largest term of the divisor.  Every quotient
-    exponent of a true quotient is bounded below (lex) by
-    min(num) - min(den); crossing that bound proves non-divisibility.
+    remainder, popped from a heap of its negated exponents, against the
+    largest term of the divisor.  Every quotient exponent of a true quotient
+    is bounded below (lex) by min(num) - min(den); crossing that bound
+    proves non-divisibility.
     """
     if num.rank != den.rank:
         raise ValueError("rank mismatch")
@@ -252,18 +254,22 @@ def exact_divide(num: LaurentPoly, den: LaurentPoly, step_cap: int = 200_000) ->
     inv = demote(Fraction(1) / den.terms[den_lead])  # an int for a leading +-1
     lower_bound = tuple(map(sub, min(num.terms), min(den.terms)))
     rem = dict(num.terms)
+    heap = sorted(tuple(map(neg, e)) for e in rem)  # a sorted list is a heap
     minus_den = [(e, -c) for e, c in den.terms.items()]
     quot: dict[tuple[int, ...], object] = {}
     for _ in range(step_cap):
         if not rem:
             return LaurentPoly(num.rank, quot)
-        lead = max(rem)
+        while (lead := tuple(map(neg, heappop(heap)))) not in rem:
+            pass  # cancelled since it was pushed
         q_exp = tuple(map(sub, lead, den_lead))
         if q_exp < lower_bound:
             raise ValueError("not divisible: quotient term fell below the exponent bound")
         q_coeff = rem[lead] * inv
         quot[q_exp] = q_coeff
-        _sum_terms(rem, ((tuple(map(add, q_exp, e)), q_coeff * c) for e, c in minus_den),
-                   num.rank)
+        step = [(tuple(map(add, q_exp, e)), q_coeff * c) for e, c in minus_den]
+        for e in [e for e, _ in step if e not in rem]:
+            heappush(heap, tuple(map(neg, e)))
+        _sum_terms(rem, step, num.rank)
     raise ValueError("division did not terminate within the step cap; "
                      "inputs are most likely not divisible")

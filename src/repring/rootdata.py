@@ -8,9 +8,10 @@ the cocharacter lattice, and dot(root_i, coroot_i) == 2 is enforced.
 A reflection is a (root, coroot) pair, applied to a character as the
 rank-one update x -> x - <x, coroot> root, and to a cocharacter row by
 its transpose; orbits, invariance checks and walks over W run on a
-datum's simple pairs, compiled once.  A datum's roots, coroots and
-heights are closed once and kept on it; positive roots, a centralizer's base and |W|
-(from the heights by Kostant's theorem) read it.  A whole Weyl group, as
+datum's simple pairs, compiled once, each transpose checked adjoint to
+its reflection.  A datum's roots, coroots and heights are closed once and
+kept on it; positive roots, a centralizer's base and |W| (from the
+heights by Kostant's theorem) read it.  A whole Weyl group, as
 rank x rank integer matrices acting on the character lattice (columns
 act on coordinate vectors), is walked only where its elements are read.
 All enumerations are exact and guarded by caps.
@@ -203,13 +204,23 @@ def _compile(root: tuple[int, ...], coroot: tuple[int, ...]):
     return eval(f"lambda x: x if not (k := {pairing}) else ({image})")
 
 
+@lru_cache(maxsize=4096)
+def _adjoint(s, s_t, rank: int) -> tuple:
+    """(s, s_t), once per compiled pair in a process, after checking that s_t
+    is the transpose of s on the coordinate vectors: <s_t e_j, e_i> = <e_j, s e_i>."""
+    basis = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    if list(map(s_t, basis)) != list(zip(*map(s, basis))):
+        raise AssertionError("a compiled reflection's transpose is not adjoint to it")
+    return s, s_t
+
+
 def _reflections(d: RootDatum) -> tuple[tuple, tuple]:
     """d's simple reflections s and their transposes s^T, which act on
-    cocharacter rows, compiled and kept on d."""
+    cocharacter rows, compiled, checked adjoint and kept on d."""
     if "_reflections" not in vars(d):
         pairs = [(tuple(a), tuple(av)) for a, av in d.simple_pairs]
-        object.__setattr__(d, "_reflections", ([_compile(a, av) for a, av in pairs],
-                                               [_compile(av, a) for a, av in pairs]))
+        compiled = [_adjoint(_compile(a, av), _compile(av, a), d.rank) for a, av in pairs]
+        object.__setattr__(d, "_reflections", ([s for s, _ in compiled], [t for _, t in compiled]))
     return d._reflections
 
 

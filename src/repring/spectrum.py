@@ -6,14 +6,13 @@ a reduced fraction in [0, 1) per coordinate, the rational part as a
 prime-to-exponent map per coordinate.  Points are evaluated on Laurent
 polynomials, compared up to the Galois action (equality of kernels of
 evaluation), translated by Weyl elements, and analysed through the
-sublattice of characters they kill.
+sublattice of characters they kill; a fiber's translates must be the
+W-orbit of the point's rows.
 """
 
 from __future__ import annotations
 
 import re
-import sys
-from array import array
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -21,11 +20,9 @@ from math import gcd, lcm
 from operator import add, mul
 
 from .cyclotomic import Cyclo, cyclotomic_polynomial, demote, prime_factors
-from .invariants import orbit_sum
 from .lattice import FinAbGroup, Sublattice, kernel, quotient_group
 from .laurent import LaurentPoly
-from .rootdata import (RootDatum, centralizer_subsystem, dominant_representative, row_orbit,
-                       weyl_order, weyl_walk)
+from .rootdata import RootDatum, centralizer_subsystem, row_orbit, weyl_order, weyl_walk
 
 
 def _is_prime(n: int) -> bool:
@@ -229,10 +226,10 @@ def evaluate_char(p: EvalPoint, n) -> int | Fraction | Cyclo:
 
 
 def _prepare(fs) -> tuple:
-    """Polynomials fs for evaluation, or for the fiber's probe check, at
-    many points as one block: the exponent columns of all their rational
-    terms, concatenated, with numerators over one denominator, where each
-    polynomial's terms end, and each polynomial's Cyclo terms."""
+    """Polynomials fs for evaluation at many points as one block: the
+    exponent columns of all their rational terms, concatenated, with
+    numerators over one denominator, where each polynomial's terms end,
+    and each polynomial's Cyclo terms."""
     terms, ends, cyclo_terms = [], [], []
     for f in fs:
         terms += [(e, c) for e, c in f.terms.items() if not isinstance(c, Cyclo)]
@@ -288,77 +285,6 @@ def _evaluate(rows, block) -> list[int | Fraction | Cyclo]:
     return out
 
 
-# Array type codes by item size: slots of these sizes unpack in one call.
-_SLOT_CODES = {array(code).itemsize: code for code in "BHILQ"}
-
-
-def _slots(x: int, count: int, size: int) -> list[int]:
-    """The count unsigned slots of size bytes that make up x, lowest first."""
-    raw = x.to_bytes(count * size, "little")
-    if size not in _SLOT_CODES:
-        return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
-    slots = array(_SLOT_CODES[size], raw)
-    if sys.byteorder == "big":
-        slots.byteswap()
-    return slots.tolist()
-
-
-def _check_probe_terms(block, base, classes) -> None:
-    """Raise unless, at each rows of classes (of base's m and primes), every
-    polynomial of a prepared block has the terms it has at base: the same
-    (power of zeta_m, prime exponents, numerator), permuted.  Equal terms
-    give equal values.  A block with Cyclo terms is refused.
-
-    One integer pass per rows.  A term's key is its power of zeta, plus m
-    times its prime exponents as digits in a base B, with its numerator
-    and its polynomial's index above them.  B and the slot widths come
-    from bounds taken over base, classes and the block every call,
-    |<r, e>| <= max|r_i| * max_j sum_i |e_j,i|, so keys are injective on
-    any rows, and rows whose pairings leave base's range fail.  Each
-    exponent column is packed once into an integer of 2n slots: the rows'
-    pairings are then one product per coordinate and one unpack, the zeta
-    pairings in the even slots, all shifted by one constant (so their
-    residues mod m are permuted alike for every rows), and the rest of
-    the keys in the odd ones."""
-    columns, values, _, ends, cyclo_terms = block
-    if any(cyclo_terms):
-        raise AssertionError("a block with Cyclo terms has no integer signature")
-    m, _, base_primes = base
-    classes = list(classes)
-    every = [base, *classes]
-    reach = max((sum(map(abs, e)) for e in zip(*columns)), default=0)
-    zeta_bound = reach * max((abs(a) for _, row, _ in every for a in row), default=0)
-    digit = 2 * reach * max((abs(x) for *_, primes in every for _, row in primes for x in row),
-                            default=0) + 1
-    # Below a numerator's digit: m times the prime digits, each shifted
-    # into [0, B), plus the power of zeta.
-    low = m * digit ** len(base_primes)
-    lowest = min(values, default=0)
-    top = low * (max(values, default=0) - lowest + 1)
-    polys = [k for k, (start, end) in enumerate(zip([0, *ends], ends)) for _ in range(start, end)]
-    rests = [m * (digit ** len(base_primes) - 1) // 2 + low * (v - lowest) + top * k
-             for v, k in zip(values, polys)]
-    size = (max(2 * zeta_bound, top * len(ends)).bit_length() + 7) // 8
-    size = min((s for s in _SLOT_CODES if s >= size), default=size)
-    width = 8 * size
-    packed = [sum(e << (2 * width * j) for j, e in enumerate(col)) for col in columns]
-    fixed = sum((zeta_bound + (rest << width)) << (2 * width * j) for j, rest in enumerate(rests))
-    weights = [m * digit ** t << width for t in range(len(base_primes))]
-
-    def keys(rows) -> list[int]:
-        _, zeta_row, prime_rows = rows
-        coeffs = list(zeta_row)
-        for weight, (_, row) in zip(weights, prime_rows):
-            coeffs = list(map(add, coeffs, [weight * x for x in row]))
-        slots = _slots(sum(map(mul, coeffs, packed), fixed), 2 * len(values), size)
-        return sorted([z % m + rest for z, rest in zip(slots[::2], slots[1::2])])
-
-    expected = keys(base)
-    for rows in classes:
-        if keys(rows) != expected:
-            raise AssertionError("fiber member disagrees on an invariant probe")
-
-
 def evaluate_poly(p: EvalPoint, f: LaurentPoly) -> int | Fraction | Cyclo:
     """Evaluate a Laurent polynomial at the point in one pass, in integers."""
     if f.rank != p.rank:
@@ -409,34 +335,30 @@ def _galois_key(rows) -> tuple:
                               for k in range(first, m, m // g) if gcd(k, m) == 1)
 
 
-def _invariant_probe(d: RootDatum) -> list[LaurentPoly]:
-    """Small invariants for internal consistency checks: 1 and the orbit
-    sums of the distinct dominant representatives of the basis vectors."""
-    lams = dict.fromkeys(dominant_representative(d, [int(i == j) for j in range(d.rank)])
-                         for i in range(d.rank))
-    return [LaurentPoly.one(d.rank)] + [orbit_sum(d, lam) for lam in lams]
-
-
 def fiber_over_RG(d: RootDatum, p: EvalPoint) -> list[tuple]:
     """The distinct maximal ideals over the invariant-ring ideal of p, as
     the rows (EvalPoint.rows) of one point on each; render_rows writes one.
 
     Walks W in sorted order on the point's rows (weyl_walk), keeping the
-    first translate of each Galois class.  Each must give p's terms on a
-    probe set of rational invariants, one prepared block, which is
-    stronger than equal values; a violation raises.
+    first translate of each Galois class.  The distinct translates must be
+    the orbit of p's rows (row_orbit), or it raises.  This implies the
+    per-member probe check of tests/orbit_oracle.py: an orbit point is p's
+    rows through transposes s^T, each checked adjoint to its s, <s^T r, e>
+    = <r, s e>, and s permutes an invariant's terms, so they stay p's.
     """
     if d.rank != p.rank:
         raise ValueError("datum and point rank differ")
     m, zeta_row, prime_rows = p.rows
     primes = [prime for prime, _ in prime_rows]
-    walk = weyl_walk(d, (zeta_row, *(row for _, row in prime_rows)))
+    rows = (zeta_row, *(row for _, row in prime_rows))
+    walk = weyl_walk(d, rows)
     cyclotomic_polynomial(m)  # over its cap the field is refused before any class is keyed
+    translates = dict.fromkeys((tuple([x % m for x in z]), *rs) for _, (z, *rs) in walk)
+    if translates.keys() != set(row_orbit(d, rows, m)):
+        raise AssertionError("the fiber's translates are not the orbit of the point's rows")
     classes: dict[tuple, tuple] = {}
-    for q in dict.fromkeys((m, tuple([x % m for x in z]), tuple(zip(primes, rs)))
-                           for _, (z, *rs) in walk):
+    for q in ((m, z, tuple(zip(primes, rs))) for z, *rs in translates):
         classes.setdefault(_galois_key(q), q)
-    _check_probe_terms(_prepare(_invariant_probe(d)), p.rows, classes.values())
     return list(classes.values())
 
 

@@ -10,18 +10,26 @@ lattice.mat_inverse_unimodular, Galois keys are read off the points with
 a search over every unit, stabilizers are sets of matrices (the
 centralizer's the dense closure of the reflections in the roots the point
 sends to 1), a polynomial is evaluated term by term, and a probe block's
-terms at rows are compared as tuples.
+terms at rows are compared as tuples.  The fiber's former per-member
+check is kept here as the reference its orbit comparison implies: every
+member must give the point's terms on a probe set of invariants, compared
+as packed integer keys (_check_probe_terms).
 """
 
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
 from reflection_oracle import reflection_matrix
 
 from repring.cyclotomic import Cyclo, demote
+from repring.invariants import orbit_sum
 from repring.lattice import mat_inverse_unimodular, mat_mul, transpose
-from repring.rootdata import all_roots, orbit, two_rho, weyl_group
+from repring.laurent import LaurentPoly
+from repring.rootdata import (RootDatum, all_roots, dominant_representative, orbit, two_rho,
+                              weyl_group)
 from repring.spectrum import EvalPoint, evaluate_char
 
 
@@ -153,3 +161,82 @@ def evaluate_by_terms(p, f):
         den *= prime ** -x0
     value = Cyclo(m, slots, den)
     return demote(value + rest if rest else value)
+
+
+# Array type codes by item size: slots of these sizes unpack in one call.
+_SLOT_CODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
+def _slots(x: int, count: int, size: int) -> list[int]:
+    """The count unsigned slots of size bytes that make up x, lowest first."""
+    raw = x.to_bytes(count * size, "little")
+    if size not in _SLOT_CODES:
+        return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
+    slots = array(_SLOT_CODES[size], raw)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots.tolist()
+
+
+def _check_probe_terms(block, base, classes) -> None:
+    """Raise unless, at each rows of classes (of base's m and primes), every
+    polynomial of a prepared block has the terms it has at base: the same
+    (power of zeta_m, prime exponents, numerator), permuted.  Equal terms
+    give equal values.  A block with Cyclo terms is refused.
+
+    One integer pass per rows.  A term's key is its power of zeta, plus m
+    times its prime exponents as digits in a base B, with its numerator
+    and its polynomial's index above them.  B and the slot widths come
+    from bounds taken over base, classes and the block every call,
+    |<r, e>| <= max|r_i| * max_j sum_i |e_j,i|, so keys are injective on
+    any rows, and rows whose pairings leave base's range fail.  Each
+    exponent column is packed once into an integer of 2n slots: the rows'
+    pairings are then one product per coordinate and one unpack, the zeta
+    pairings in the even slots, all shifted by one constant (so their
+    residues mod m are permuted alike for every rows), and the rest of
+    the keys in the odd ones."""
+    columns, values, _, ends, cyclo_terms = block
+    if any(cyclo_terms):
+        raise AssertionError("a block with Cyclo terms has no integer signature")
+    m, _, base_primes = base
+    classes = list(classes)
+    every = [base, *classes]
+    reach = max((sum(map(abs, e)) for e in zip(*columns)), default=0)
+    zeta_bound = reach * max((abs(a) for _, row, _ in every for a in row), default=0)
+    digit = 2 * reach * max((abs(x) for *_, primes in every for _, row in primes for x in row),
+                            default=0) + 1
+    # Below a numerator's digit: m times the prime digits, each shifted
+    # into [0, B), plus the power of zeta.
+    low = m * digit ** len(base_primes)
+    lowest = min(values, default=0)
+    top = low * (max(values, default=0) - lowest + 1)
+    polys = [k for k, (start, end) in enumerate(zip([0, *ends], ends)) for _ in range(start, end)]
+    rests = [m * (digit ** len(base_primes) - 1) // 2 + low * (v - lowest) + top * k
+             for v, k in zip(values, polys)]
+    size = (max(2 * zeta_bound, top * len(ends)).bit_length() + 7) // 8
+    size = min((s for s in _SLOT_CODES if s >= size), default=size)
+    width = 8 * size
+    packed = [sum(e << (2 * width * j) for j, e in enumerate(col)) for col in columns]
+    fixed = sum((zeta_bound + (rest << width)) << (2 * width * j) for j, rest in enumerate(rests))
+    weights = [m * digit ** t << width for t in range(len(base_primes))]
+
+    def keys(rows) -> list[int]:
+        _, zeta_row, prime_rows = rows
+        coeffs = list(zeta_row)
+        for weight, (_, row) in zip(weights, prime_rows):
+            coeffs = list(map(add, coeffs, [weight * x for x in row]))
+        slots = _slots(sum(map(mul, coeffs, packed), fixed), 2 * len(values), size)
+        return sorted([z % m + rest for z, rest in zip(slots[::2], slots[1::2])])
+
+    expected = keys(base)
+    for rows in classes:
+        if keys(rows) != expected:
+            raise AssertionError("fiber member disagrees on an invariant probe")
+
+
+def _invariant_probe(d: RootDatum) -> list[LaurentPoly]:
+    """Small invariants for internal consistency checks: 1 and the orbit
+    sums of the distinct dominant representatives of the basis vectors."""
+    lams = dict.fromkeys(dominant_representative(d, [int(i == j) for j in range(d.rank)])
+                         for i in range(d.rank))
+    return [LaurentPoly.one(d.rank)] + [orbit_sum(d, lam) for lam in lams]

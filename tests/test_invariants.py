@@ -296,8 +296,9 @@ def test_freudenthal_matches_the_alternating_sum_oracle():
              product(gl_datum(2), standard_datum("C", 2, "adjoint")),
              product(torus_datum(1), standard_datum("A", 2)),
              torus_datum(2)]
-    # The oracle's exact division takes 8-9 s on (1,1,1,1) of B4 and C4
-    # (|W| = 384), so those two keep only 0 and the fundamental weights.
+    # The oracle's exact division takes about 2 s on (1,1,1,1) of B4 and C4
+    # (|W| = 384) and their whole height-1 boxes 25 s, so those two keep
+    # only 0 and the fundamental weights.
     large = {"B4-simply_connected", "C4-simply_connected"}
     for d in data:
         height = 2 if d.num_simple <= 2 else 1

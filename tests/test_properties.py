@@ -12,16 +12,17 @@ whatever order their cyclotomic coefficients are stored at, division by
 a cyclotomic leading coefficient is exact, and reflections act as
 involutions.  |W| of a product of built-in data, counted from root
 heights, is the size of the orbit of 2 rho.  Equal term signatures of a
-prepared block at two rows give equal values, and the fiber's integer
-probe check passes exactly the rows whose signatures are equal.  The generator-monomial
-primitives agree with their definitions: the degree enumerator with a
-filtered box, the monomial value table with Poly.substitute (and with
-the cut of the uncut value), and span membership with solving for
-coordinates.  At the command-line boundary, argv drawn from a small
-grammar of subcommands, data, point literals and bounds never lets an
-exception escape, exits 0, 2 or 3 (2 for an option value of "--"),
-repeats itself byte for byte and finishes in seconds.  Every test is
-derandomized, so a run always draws the same examples.
+prepared block at two rows give equal values, and the integer probe
+check of tests/orbit_oracle.py passes exactly the rows whose signatures
+are equal.  The generator-monomial primitives agree with their
+definitions: the degree enumerator with a filtered box, the monomial
+value table with Poly.substitute (and with the cut of the uncut value),
+and span membership with solving for coordinates.  At the command-line
+boundary, argv drawn from a small grammar of subcommands, data, point
+literals and bounds never lets an exception escape, exits 0, 2 or 3 (2
+for an option value of "--"), repeats itself byte for byte and finishes
+in seconds.  Every test is derandomized, so a run always draws the same
+examples.
 """
 
 import io
@@ -49,9 +50,8 @@ from repring.linalg import rank as q_rank, solve_coordinates  # noqa: E402
 from repring.poly import Poly, grevlex_key, monomial_values, monomials_below  # noqa: E402
 from repring.rootdata import (is_invariant, product, standard_datum, torus_datum,  # noqa: E402
                               weyl_group, weyl_order)
-from repring.spectrum import (EvalPoint, _check_probe_terms, _evaluate, _prepare,  # noqa: E402
-                              parse_point, render_point)
-from orbit_oracle import probe_signature, weyl_order_by_orbit  # noqa: E402
+from repring.spectrum import EvalPoint, _evaluate, _prepare, parse_point, render_point  # noqa: E402
+from orbit_oracle import _check_probe_terms, probe_signature, weyl_order_by_orbit  # noqa: E402
 from reflection_oracle import simple_reflections  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)

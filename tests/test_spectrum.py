@@ -11,9 +11,9 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from orbit_oracle import (evaluate_by_terms, fiber_points, least_unit_multiple,
-                          probe_signature, stabilizers, subsystem_elements, translate_rows,
-                          weyl_translate)
+from orbit_oracle import (_check_probe_terms, _invariant_probe, evaluate_by_terms, fiber_points,
+                          least_unit_multiple, probe_signature, stabilizers, subsystem_elements,
+                          translate_rows, weyl_translate)
 
 from repring import rootdata
 from repring.cyclotomic import Cyclo, demote
@@ -25,6 +25,8 @@ from repring.rootdata import (LeviDatum, all_roots, product, standard_datum, tor
 from repring.spectrum import (EvalPoint, _galois_key, evaluate_char, evaluate_poly,
                               fiber_over_RG, parse_coordinate, parse_point, render_point,
                               render_rows, stabilizer_check, support)
+
+ORBIT_MISMATCH = "the fiber's translates are not the orbit of the point's rows"
 
 
 def random_point(rng, rank, allow_torsion=True):
@@ -646,12 +648,13 @@ def break_one_step(monkeypatch, d, change):
 @pytest.mark.parametrize("label, rank, point", [("C", 3, "2,3,5"), ("G", 2, "2,zeta(3)^1*3")])
 def test_the_fiber_probe_check_fires_on_a_wrong_translate(monkeypatch, label, rank, point):
     # One non-identity element's translate comes back with its first prime
-    # row negated: that class no longer evaluates the probes as p does.
+    # row negated: it leaves the orbit of p's rows, or another translate
+    # is missed.
     d, p = standard_datum(label, rank), parse_point(point, rank)
     assert len(fiber_over_RG(d, p)) == weyl_order(d)
     hits = break_one_step(monkeypatch, d, lambda rows: (rows[0], tuple(-x for x in rows[1]),
                                                         *rows[2:]))
-    with pytest.raises(AssertionError, match="fiber member disagrees on an invariant probe"):
+    with pytest.raises(AssertionError, match=ORBIT_MISMATCH):
         fiber_over_RG(d, p)
     assert len(hits) == 1
 
@@ -659,12 +662,12 @@ def test_the_fiber_probe_check_fires_on_a_wrong_translate(monkeypatch, label, ra
 def test_the_fiber_probe_check_fires_on_a_zeta_row_off_by_one(monkeypatch):
     # At G2 2,zeta(3)^1*3 (m = 3) one non-identity element's translate comes
     # back with its first zeta entry moved by 1 mod m and its prime rows
-    # right: only the zeta powers of the probe terms can tell it from p.
+    # right: only its torsion row tells it from the orbit of p's rows.
     d, p = standard_datum("G", 2), parse_point("2,zeta(3)^1*3", 2)
     assert p.torsion_order == 3 and len(fiber_over_RG(d, p)) == weyl_order(d)
     hits = break_one_step(monkeypatch, d, lambda rows: ((rows[0][0] + 1, *rows[0][1:]),
                                                         *rows[1:]))
-    with pytest.raises(AssertionError, match="fiber member disagrees on an invariant probe"):
+    with pytest.raises(AssertionError, match=ORBIT_MISMATCH):
         fiber_over_RG(d, p)
     assert len(hits) == 1
 
@@ -673,7 +676,7 @@ def test_the_fiber_probe_check_fires_on_a_zeta_row_off_by_one(monkeypatch):
 def test_every_weyl_element_gives_the_points_probe_signature(label, rank):
     # Not only the fiber's class representatives: every translate of p
     # carries the probe terms of p, permuted.
-    from repring.spectrum import _check_probe_terms, _invariant_probe, _prepare
+    from repring.spectrum import _prepare
     d = standard_datum(label, rank)
     probes = _prepare(_invariant_probe(d))
     w = weyl_group(d)
@@ -684,16 +687,42 @@ def test_every_weyl_element_gives_the_points_probe_signature(label, rank):
         _check_probe_terms(probes, p.rows, [translate_rows(p, m) for m in w.elements])
 
 
-def test_the_fiber_refuses_a_probe_with_cyclotomic_coefficients(monkeypatch):
-    # The signature reads rational terms only, so a Cyclo coefficient in
-    # the probe block is refused rather than left out of the check.
+def test_the_fiber_refuses_a_walk_that_misses_an_element(monkeypatch):
+    # At a point with a trivial stabilizer every element of W gives its own
+    # translate, so a walk without its last element misses one orbit point:
+    # the translates must be the whole orbit, not a part of it.
     from repring import spectrum
-    d, p = standard_datum("A", 2), parse_point("2,3", 2)
-    real = spectrum._invariant_probe
-    monkeypatch.setattr(spectrum, "_invariant_probe",
-                        lambda d: real(d) + [LaurentPoly.one(2) * Cyclo.zeta(3, 1)])
-    with pytest.raises(AssertionError, match="a block with Cyclo terms has no integer signature"):
+    d, p = standard_datum("C", 3), parse_point("2,3,5", 3)
+    assert len(fiber_over_RG(d, p)) == weyl_order(d)
+    real = spectrum.weyl_walk
+    monkeypatch.setattr(spectrum, "weyl_walk", lambda *args: real(*args)[:-1])
+    with pytest.raises(AssertionError, match=ORBIT_MISMATCH):
         fiber_over_RG(d, p)
+
+
+@pytest.mark.parametrize("label, rank, point", [("A", 2, "2,3"), ("G", 2, "2,zeta(3)^1*3")])
+def test_a_non_adjoint_transpose_is_refused_where_the_probe_oracle_fails(monkeypatch, label,
+                                                                         rank, point):
+    # The first simple reflection s stands in for its own transpose: still
+    # an involution, but not adjoint to s, so the walk and the orbit would
+    # move the rows alike and agree.  fiber and stabilizer both refuse it,
+    # and the per-member probe check rejects the translate it gives.
+    from repring.spectrum import _prepare
+    (a, av), *_ = standard_datum(label, rank).simple_pairs
+    real = rootdata._compile
+    monkeypatch.setattr(rootdata, "_compile",
+                        lambda x, y: real(a, av) if (x, y) == (av, a) else real(x, y))
+    for command in (fiber_over_RG, stabilizer_check):
+        with pytest.raises(AssertionError, match="transpose is not adjoint"):
+            command(standard_datum(label, rank), parse_point(point, rank))
+    monkeypatch.undo()
+    d, p, s = standard_datum(label, rank), parse_point(point, rank), real(a, av)
+    m, zeta_row, prime_rows = p.rows
+    wrong = (m, tuple(x % m for x in s(zeta_row)), tuple((q, s(row)) for q, row in prime_rows))
+    probes = _prepare(_invariant_probe(d))
+    _check_probe_terms(probes, p.rows, fiber_over_RG(d, p))
+    with pytest.raises(AssertionError, match="disagrees on an invariant probe"):
+        _check_probe_terms(probes, p.rows, [wrong])
 
 
 def point_of_order_dividing_60(rng, rank):
@@ -714,7 +743,7 @@ def test_the_integer_probe_check_agrees_with_the_tuple_signatures(label, rank):
     # differs from the point's (at 2,1,... the negated row is the translate
     # by -1, in W here).  Exponents above 2^64 widen the slots past eight
     # bytes; the fiber is compared in rows, never rendered.
-    from repring.spectrum import _check_probe_terms, _invariant_probe, _prepare
+    from repring.spectrum import _prepare
     d = standard_datum(label, rank)
     probes = _prepare(_invariant_probe(d))
     elements = weyl_group(d).elements

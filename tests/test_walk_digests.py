@@ -14,13 +14,18 @@ is pinned also at connected points with torsion and a nontrivial
 stabilizer.  The digests were recorded before the Weyl closure was keyed
 by one reflected vector, those of D5 before the fiber's probe check was
 packed into integers, and the torsion rows before W was walked by left
-multiplication.
+multiplication.  `fiber` on E6 from a datum file, at a point whose
+51,840 members each used to be checked on probe invariants (17 s), is
+pinned with a time bound, recorded before the members were compared with
+the orbit of the point's rows instead.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import random
+import time
 from math import gcd
 
 from repring.cli import run
@@ -33,6 +38,8 @@ D5_POINTS = ("zeta(3)^1,2,3,5,7", "zeta(512)^1,2,3,5,7")
 TORSION_POINTS = [("A", 1, "zeta(3)^1"), ("C", 2, "1,zeta(4)^1"), ("C", 2, "1,zeta(2)^1"),
                   ("G", 2, "zeta(2)^1,1"), ("A", 1, "zeta(3)^1*2"), ("C", 2, "zeta(4)^1*2,1"),
                   ("G", 2, "zeta(2)^1*3,1")]
+E6_POINT = "2,3,zeta(3)^1*5,1,1,7"
+E6_DIGEST = "c889a0b277682abae5d91a9d480a2734f3638a83b0f688515f135ad12fa6f1da"
 SC_BUILTINS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
                ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4), ("G", 2)]
 VARIANTS = ("simply_connected", "adjoint")
@@ -126,3 +133,24 @@ def test_every_builtin_is_small_enough_to_walk():
 
 def test_fiber_and_stabilizer_stdout_match_the_recorded_digests():
     assert digests() == GOLDEN
+
+
+def test_the_e6_fiber_at_a_trivial_stabilizer_matches_its_digest_in_seconds(tmp_path):
+    # Simply connected E6, Bourbaki's numbering: the Cartan rows as simple
+    # roots, identity coroots.  The point's stabilizer is trivial, so the
+    # fiber has |W(E6)| = 51,840 members; it takes about 3 s.
+    edges = {(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)}
+    cartan = [[2 * (i == j) - ((i, j) in edges or (j, i) in edges) for j in range(6)]
+              for i in range(6)]
+    path = tmp_path / "e6.json"
+    path.write_text(json.dumps({"rank": 6, "name": "E6", "simple_roots": cartan,
+                                "simple_coroots": [[int(i == j) for j in range(6)]
+                                                   for i in range(6)]}))
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = run(["fiber", "--datum-file", str(path), "--point", E6_POINT])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and json.loads(out.getvalue())["result"]["size"] == 51840
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == E6_DIGEST
+    assert elapsed < 10.0, f"E6 fiber took {elapsed:.1f} s"
