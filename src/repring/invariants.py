@@ -4,8 +4,9 @@ The invariant ring is handled through two computational bases: orbit
 sums (one per dominant weight) and products of the characters attached
 to the standard basis weights.  Characters come from Freudenthal's
 multiplicity formula on the dominant weights below the highest weight,
-with the invariant form written through pairings with coroots, so
-nothing enumerates the Weyl group.
+with the invariant form written through pairings with coroots and each
+string weight read from the orbits already spread, so nothing enumerates
+the Weyl group.
 """
 
 from __future__ import annotations
@@ -55,13 +56,14 @@ def weyl_character(d: RootDatum, weight) -> LaurentPoly:
 
         (|lam+rho|^2 - |mu+rho|^2) m(mu) = 2 sum_{a>0, k>=1} (mu+ka, a) m(mu+ka),
 
-    m(nu) read at the dominant representative of nu, strings stopped at
-    their first zero, with the integral invariant form (x, y) = sum of
-    <x, b><y, b> over positive coroots b (Bourbaki VI.1.12).  Subtracting
-    positive roots from lam, keeping dominant results, reaches every mu
-    (_dominant_below); solving by decreasing |mu+rho|^2 puts the weights above
-    mu first.  Multiplicities are spread over orbits, and these integer
-    terms are verified invariant before the polynomial is built.
+    m(nu) read from the orbits already spread, strings stopped at their
+    first zero, with the integral invariant form (x, y) = sum of <x, b><y, b>
+    over positive coroots b (Bourbaki VI.1.12).  Subtracting positive roots
+    from lam, keeping dominant results, reaches every mu (_dominant_below);
+    solving by decreasing |mu+rho|^2 puts the weights above mu first, and
+    each m(mu) is spread over the orbit of mu once solved (as Moody and
+    Patera, Bull. AMS 7, 1982).  These integer terms are verified invariant
+    before the polynomial is built.
     """
     lam = tuple(map(int, weight))
     if not is_dominant(d, lam):
@@ -81,19 +83,19 @@ def weyl_character(d: RootDatum, weight) -> LaurentPoly:
                        [x + y + z for x, y, z in zip(lam, mu, rho2)]))
            for mu in weights}
 
-    mult = {lam: 1}
+    terms = dict.fromkeys(orbit(d, lam), 1)
     for mu in sorted(weights - {lam}, key=lambda mu: (gap[mu], mu)):
         rhs = 0
         for a, a_flat in flats:
             nu = tuple(map(add, mu, a))
-            while (m_nu := mult.get(dominant_representative(d, nu), 0)):
+            while (m_nu := terms.get(nu)):
                 rhs += sum(map(mul, nu, a_flat)) * m_nu
                 nu = tuple(map(add, nu, a))
-        mult[mu], rem = divmod(2 * rhs, gap[mu])
+        m_mu, rem = divmod(2 * rhs, gap[mu])
         if rem:
             raise AssertionError("Freudenthal's formula gave a non-integral multiplicity")
+        terms.update(dict.fromkeys(orbit(d, mu), m_mu))
 
-    terms = {nu: m for mu, m in mult.items() for nu in orbit(d, mu)}
     if not is_invariant(d, terms):
         raise AssertionError("character failed the invariance check")
     return LaurentPoly(d.rank, terms)

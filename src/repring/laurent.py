@@ -36,8 +36,8 @@ class LaurentPoly:
         if rank < 0:
             raise ValueError("rank must be nonnegative")
         self.rank = rank
-        self.terms = _sum_terms({}, terms.items() if isinstance(terms, dict) else terms or (),
-                                rank)
+        self.terms = _sum_terms({}, _exponents(
+            terms.items() if isinstance(terms, dict) else terms or (), rank))
 
     @classmethod
     def zero(cls, rank: int) -> "LaurentPoly":
@@ -147,40 +147,41 @@ def render(f: LaurentPoly) -> str:
     rational coefficients print as exact fractions, cyclotomic ones in
     parentheses.  The output is bit-stable for equal inputs.
     """
-    if not f.terms:
-        return "0"
+    names = [f"x{i}^" for i in range(1, f.rank + 1)]
     parts: list[str] = []
     for e in sorted(f.terms):
         c = f.terms[e]
-        mono = "*".join(f"x{i + 1}^{a}" for i, a in enumerate(e) if a != 0)
+        mono = "*".join([x + str(a) for x, a in zip(names, e) if a])
         if isinstance(c, Cyclo):
-            cs = f"({c})"
-            parts.append(f"{cs}*{mono}" if mono else cs)
+            parts.append(f"({c})*{mono}" if mono else f"({c})")
         elif not mono:
             parts.append(str(c))
         elif c == 1:
             parts.append(mono)
         elif c == -1:
-            parts.append(f"-{mono}")
+            parts.append("-" + mono)
         else:
             parts.append(f"{c}*{mono}")
-    out = parts[0]
-    for p in parts[1:]:
-        if p.startswith("-"):
-            out += " - " + p[1:]
-        else:
-            out += " + " + p
-    return out
+    if not parts:
+        return "0"
+    return parts[0] + "".join([" - " + p[1:] if p[0] == "-" else " + " + p for p in parts[1:]])
 
 
-def _sum_terms(out: dict, pairs, rank: int) -> dict:
-    """Add (exponent, coefficient) pairs into out, the one place where
-    terms are summed: each coefficient is kept in the normal form of
-    cyclotomic.demote, and those that sum to zero are dropped."""
+def _exponents(pairs, rank: int):
+    """The (exponent, coefficient) pairs with each exponent made an int tuple,
+    refused unless its length is rank."""
     for exps, c in pairs:
         e = tuple(map(int, exps))
         if len(e) != rank:
             raise ValueError("exponent length does not match rank")
+        yield e, c
+
+
+def _sum_terms(out: dict, pairs) -> dict:
+    """Add (exponent, coefficient) pairs, exponents int tuples of the rank,
+    into out, the one place where terms are summed: each coefficient is kept
+    in demote's normal form, and those that sum to zero are dropped."""
+    for e, c in pairs:
         acc = out.get(e)
         c = demote(c if acc is None else acc + c)
         if c:
@@ -224,7 +225,7 @@ class Span:
 
 def augmentation(f: LaurentPoly):
     """Sum of coefficients; the ring map killing every monomial to 1."""
-    return demote(sum(f.terms.values(), Fraction(0)))
+    return demote(sum(f.terms.values()))
 
 
 def inverse_monomial(f: LaurentPoly) -> LaurentPoly:
@@ -270,6 +271,6 @@ def exact_divide(num: LaurentPoly, den: LaurentPoly, step_cap: int = 200_000) ->
         step = [(tuple(map(add, q_exp, e)), q_coeff * c) for e, c in minus_den]
         for e in [e for e, _ in step if e not in rem]:
             heappush(heap, tuple(map(neg, e)))
-        _sum_terms(rem, step, num.rank)
+        _sum_terms(rem, step)  # int tuples of the rank by construction
     raise ValueError("division did not terminate within the step cap; "
                      "inputs are most likely not divisible")

@@ -117,6 +117,18 @@ def test_orbit_sums_and_characters_raise_when_the_invariance_check_fails(monkeyp
         weyl_character(d, (1, 0))
 
 
+def test_characters_read_string_weights_without_a_dominant_descent(monkeypatch):
+    # Each string weight of Freudenthal's formula is read from the orbits
+    # already spread, so no dominant representative is computed.
+    def descent(d, v):
+        raise AssertionError("weyl_character computed a dominant representative")
+
+    monkeypatch.setattr(invariants, "dominant_representative", descent)
+    for label, rank, lam in [("D", 4, (1, 1, 1, 1)), ("C", 4, (1, 0, 0, 1)), ("G", 2, (1, 1))]:
+        d = standard_datum(label, rank)
+        assert weyl_character(d, lam).terms == alternating_sum_character(d, lam).terms
+
+
 def test_character_dimension_is_augmentation():
     d = standard_datum("A", 2)
     for lam in [(1, 0), (2, 0), (1, 1)]:

@@ -79,6 +79,25 @@ def test_augmentation_is_a_ring_map():
     assert augmentation(LaurentPoly.one(3)) == 1
 
 
+def test_augmentation_is_in_the_coefficients_normal_form():
+    z3 = Cyclo.zeta(3)
+    zero = augmentation(LaurentPoly.zero(2))
+    assert zero == 0 and type(zero) is int
+    whole = augmentation(LaurentPoly(2, {(1, 0): 3, (0, -1): Fraction(4, 2), (2, 2): -1}))
+    assert whole == 4 and type(whole) is int
+    halves = augmentation(LaurentPoly(1, {(1,): Fraction(1, 2), (-1,): Fraction(3, 2)}))
+    assert halves == 2 and type(halves) is int
+    third = augmentation(LaurentPoly(1, {(1,): Fraction(1, 3), (0,): 2}))
+    assert third == Fraction(7, 3) and type(third) is Fraction
+    cyclo = augmentation(LaurentPoly(1, {(1,): z3, (0,): Fraction(1, 2)}))
+    assert cyclo == z3 + Fraction(1, 2) and type(cyclo) is Cyclo
+    # 1 + zeta_3 + zeta_3^2 = 0, the sum of the primitive cube roots of unity and 1.
+    vanishing = augmentation(LaurentPoly(1, {(0,): 1, (1,): z3, (2,): z3 * z3}))
+    assert vanishing == 0 and type(vanishing) is int
+    rational = augmentation(LaurentPoly(1, {(1,): z3, (2,): z3 * z3}))
+    assert rational == -1 and type(rational) is int
+
+
 def test_weyl_act_is_multiplicative_and_invertible():
     rng = random.Random(31415)
     w = [[0, 1], [1, 0]]

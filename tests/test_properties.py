@@ -14,11 +14,12 @@ involutions.  |W| of a product of built-in data, counted from root
 heights, is the size of the orbit of 2 rho.  Equal term signatures of a
 prepared block at two rows give equal values, and the integer probe
 check of tests/orbit_oracle.py passes exactly the rows whose signatures
-are equal.  The generator-monomial primitives agree with their
-definitions: the degree enumerator with a filtered box, the monomial
-value table with Poly.substitute (and with the cut of the uncut value),
-and span membership with solving for coordinates.  At the command-line
-boundary, argv drawn from a small grammar of subcommands, data, point
+are equal.  `render` of a Laurent polynomial of rank 0-4 is the string
+tests/render_oracle.py grows term by term.  The generator-monomial
+primitives agree with their definitions: the degree enumerator with a
+filtered box, the monomial value table with Poly.substitute (and with
+the cut of the uncut value), and span membership with solving for
+coordinates.  At the command-line boundary, argv drawn from a small grammar of subcommands, data, point
 literals and bounds never lets an exception escape, exits 0, 2 or 3 (2
 for an option value of "--"), repeats itself byte for byte and finishes
 in seconds.  Every test is derandomized, so a run always draws the same
@@ -43,7 +44,8 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from repring.cli import run  # noqa: E402
 from repring.completion import _cut  # noqa: E402
 from repring.cyclotomic import Cyclo, euler_phi  # noqa: E402
-from repring.laurent import LaurentPoly, Span, coefficient_row, exact_divide, weyl_act  # noqa: E402
+from repring.laurent import (LaurentPoly, Span, coefficient_row, exact_divide,  # noqa: E402
+                             render, weyl_act)
 from repring.lattice import (det, identity_matrix, kernel, mat_inverse_unimodular,  # noqa: E402
                              mat_mul, mat_vec, smith_normal_form)
 from repring.linalg import rank as q_rank, solve_coordinates  # noqa: E402
@@ -53,6 +55,7 @@ from repring.rootdata import (is_invariant, product, standard_datum, torus_datum
 from repring.spectrum import EvalPoint, _evaluate, _prepare, parse_point, render_point  # noqa: E402
 from orbit_oracle import _check_probe_terms, probe_signature, weyl_order_by_orbit  # noqa: E402
 from reflection_oracle import simple_reflections  # noqa: E402
+from render_oracle import render as render_by_growing  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -114,12 +117,12 @@ COEFFS = st.one_of(FRACTIONS, st.builds(lambda c, m, k: c * Cyclo.zeta(m, k), FR
 
 
 @st.composite
-def laurent_polys(draw, coeffs=COEFFS, min_size=0):
-    """Rank 3, up to five terms with exponents in [-2, 2]; by default each
-    coefficient is a Fraction or a Fraction times a root of unity of
-    order up to 12."""
-    exps = st.tuples(*[st.integers(-2, 2)] * 3)
-    return LaurentPoly(3, draw(st.dictionaries(exps, coeffs, min_size=min_size, max_size=5)))
+def laurent_polys(draw, coeffs=COEFFS, min_size=0, rank=3):
+    """Rank 3 unless given, up to five terms with exponents in [-2, 2]; by
+    default each coefficient is a Fraction or a Fraction times a root of
+    unity of order up to 12."""
+    exps = st.tuples(*[st.integers(-2, 2)] * rank)
+    return LaurentPoly(rank, draw(st.dictionaries(exps, coeffs, min_size=min_size, max_size=5)))
 
 
 @st.composite
@@ -262,6 +265,19 @@ def test_the_invariance_check_agrees_with_the_simple_reflection_matrices(f, d, f
     assert is_invariant(d, f.terms) == by_matrices
     if form != "raw":
         assert by_matrices == (form == "symmetrized")
+
+
+@PROPERTY
+@given(st.integers(0, 4).flatmap(lambda rank: laurent_polys(
+    st.one_of(st.integers(-3, 3), COEFFS), rank=rank)))
+@example(LaurentPoly(2, {(-1, 0): -1, (0, 1): 2, (1, 1): Fraction(-5, 3)}))
+@example(LaurentPoly(1, {(0,): -2, (1,): -1, (2,): Cyclo.zeta(5) * -1}))
+@example(LaurentPoly(0, {(): Fraction(-7, 2)}))
+@example(LaurentPoly(0, {(): Cyclo.zeta(3)}))
+@example(LaurentPoly.zero(0))
+@example(LaurentPoly.zero(3))
+def test_render_matches_the_string_grown_term_by_term(f):
+    assert render(f) == render_by_growing(f)
 
 
 @PROPERTY
