@@ -15,12 +15,12 @@ from .lattice import (FinAbGroup, Sublattice, full_lattice,
 from .cyclotomic import Cyclo, cyclotomic_polynomial, euler_phi, prime_factors
 from .laurent import (LaurentPoly, augmentation, exact_divide,
                       inverse_monomial, render, weyl_act)
-from .rootdata import (LeviDatum, RootDatum, WeylGroup, all_roots,
-                       centralizer_subsystem, datum_from_dict,
-                       dominant_representative, fundamental_group, gl_datum,
-                       is_derived_simply_connected, is_dominant, is_invariant,
-                       orbit, positive_roots, product, row_orbit, standard_datum,
-                       torus_datum, weyl_group, weyl_order, weyl_walk)
+from .rootdata import (LeviDatum, RootDatum, all_roots, centralizer_subsystem,
+                       datum_from_dict, dominant_representative,
+                       fundamental_group, gl_datum, is_derived_simply_connected,
+                       is_dominant, is_invariant, orbit, positive_roots, product,
+                       row_orbit, standard_datum, torus_datum, weyl_order,
+                       weyl_walk)
 from .invariants import (CharacterBasisReport, character_dimension,
                          decompose_into_orbit_sums, dominance_leq,
                          dominant_weights_in_box, fundamental_character_probe,

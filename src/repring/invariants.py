@@ -31,7 +31,7 @@ def orbit_sum(d: RootDatum, weight) -> LaurentPoly:
     terms = dict.fromkeys(orbit(d, lam), 1)
     if not is_invariant(d, terms):
         raise AssertionError("orbit sum failed the invariance check")
-    return LaurentPoly(d.rank, terms)
+    return LaurentPoly._normal(d.rank, terms)
 
 
 def _dominant_below(d: RootDatum, weights) -> set[tuple[int, ...]]:
@@ -62,8 +62,8 @@ def weyl_character(d: RootDatum, weight) -> LaurentPoly:
     from lam, keeping dominant results, reaches every mu (_dominant_below);
     solving by decreasing |mu+rho|^2 puts the weights above mu first, and
     each m(mu) is spread over the orbit of mu once solved (as Moody and
-    Patera, Bull. AMS 7, 1982).  These integer terms are verified invariant
-    before the polynomial is built.
+    Patera, Bull. AMS 7, 1982).  These positive integer terms are verified
+    invariant and kept as they are.
     """
     lam = tuple(map(int, weight))
     if not is_dominant(d, lam):
@@ -92,13 +92,13 @@ def weyl_character(d: RootDatum, weight) -> LaurentPoly:
                 rhs += sum(map(mul, nu, a_flat)) * m_nu
                 nu = tuple(map(add, nu, a))
         m_mu, rem = divmod(2 * rhs, gap[mu])
-        if rem:
-            raise AssertionError("Freudenthal's formula gave a non-integral multiplicity")
+        if rem or m_mu < 1:
+            raise AssertionError("Freudenthal's formula gave no positive integer multiplicity")
         terms.update(dict.fromkeys(orbit(d, mu), m_mu))
 
     if not is_invariant(d, terms):
         raise AssertionError("character failed the invariance check")
-    return LaurentPoly(d.rank, terms)
+    return LaurentPoly._normal(d.rank, terms)
 
 
 def character_dimension(d: RootDatum, weight) -> Fraction:

@@ -6,7 +6,7 @@ row Hermite form is the one integer elimination: the Smith form, the
 unimodular inverse and kernels are read off Hermite forms, and so are
 the lattice operations built on top of them: saturation, membership
 tests, and finitely generated abelian quotients in invariant-factor
-form.  Bareiss's fraction-free determinant stands beside it.
+form.
 """
 
 from __future__ import annotations
@@ -51,33 +51,6 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
 def transpose(a: Matrix) -> Matrix:
     rows, cols = _shape(a)
     return [[a[i][j] for i in range(rows)] for j in range(cols)]
-
-
-def det(a: Matrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    n, m = _shape(a)
-    if n != m:
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    w = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if w[k][k] == 0:
-            for i in range(k + 1, n):
-                if w[i][k] != 0:
-                    w[k], w[i] = w[i], w[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                w[i][j] = (w[i][j] * w[k][k] - w[i][k] * w[k][j]) // prev
-            w[i][k] = 0
-        prev = w[k][k]
-    return sign * w[n - 1][n - 1]
 
 
 def mat_inverse_unimodular(a: Matrix) -> Matrix:

@@ -40,6 +40,13 @@ class LaurentPoly:
             terms.items() if isinstance(terms, dict) else terms or (), rank))
 
     @classmethod
+    def _normal(cls, rank: int, terms: dict) -> "LaurentPoly":
+        """terms kept as they are, its caller vouching they are in normal form."""
+        f = cls.__new__(cls)
+        f.rank, f.terms = rank, terms
+        return f
+
+    @classmethod
     def zero(cls, rank: int) -> "LaurentPoly":
         return cls(rank, {})
 

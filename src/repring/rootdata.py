@@ -9,11 +9,13 @@ A reflection is a (root, coroot) pair, applied to a character as the
 rank-one update x -> x - <x, coroot> root, and to a cocharacter row by
 its transpose; orbits, invariance checks and walks over W run on a
 datum's simple pairs, compiled once, each transpose checked adjoint to
-its reflection.  A datum's roots, coroots and heights are closed once and
+its reflection (a point's rows move by one compiled transpose over all of
+them).  A datum's roots, coroots and heights are closed once and
 kept on it; positive roots, a centralizer's base and |W| (from the
 heights by Kostant's theorem) read it.  A whole Weyl group, as
 rank x rank integer matrices acting on the character lattice (columns
-act on coordinate vectors), is walked only where its elements are read.
+act on coordinate vectors), is walked only where a fiber reads its
+elements.
 All enumerations are exact and guarded by caps.
 """
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain
 from math import prod
 from operator import index, mul, sub
 
@@ -193,25 +196,36 @@ def product(d1: RootDatum, d2: RootDatum) -> RootDatum:
 
 
 @lru_cache(maxsize=4096)
-def _compile(root: tuple[int, ...], coroot: tuple[int, ...]):
-    """x -> x - <x, coroot> root on integer tuples as one generated
-    expression that reads only the nonzero entries of coroot, writes only
-    those of root, and returns x itself where the pairing is 0; compiling
-    costs some hundred calls, so it is done once per pair in a process."""
-    pairing = " + ".join(f"x[{i}] * {index(c)}" for i, c in enumerate(coroot) if c) or "0"
-    image = "".join(f"x[{i}] - k * {index(r)}, " if r else f"x[{i}], "
-                    for i, r in enumerate(root))
-    return eval(f"lambda x: x if not (k := {pairing}) else ({image})")
+def _compile(root: tuple[int, ...], coroot: tuple[int, ...], copies: int = 1, modulus: int = 0):
+    """x -> x - <x, coroot> root on integer tuples as one generated expression
+    that reads only the nonzero entries of coroot, writes only those of root
+    and returns x where every pairing is 0, compiled (some hundred calls) once
+    per pair; x may hold copies vectors end to end, the first's new entries mod modulus."""
+    n, pairings, image = len(root), [], ""
+    for b in range(copies):
+        terms = " + ".join(f"x[{b * n + i}] * {index(c)}" for i, c in enumerate(coroot) if c)
+        pairings.append(f"(k{b} := {terms or 0})")
+        for i, r in enumerate(root):
+            entry = f"x[{b * n + i}] - k{b} * {index(r)}" if r else f"x[{b * n + i}]"
+            image += f"({entry}) % {modulus}, " if r and modulus and not b else entry + ", "
+    return eval(f"lambda x: ({image}) if {' | '.join(pairings)} else x")
 
 
 @lru_cache(maxsize=4096)
-def _adjoint(s, s_t, rank: int) -> tuple:
-    """(s, s_t), once per compiled pair in a process, after checking that s_t
-    is the transpose of s on the coordinate vectors: <s_t e_j, e_i> = <e_j, s e_i>."""
+def _adjoint(s, s_t, rank: int, copies: int = 1, modulus: int = 0):
+    """s_t, once per compiled move in a process, after checking on the
+    coordinate vectors that it is the transpose of s, <s_t e_j, e_i> =
+    <e_j, s e_i>, on each of copies rows laid end to end, taking the first
+    mod modulus (if not 0)."""
     basis = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    if list(map(s_t, basis)) != list(zip(*map(s, basis))):
-        raise AssertionError("a compiled reflection's transpose is not adjoint to it")
-    return s, s_t
+    images = list(zip(*map(s, basis)))
+    for b in range(copies):
+        pad, rest = (0,) * rank * b, (0,) * rank * (copies - b - 1)
+        for e, image in zip(basis, images):
+            image = tuple(y % modulus for y in image) if modulus and not b else image
+            if s_t(pad + e + rest) != pad + image + rest:
+                raise AssertionError("a compiled reflection's transpose is not adjoint to it")
+    return s_t
 
 
 def _reflections(d: RootDatum) -> tuple[tuple, tuple]:
@@ -219,8 +233,9 @@ def _reflections(d: RootDatum) -> tuple[tuple, tuple]:
     cocharacter rows, compiled, checked adjoint and kept on d."""
     if "_reflections" not in vars(d):
         pairs = [(tuple(a), tuple(av)) for a, av in d.simple_pairs]
-        compiled = [_adjoint(_compile(a, av), _compile(av, a), d.rank) for a, av in pairs]
-        object.__setattr__(d, "_reflections", ([s for s, _ in compiled], [t for _, t in compiled]))
+        simple = [_compile(a, av) for a, av in pairs]
+        object.__setattr__(d, "_reflections", (simple, [
+            _adjoint(s, _compile(av, a), d.rank) for s, (a, av) in zip(simple, pairs)]))
     return d._reflections
 
 
@@ -300,19 +315,6 @@ def all_roots(d: RootDatum, cap: int = ROOT_CLOSURE_CAP) -> list[tuple[tuple[int
     return [(a, av) for a, av, _ in _root_closure(d, cap)]
 
 
-@dataclass(frozen=True)
-class WeylGroup:
-    """A finite reflection group given by explicit matrices; one walked from
-    reflections lists them sorted, whatever order the walk reached them in."""
-
-    rank: int
-    elements: tuple[MatrixT, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
 def _order(d: RootDatum, cap, refusal="group enumeration exceeded cap {cap}") -> int:
     """|W| as weyl_order states it, after the root closure; over cap
     (WEYL_ORDER_CAP, read at call time, when not given), which the trivial
@@ -345,11 +347,6 @@ def weyl_walk(d: RootDatum, rows=(), cap: int | None = None) -> list[tuple[Matri
     return sorted((tuple(zip(*columns)), mapped) for columns, mapped in seen.values())
 
 
-def weyl_group(d: RootDatum, cap: int | None = None) -> WeylGroup:
-    """W as its sorted elements: weyl_walk without rows."""
-    return WeylGroup(d.rank, tuple(m for m, _ in weyl_walk(d, (), cap)))
-
-
 def orbit(d: RootDatum, v) -> list[tuple[int, ...]]:
     """The Weyl orbit of a character vector, sorted: its closure under the
     simple reflections of d (for a centralizer, pass its LeviDatum's
@@ -364,14 +361,17 @@ def orbit(d: RootDatum, v) -> list[tuple[int, ...]]:
                          f"orbit closure exceeded WEYL_ORDER_CAP = {WEYL_ORDER_CAP} points"))
 
 
-def row_orbit(d: RootDatum, rows, modulus: int) -> list[tuple]:
-    """The W-orbit, unsorted, of a tuple of cocharacter rows, on which s acts
-    by s^T, the first taken mod modulus: a point's torsion and prime rows.
-    Refused up front over WEYL_ORDER_CAP as _order refuses."""
-    order, start = _order(d, None), tuple(map(tuple, rows))
-    moves = [lambda state, s=s: (tuple([x % modulus for x in s(state[0])]), *map(s, state[1:]))
-             for s in _reflections(d)[1]]
-    return list(_close(start, moves, order, f"orbit exceeded |W| = {order} points"))
+def row_orbit(d: RootDatum, rows, modulus: int):
+    """The W-orbit of a tuple of cocharacter rows, on which s acts by s^T,
+    the first taken mod modulus (a point's torsion and prime rows), as a
+    set-like view of the rows laid end to end, by one compiled move per
+    simple reflection.  Refused up front over WEYL_ORDER_CAP as _order is."""
+    order, n = _order(d, None), len(rows)
+    start = tuple(chain([x % modulus for x in rows[0]], *rows[1:]))
+    modulus = modulus if modulus > 1 else 0  # m = 1 leaves the first row 0, as every step does
+    moves = [_adjoint(s, _compile(tuple(av), tuple(a), n, modulus), d.rank, n, modulus)
+             for s, (a, av) in zip(_reflections(d)[0], d.simple_pairs)]
+    return _close(start, moves, order, f"orbit exceeded |W| = {order} points").keys()
 
 
 def is_invariant(d: RootDatum, terms) -> bool:

@@ -6,8 +6,8 @@ a reduced fraction in [0, 1) per coordinate, the rational part as a
 prime-to-exponent map per coordinate.  Points are evaluated on Laurent
 polynomials, compared up to the Galois action (equality of kernels of
 evaluation), translated by Weyl elements, and analysed through the
-sublattice of characters they kill; a fiber's translates must be the
-W-orbit of the point's rows.
+sublattice of characters they kill; a fiber is the orbit of the point's
+rows, or a walk over W whose translates must be that orbit.
 """
 
 from __future__ import annotations
@@ -335,31 +335,52 @@ def _galois_key(rows) -> tuple:
                               for k in range(first, m, m // g) if gcd(k, m) == 1)
 
 
+def _conjugates_in_orbit(rows, orbit) -> int:
+    """The distinct sigma_k(p) (k z mod m, prime rows kept; k a unit mod m)
+    in orbit, the orbit of p's rows (row_orbit): phi(m) lookups, or where m
+    exceeds the orbit the orbit points with p's Galois key."""
+    m, zeta_row, prime_rows = rows
+    rest = tuple(x for _, row in prime_rows for x in row)
+    if m > len(orbit):
+        key, r = _galois_key((m, zeta_row, rest)), len(zeta_row)
+        return sum(_galois_key((m, x[:r], x[r:])) == key for x in orbit)
+    return sum(tuple([k * a % m for a in zeta_row]) + rest in orbit
+               for k in range(1, m + 1) if gcd(k, m) == 1)
+
+
 def fiber_over_RG(d: RootDatum, p: EvalPoint) -> list[tuple]:
     """The distinct maximal ideals over the invariant-ring ideal of p, as
-    the rows (EvalPoint.rows) of one point on each; render_rows writes one.
+    the rows (EvalPoint.rows) of one point on each, sorted; render_rows
+    writes one.
 
-    Walks W in sorted order on the point's rows (weyl_walk), keeping the
-    first translate of each Galois class.  The distinct translates must be
-    the orbit of p's rows (row_orbit), or it raises.  This implies the
-    per-member probe check of tests/orbit_oracle.py: an orbit point is p's
-    rows through transposes s^T, each checked adjoint to its s, <s^T r, e>
-    = <r, s e>, and s permutes an invariant's terms, so they stay p's.
+    They are the Galois classes of p's orbit.  W acts linearly on the rows,
+    so it commutes with sigma_k: (z, r) -> (k z mod m, r), and orbit points
+    w p != w' p share a class exactly when w' p = sigma_k(w p) = w sigma_k(p),
+    that is when a conjugate sigma_k(p) != p lies in the orbit.  Where none
+    does the fiber is the orbit of p's rows (row_orbit).  Otherwise W is
+    walked in sorted order (weyl_walk), keeping the first translate of each
+    class, and the distinct translates must be the orbit, or it raises.  An
+    orbit point is p's rows through transposes s^T checked adjoint to s,
+    <s^T r, e> = <r, s e>, and s permutes an invariant's terms, so they stay
+    p's: the per-member probe check of tests/orbit_oracle.py holds.
     """
     if d.rank != p.rank:
         raise ValueError("datum and point rank differ")
     m, zeta_row, prime_rows = p.rows
-    primes = [prime for prime, _ in prime_rows]
+    primes, r = [prime for prime, _ in prime_rows], d.rank
     rows = (zeta_row, *(row for _, row in prime_rows))
-    walk = weyl_walk(d, rows)
+    orbit = row_orbit(d, rows, m)
     cyclotomic_polynomial(m)  # over its cap the field is refused before any class is keyed
-    translates = dict.fromkeys((tuple([x % m for x in z]), *rs) for _, (z, *rs) in walk)
-    if translates.keys() != set(row_orbit(d, rows, m)):
+    points = [(m, x[:r], tuple(zip(primes, [x[i * r:i * r + r] for i in range(1, len(rows))])))
+              for x in orbit]
+    if _conjugates_in_orbit(p.rows, orbit) == 1:
+        return sorted(points)
+    translates = dict.fromkeys((m, tuple([x % m for x in z]), tuple(zip(primes, rs)))
+                               for _, (z, *rs) in weyl_walk(d, rows))
+    if translates.keys() != set(points):
         raise AssertionError("the fiber's translates are not the orbit of the point's rows")
-    classes: dict[tuple, tuple] = {}
-    for q in ((m, z, tuple(zip(primes, rs))) for z, *rs in translates):
-        classes.setdefault(_galois_key(q), q)
-    return list(classes.values())
+    # A reversed pass leaves each class with its first translate in W's order.
+    return sorted({_galois_key(q): q for q in reversed(translates)}.values())
 
 
 @dataclass(frozen=True)
@@ -379,20 +400,18 @@ def stabilizer_check(d: RootDatum, p: EvalPoint) -> StabilizerReport:
     support; the three groups must coincide there.
 
     No group is enumerated.  On the orbit of p's rows, |Stab| = |W| /
-    |orbit|, and the ideal stabilizer is |Stab| times the orbit points in
-    p's Galois class.  Stab lies in the ideal stabilizer and contains W_Z
-    if W_Z's simple reflections fix p's rows: the three are one exactly
-    when they do and the three orders are equal."""
+    |orbit|, and the ideal stabilizer is |Stab| times the conjugates of p
+    in the orbit (_conjugates_in_orbit).  Stab lies in the ideal stabilizer
+    and contains W_Z if W_Z's simple reflections fix p's rows: the three
+    are one exactly when they do and the three orders are equal."""
     desc = support(p)
     if not desc.connected:
         raise ValueError("stabilizer comparison needs a connected support")
     m, zeta_row, prime_rows = p.rows
-    key, primes = _galois_key(p.rows), [prime for prime, _ in prime_rows]
     rows = (zeta_row, *(row for _, row in prime_rows))
     points = row_orbit(d, rows, m)
     geometric = weyl_order(d) // len(points)
-    ideal = geometric * sum(_galois_key((m, z, tuple(zip(primes, rs)))) == key
-                            for z, *rs in points)
+    ideal = geometric * _conjugates_in_orbit(p.rows, points)
     levi = centralizer_subsystem(d, desc.kernel_lattice)
     subsystem = weyl_order(levi.datum)
     fixed = len(row_orbit(levi.datum, rows, m)) == 1

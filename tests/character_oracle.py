@@ -8,9 +8,12 @@ exactly, and the quotient is halved back.
 
 from fractions import Fraction
 
-from repring.lattice import det, mat_vec
+from orbit_oracle import weyl_group
+from reflection_oracle import det
+
+from repring.lattice import mat_vec
 from repring.laurent import LaurentPoly, exact_divide
-from repring.rootdata import two_rho, weyl_group
+from repring.rootdata import two_rho
 
 
 def alternating_sum_character(d, weight) -> LaurentPoly:

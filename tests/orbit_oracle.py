@@ -1,10 +1,11 @@
 """Whole-orbit and per-element references for |W|, fibers and stabilizers.
 
-The library counts |W| from the heights of the positive roots, walks a
-Weyl group carrying a point's integer rows, building a point only for the
-first translate of each Galois class, and counts stabilizers on the orbit
-of the point's rows.  These references do it the long way: |W| is the
-size of the free orbit of 2 rho, every group element gives a full
+The library counts |W| from the heights of the positive roots, takes a
+fiber and counts stabilizers on the orbit of the point's rows, and walks
+a Weyl group carrying those rows only where a Galois conjugate of the
+point lies in its orbit.  These references do it the long way: W is
+listed as its sorted matrices (weyl_group, the walk without rows), |W| is
+the size of the free orbit of 2 rho, every group element gives a full
 EvalPoint through weyl_translate, its rows through an inverse computed by
 lattice.mat_inverse_unimodular, Galois keys are read off the points with
 a search over every unit, stabilizers are sets of matrices (the
@@ -18,6 +19,7 @@ as packed integer keys (_check_probe_terms).
 
 import sys
 from array import array
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
@@ -29,8 +31,27 @@ from repring.invariants import orbit_sum
 from repring.lattice import mat_inverse_unimodular, mat_mul, transpose
 from repring.laurent import LaurentPoly
 from repring.rootdata import (RootDatum, all_roots, dominant_representative, orbit, two_rho,
-                              weyl_group)
+                              weyl_walk)
 from repring.spectrum import EvalPoint, evaluate_char
+
+
+@dataclass(frozen=True)
+class WeylGroup:
+    """A finite reflection group given by explicit matrices; one walked from
+    reflections lists them sorted, whatever order the walk reached them in."""
+
+    rank: int
+    elements: tuple
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+
+def weyl_group(d: RootDatum, cap: int | None = None) -> WeylGroup:
+    """W as its sorted elements: weyl_walk without rows, refused over cap
+    (WEYL_ORDER_CAP, read at call time, when not given) as weyl_walk is."""
+    return WeylGroup(d.rank, tuple(m for m, _ in weyl_walk(d, (), cap)))
 
 
 def weyl_translate(w, p: EvalPoint) -> EvalPoint:

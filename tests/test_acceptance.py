@@ -11,7 +11,8 @@ import random
 import time
 from fractions import Fraction
 
-from orbit_oracle import stabilizers, subsystem_elements
+from orbit_oracle import stabilizers, subsystem_elements, weyl_group
+from reflection_oracle import det
 
 from repring.cli import run as cli_run
 from repring.completion import (Presentation, inversion_relations,
@@ -19,12 +20,12 @@ from repring.completion import (Presentation, inversion_relations,
                                 validate_presentation)
 from repring.invariants import (dominance_leq, dominant_weights_in_box,
                                 fundamental_character_probe, orbit_sum)
-from repring.lattice import (FinAbGroup, Sublattice, det, full_lattice,
+from repring.lattice import (FinAbGroup, Sublattice, full_lattice,
                              hermite_normal_form, mat_mul, saturate,
                              smith_normal_form)
 from repring.laurent import LaurentPoly, exact_divide
 from repring.rootdata import (fundamental_group, gl_datum, positive_roots,
-                              standard_datum, torus_datum, weyl_group)
+                              standard_datum, torus_datum)
 from repring.spectrum import (EvalPoint, fiber_over_RG, parse_point,
                               stabilizer_check, support)
 from repring.twist import (twist_augmentation_check,

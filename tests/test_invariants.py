@@ -13,6 +13,7 @@ from itertools import product as boxes
 
 import pytest
 from character_oracle import alternating_sum_character
+from orbit_oracle import weyl_group
 from reflection_oracle import simple_reflections
 
 from repring import invariants
@@ -24,7 +25,7 @@ from repring.lattice import mat_vec
 from repring.laurent import LaurentPoly, Span, augmentation, weyl_act
 from repring.rootdata import (all_roots, gl_datum, is_dominant, is_invariant,
                               positive_roots, product, standard_datum,
-                              torus_datum, two_rho, weyl_group)
+                              torus_datum, two_rho)
 
 
 def dimension_formula(d, lam):

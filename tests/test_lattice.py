@@ -14,9 +14,10 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from reflection_oracle import det
 
 from repring.lattice import (FinAbGroup, Sublattice, coset_representative,
-                             det, full_lattice, hermite_normal_form,
+                             full_lattice, hermite_normal_form,
                              identity_matrix, is_member, kernel, mat_mul,
                              mat_vec, quotient_group, saturate,
                              smith_normal_form)

@@ -46,15 +46,16 @@ from repring.completion import _cut  # noqa: E402
 from repring.cyclotomic import Cyclo, euler_phi  # noqa: E402
 from repring.laurent import (LaurentPoly, Span, coefficient_row, exact_divide,  # noqa: E402
                              render, weyl_act)
-from repring.lattice import (det, identity_matrix, kernel, mat_inverse_unimodular,  # noqa: E402
+from repring.lattice import (identity_matrix, kernel, mat_inverse_unimodular,  # noqa: E402
                              mat_mul, mat_vec, smith_normal_form)
 from repring.linalg import rank as q_rank, solve_coordinates  # noqa: E402
 from repring.poly import Poly, grevlex_key, monomial_values, monomials_below  # noqa: E402
 from repring.rootdata import (is_invariant, product, standard_datum, torus_datum,  # noqa: E402
-                              weyl_group, weyl_order)
+                              weyl_order)
 from repring.spectrum import EvalPoint, _evaluate, _prepare, parse_point, render_point  # noqa: E402
-from orbit_oracle import _check_probe_terms, probe_signature, weyl_order_by_orbit  # noqa: E402
-from reflection_oracle import simple_reflections  # noqa: E402
+from orbit_oracle import (_check_probe_terms, probe_signature, weyl_group,  # noqa: E402
+                          weyl_order_by_orbit)
+from reflection_oracle import det, simple_reflections  # noqa: E402
 from render_oracle import render as render_by_growing  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)

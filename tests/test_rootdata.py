@@ -18,14 +18,14 @@ import threading
 from fractions import Fraction
 
 import pytest
-from orbit_oracle import weyl_order_by_orbit
-from reflection_oracle import reflection_matrix, simple_reflections
+from orbit_oracle import weyl_group, weyl_order_by_orbit
+from reflection_oracle import det, reflection_matrix, simple_reflections
 
 from repring import rootdata
 from repring.errors import ResourceCapError
 from repring.invariants import decompose_into_orbit_sums
 from repring.laurent import LaurentPoly
-from repring.lattice import (Sublattice, det, full_lattice, is_member, mat_mul, mat_vec,
+from repring.lattice import (Sublattice, full_lattice, is_member, mat_mul, mat_vec,
                              saturate, transpose)
 from repring.linalg import solve_coordinates
 from repring.rootdata import (RootDatum, all_roots, centralizer_subsystem,
@@ -33,7 +33,7 @@ from repring.rootdata import (RootDatum, all_roots, centralizer_subsystem,
                               fundamental_group, gl_datum,
                               is_derived_simply_connected, is_dominant, orbit,
                               positive_roots, product, standard_datum,
-                              torus_datum, two_rho, weyl_group, weyl_order, weyl_walk)
+                              torus_datum, two_rho, weyl_order, weyl_walk)
 
 
 def test_cartan_matrices_frozen():

@@ -13,7 +13,7 @@ from math import gcd
 import pytest
 from orbit_oracle import (_check_probe_terms, _invariant_probe, evaluate_by_terms, fiber_points,
                           least_unit_multiple, probe_signature, stabilizers, subsystem_elements,
-                          translate_rows, weyl_translate)
+                          translate_rows, weyl_group, weyl_translate)
 
 from repring import rootdata
 from repring.cyclotomic import Cyclo, demote
@@ -21,7 +21,7 @@ from repring.lattice import (FinAbGroup, Sublattice, is_member, mat_inverse_unim
                              mat_mul, mat_vec)
 from repring.laurent import LaurentPoly
 from repring.rootdata import (LeviDatum, all_roots, product, standard_datum, torus_datum,
-                              weyl_group, weyl_order)
+                              weyl_order)
 from repring.spectrum import (EvalPoint, _galois_key, evaluate_char, evaluate_poly,
                               fiber_over_RG, parse_coordinate, parse_point, render_point,
                               render_rows, stabilizer_check, support)
@@ -486,7 +486,7 @@ def test_fiber_and_stabilizers_match_a_walk_over_full_points():
         assert any(p.torsion_order > 1 for p in points)
         assert any(e < 0 for p in points for coord in p.rational for _, e in coord)
         for p in points:
-            assert fiber_over_RG(d, p) == [q.rows for q in fiber_points(d, p)]
+            assert fiber_over_RG(d, p) == sorted(q.rows for q in fiber_points(d, p))
             if support(p).connected:
                 report = stabilizer_check(d, p)
                 geo, idl = stabilizers(d, p)
@@ -645,13 +645,22 @@ def break_one_step(monkeypatch, d, change):
     return hits
 
 
-@pytest.mark.parametrize("label, rank, point", [("C", 3, "2,3,5"), ("G", 2, "2,zeta(3)^1*3")])
+def assert_walks(d, p):
+    """Fewer fiber members than orbit points: a Galois conjugate of p lies in
+    its orbit, so the fiber at p walks W."""
+    m, zeta_row, prime_rows = p.rows
+    orbit = rootdata.row_orbit(d, (zeta_row, *(row for _, row in prime_rows)), m)
+    assert len(fiber_over_RG(d, p)) < len(orbit)
+
+
+@pytest.mark.parametrize("label, rank, point", [("D", 4, "zeta(3)^2,1,6,5^2"),
+                                                ("C", 3, "2,3,zeta(4)^1*3")])
 def test_the_fiber_probe_check_fires_on_a_wrong_translate(monkeypatch, label, rank, point):
-    # One non-identity element's translate comes back with its first prime
-    # row negated: it leaves the orbit of p's rows, or another translate
-    # is missed.
+    # At points whose fiber walks W, one non-identity element's translate
+    # comes back with its first prime row negated: it leaves the orbit of
+    # p's rows, or another translate is missed.
     d, p = standard_datum(label, rank), parse_point(point, rank)
-    assert len(fiber_over_RG(d, p)) == weyl_order(d)
+    assert_walks(d, p)
     hits = break_one_step(monkeypatch, d, lambda rows: (rows[0], tuple(-x for x in rows[1]),
                                                         *rows[2:]))
     with pytest.raises(AssertionError, match=ORBIT_MISMATCH):
@@ -660,11 +669,12 @@ def test_the_fiber_probe_check_fires_on_a_wrong_translate(monkeypatch, label, ra
 
 
 def test_the_fiber_probe_check_fires_on_a_zeta_row_off_by_one(monkeypatch):
-    # At G2 2,zeta(3)^1*3 (m = 3) one non-identity element's translate comes
-    # back with its first zeta entry moved by 1 mod m and its prime rows
-    # right: only its torsion row tells it from the orbit of p's rows.
-    d, p = standard_datum("G", 2), parse_point("2,zeta(3)^1*3", 2)
-    assert p.torsion_order == 3 and len(fiber_over_RG(d, p)) == weyl_order(d)
+    # At C2 1,zeta(4)^1 (m = 4), whose fiber walks W, one non-identity
+    # element's translate comes back with its first zeta entry moved by 1
+    # mod m: only its torsion row is wrong.
+    d, p = standard_datum("C", 2), parse_point("1,zeta(4)^1", 2)
+    assert p.torsion_order == 4
+    assert_walks(d, p)
     hits = break_one_step(monkeypatch, d, lambda rows: ((rows[0][0] + 1, *rows[0][1:]),
                                                         *rows[1:]))
     with pytest.raises(AssertionError, match=ORBIT_MISMATCH):
@@ -688,16 +698,45 @@ def test_every_weyl_element_gives_the_points_probe_signature(label, rank):
 
 
 def test_the_fiber_refuses_a_walk_that_misses_an_element(monkeypatch):
-    # At a point with a trivial stabilizer every element of W gives its own
-    # translate, so a walk without its last element misses one orbit point:
-    # the translates must be the whole orbit, not a part of it.
+    # At C2 zeta(6)^1,zeta(5)^1 the stabilizer is trivial and the fiber
+    # walks W, so every element of W gives its own translate and a walk
+    # without its last element misses one orbit point: the translates must
+    # be the whole orbit, not a part of it.
     from repring import spectrum
-    d, p = standard_datum("C", 3), parse_point("2,3,5", 3)
-    assert len(fiber_over_RG(d, p)) == weyl_order(d)
+    d, p = standard_datum("C", 2), parse_point("zeta(6)^1,zeta(5)^1", 2)
+    assert len(rootdata.row_orbit(d, [p.rows[1]], p.rows[0])) == weyl_order(d)
+    assert_walks(d, p)
     real = spectrum.weyl_walk
     monkeypatch.setattr(spectrum, "weyl_walk", lambda *args: real(*args)[:-1])
     with pytest.raises(AssertionError, match=ORBIT_MISMATCH):
         fiber_over_RG(d, p)
+
+
+@pytest.mark.parametrize("label, rank, point", [("A", 2, "zeta(3)^1*2,3"),
+                                                ("G", 2, "2,zeta(3)^1*3"),
+                                                ("C", 3, "2,3,5")])
+@pytest.mark.parametrize("wrong", ["reflection", "modulus"])
+def test_a_wrong_compiled_row_move_is_refused_on_the_orbit_path(monkeypatch, label, rank,
+                                                                point, wrong):
+    # The fiber at these points is their orbit and walks no W; a generated
+    # move over all of a point's rows that applies s in place of s^T, or
+    # takes the zeta row mod the wrong modulus (none where m > 1, 7 where
+    # m = 1), is refused by fiber and stabilizer alike.
+    d, p = standard_datum(label, rank), parse_point(point, rank)
+    assert len(fiber_over_RG(d, p)) == weyl_order(d) and support(p).connected
+    real = rootdata._compile
+
+    def corrupt(root, coroot, copies=1, modulus=0):
+        if copies == 1 and not modulus:
+            return real(root, coroot)
+        if wrong == "modulus":
+            return real(root, coroot, copies, 0 if modulus else 7)
+        return real(coroot, root, copies, modulus)
+
+    monkeypatch.setattr(rootdata, "_compile", corrupt)
+    for command in (fiber_over_RG, stabilizer_check):
+        with pytest.raises(AssertionError, match="transpose is not adjoint"):
+            command(standard_datum(label, rank), p)
 
 
 @pytest.mark.parametrize("label, rank, point", [("A", 2, "2,3"), ("G", 2, "2,zeta(3)^1*3")])
@@ -756,7 +795,7 @@ def test_the_integer_probe_check_agrees_with_the_tuple_signatures(label, rank):
     assert max(p.torsion_order for p in points) == 60
     outcomes = set()
     for p in points:
-        assert fiber_over_RG(d, p) == [q.rows for q in fiber_points(d, p)]
+        assert fiber_over_RG(d, p) == sorted(q.rows for q in fiber_points(d, p))
         base = probe_signature(p.rows, probes)
         translates = [translate_rows(p, m) for m in elements]
         _check_probe_terms(probes, p.rows, translates)
