@@ -136,7 +136,7 @@ def _twist_check(d: RootDatum, p: EvalPoint, args) -> dict:
 def _nal_check(case: dict, j_max: int, args) -> dict:
     report = local_isomorphism_check(case["datum"], case["point"],
                                      case["source"], case["target"],
-                                     case["restriction"], j_max)
+                                     case["restriction"], j_max, case["levi"])
     return {
         "all_passed": report.all_passed,
         "restriction_valid": report.restriction_valid,
@@ -175,6 +175,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Subcommands copy -h and the datum options, each action built once.
+    datum = argparse.ArgumentParser()
+    _add_datum_args(datum)
     parser = _Parser(
         prog="repring",
         description="Exact computations with root data and invariant rings.")
@@ -191,9 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ("character", _character, False, ["weight"]),
         ("twist-check", _twist_check, True, ["height"]),
     ]:
-        sub = subs.add_parser(name)
+        sub = subs.add_parser(name, parents=[datum], add_help=False)
         sub.set_defaults(handler=handler)
-        _add_datum_args(sub)
         if needs_point:
             sub.add_argument("--point", required=True,
                              help="comma-separated coordinate literals")
@@ -214,9 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
     nal.add_argument("--j-max", type=int, default=None,
                      help="override the truncation level bound from the case")
 
-    val = subs.add_parser("validate")
+    val = subs.add_parser("validate", parents=[datum], add_help=False)
     val.set_defaults(handler=_validate)
-    _add_datum_args(val)
     val.add_argument("--presentation-file", default=None,
                      help="JSON presentation to validate against the datum")
     val.add_argument("--height", type=int, default=2,

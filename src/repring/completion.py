@@ -442,9 +442,9 @@ class LocalIsoReport:
         return self.restriction_valid and all(l.isomorphic for l in self.levels)
 
 
-def local_isomorphism_check(d: RootDatum, p: EvalPoint,
-                            source: Presentation, target: Presentation,
-                            restriction: list, j_max: int) -> LocalIsoReport:
+def local_isomorphism_check(d: RootDatum, p: EvalPoint, source: Presentation,
+                            target: Presentation, restriction: list, j_max: int,
+                            levi: LeviDatum | None = None) -> LocalIsoReport:
     """Compare completions of the two presented rings at the point.
 
     The source presents the full invariant ring, the target presents the
@@ -454,8 +454,8 @@ def local_isomorphism_check(d: RootDatum, p: EvalPoint,
     up to j_max, both sides are truncated by the j-th power of the
     point's maximal ideal and the induced map is checked to be a
     surjection between spaces of equal dimension, hence an isomorphism.
-    The support must be connected, otherwise no subtorus centralizer
-    controls the point and the comparison is refused.
+    A disconnected support, which no subtorus centralizer controls, is
+    refused; a caller holding the centralizer (load_case_config) passes levi.
 
     Each side is expanded around the point once, as one shifted Macaulay
     echelon at degree j_max (see _MacaulayEchelon), and every level is
@@ -470,11 +470,12 @@ def local_isomorphism_check(d: RootDatum, p: EvalPoint,
     """
     if j_max < 1:
         raise ValueError("need at least one truncation level")
-    sup = support(p)
-    if not sup.connected:
-        raise ValueError("point support is disconnected; "
-                         "no centralizer comparison is available")
-    levi = centralizer_subsystem(d, sup.kernel_lattice)
+    if levi is None:
+        sup = support(p)
+        if not sup.connected:
+            raise ValueError("point support is disconnected; "
+                             "no centralizer comparison is available")
+        levi = centralizer_subsystem(d, sup.kernel_lattice)
     rest = [target.parse(t) if isinstance(t, str) else t for t in restriction]
     if len(rest) != source.num_gens:
         raise ValueError("need one restriction image per source generator")

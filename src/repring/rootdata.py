@@ -404,14 +404,12 @@ def dominant_representative(d: RootDatum, v) -> tuple[int, ...]:
                            f"{ROOT_CLOSURE_CAP} steps")
 
 
-def coroot_lattice(d: RootDatum) -> Sublattice:
-    """Sublattice of the cocharacter lattice spanned by all coroots."""
-    return Sublattice(d.rank, [av for _, av in all_roots(d)])
-
-
 def fundamental_group(d: RootDatum) -> FinAbGroup:
-    """Cocharacters modulo the coroot lattice, in invariant-factor form."""
-    return quotient_group(d.rank, coroot_lattice(d))
+    """Cocharacters modulo the coroot lattice, in invariant-factor form.  The
+    closure runs first, to refuse what it refuses, but the simple coroots span
+    the lattice: each closure step adds a multiple of one to a coroot."""
+    all_roots(d)
+    return quotient_group(d.rank, Sublattice(d.rank, d.simple_coroots))
 
 
 def is_derived_simply_connected(d: RootDatum) -> bool:

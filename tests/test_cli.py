@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from repring import rootdata
+from repring import completion, rootdata
 from repring.cli import run
 from repring.completion import MACAULAY_COLUMN_CAP
 
@@ -636,6 +636,18 @@ def test_each_datum_is_closed_at_most_once_per_op(monkeypatch, capsys, argv):
         # Each op closes afresh: nothing is kept across runs.
         assert closed
         assert max(Counter(map(id, closed)).values()) == 1, argv
+
+
+def test_nal_check_finds_the_support_and_centralizer_once(monkeypatch, capsys):
+    # The loaded case carries its centralizer into the comparison.
+    calls = Counter()
+    for name in ("support", "centralizer_subsystem"):
+        def counting(*args, _name=name, _fn=getattr(completion, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(completion, name, counting)
+    assert invoke(capsys, ["nal-check", "--case", SL3_CASE, "--j-max", "2"])[0] == 0
+    assert calls == {"support": 1, "centralizer_subsystem": 1}
 
 
 def test_validate_weyl_order_matches_the_closed_form(capsys):

@@ -26,7 +26,7 @@ from repring.errors import ResourceCapError
 from repring.invariants import decompose_into_orbit_sums
 from repring.laurent import LaurentPoly
 from repring.lattice import (Sublattice, full_lattice, is_member, mat_mul, mat_vec,
-                             saturate, transpose)
+                             quotient_group, saturate, transpose)
 from repring.linalg import solve_coordinates
 from repring.rootdata import (RootDatum, all_roots, centralizer_subsystem,
                               datum_from_dict, dominant_representative,
@@ -384,6 +384,20 @@ def test_fundamental_group_table():
     assert (g.free_rank, g.invariant_factors) == (0, ())
     g = fundamental_group(standard_datum("B", 2, "adjoint"))
     assert (g.free_rank, g.invariant_factors) == (0, (2,))
+
+
+def test_fundamental_group_is_the_quotient_by_all_coroots():
+    # fundamental_group divides by the simple coroots alone; they must
+    # span what every coroot of the closure spans.
+    affine_a2 = datum_from_dict({"rank": 2,
+                                 "simple_roots": [[2, -1], [-1, 2], [-1, -1]],
+                                 "simple_coroots": [[1, 0], [0, 1], [-1, -1]]})
+    data = [standard_datum(label, rank, variant) for label, rank, variant in BUILTINS]
+    data += [gl_datum(n) for n in (1, 2, 3)] + [torus_datum(r) for r in (0, 1, 3)]
+    data += [product(standard_datum("B", 2, "adjoint"), gl_datum(2)), affine_a2]
+    for d in data:
+        coroots = Sublattice(d.rank, [av for _, av in all_roots(d)])
+        assert fundamental_group(d) == quotient_group(d.rank, coroots), d.name
 
 
 def test_simply_connected_detection():
