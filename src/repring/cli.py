@@ -67,6 +67,8 @@ def _add_datum_args(sub: argparse.ArgumentParser) -> None:
 
 def _under_cap(d: RootDatum, cap: int | None, *readers) -> list:
     """Each reader's value on d under the --cap override, which a cap error names."""
+    if cap is not None and cap < 0:
+        raise ValueError(f"--cap must be nonnegative, got {cap}")
     try:
         return [read(d) if cap is None else read(d, cap) for read in readers]
     except ResourceCapError as exc:

@@ -8,8 +8,7 @@ a finite certificate that restriction to a centralizer subsystem is an
 isomorphism on each truncation level.  The quotients come from linear
 algebra on the relations expanded around the point (a truncated
 Macaulay matrix, as in Dayton and Zeng's and Mourrain's treatments of
-local multiplicity structure); point ideals and Groebner bases remain
-available for checking them independently.
+local multiplicity structure).
 """
 
 from __future__ import annotations
@@ -19,13 +18,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import Cyclo, cyclotomic_polynomial
+from .cyclotomic import Cyclo
 from .errors import ResourceCapError
-from .groebner import groebner
 from .invariants import dominant_weights_in_box, orbit_sum
 from .laurent import LaurentPoly, Span, coefficient_row, inverse_monomial
 from .linalg import RowSpace
-from .poly import Monomial, Poly, make_elim_key, monomial_values, monomials_below, parse_poly
+from .poly import Monomial, Poly, monomial_values, monomials_below, parse_poly
 from .rootdata import (LeviDatum, RootDatum, centralizer_subsystem, is_invariant, json_int,
                        orbit, standard_datum)
 from .spectrum import EvalPoint, evaluate_poly, parse_point, support
@@ -209,56 +207,6 @@ def validate_presentation(pres: Presentation, d: RootDatum,
                               spans_orbit_sums=spans,
                               degree_bound=bound,
                               all_passed=ok)
-
-
-def _value_to_z_poly(value, nvars: int, order: int) -> Poly:
-    """Rewrite a scalar as a polynomial in the first variable z.
-
-    Rational scalars become constants; cyclotomic scalars of compatible
-    order become polynomials in z of degree below phi(order).
-    """
-    if isinstance(value, (int, Fraction)):
-        return Poly.constant(nvars, Fraction(value))
-    assert isinstance(value, Cyclo)
-    return Poly(nvars, {(k,) + (0,) * (nvars - 1): q
-                        for k, q in enumerate(value.promote(order).coords) if q})
-
-
-def point_ideal(pres: Presentation, p: EvalPoint) -> list[Poly]:
-    """Generators of the maximal ideal of evaluation at the point.
-
-    Each presentation variable is pinned to its value at the point.  For
-    rational values the ideal is generated by the obvious differences.
-    Cyclotomic values are handled by adjoining one auxiliary variable z
-    satisfying the relevant cyclotomic polynomial and eliminating it,
-    which yields the kernel of evaluation as an ideal over the
-    rationals.
-    """
-    if p.rank != pres.rank:
-        raise ValueError("point rank does not match presentation rank")
-    values = [evaluate_poly(p, img) for img in pres.laurent_values()]
-    nv = pres.num_vars
-    if all(isinstance(v, (int, Fraction)) for v in values):
-        return [Poly.variable(nv, i) - Poly.constant(nv, Fraction(v))
-                for i, v in enumerate(values)]
-    order = math.lcm(*(v.order for v in values if isinstance(v, Cyclo)))
-    total = nv + 1
-    cyc = cyclotomic_polynomial(order)
-    gens = [Poly(total, {
-        tuple([k] + [0] * nv): Fraction(c) for k, c in enumerate(cyc) if c
-    })]
-    for i, v in enumerate(values):
-        var = Poly.variable(total, i + 1)
-        gens.append(var - _value_to_z_poly(v, total, order))
-    gb = groebner(gens, key=make_elim_key(1))
-    out = []
-    for g in gb.polys:
-        if any(e[0] != 0 for e in g.terms):
-            continue
-        out.append(Poly(nv, {e[1:]: c for e, c in g.terms.items()}))
-    if not out:
-        raise AssertionError("elimination produced no rational relations")
-    return out
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product
 from operator import add, mul, sub
 
-from .laurent import LaurentPoly, Span, augmentation
+from .laurent import LaurentPoly, Span
 from .linalg import solve_coordinates
 from .poly import monomial_values, monomials_below
 from .rootdata import (RootDatum, dominant_representative, is_dominant, is_invariant,
@@ -99,10 +99,6 @@ def weyl_character(d: RootDatum, weight) -> LaurentPoly:
     if not is_invariant(d, terms):
         raise AssertionError("character failed the invariance check")
     return LaurentPoly._normal(d.rank, terms)
-
-
-def character_dimension(d: RootDatum, weight) -> Fraction:
-    return augmentation(weyl_character(d, weight))
 
 
 def dominant_weights_in_box(d: RootDatum, height_bound: int) -> list[tuple[int, ...]]:

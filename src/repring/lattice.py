@@ -2,11 +2,10 @@
 
 Matrices are row-major sequences of integer rows with arbitrary-precision
 entries: lists and tuples are both accepted, and results are lists.  The
-row Hermite form is the one integer elimination: the Smith form, the
-unimodular inverse and kernels are read off Hermite forms, and so are
-the lattice operations built on top of them: saturation, membership
-tests, and finitely generated abelian quotients in invariant-factor
-form.
+row Hermite form is the one integer elimination: the Smith form and
+kernels are read off Hermite forms, and so are the lattice operations
+built on top of them: saturation, membership tests, and finitely
+generated abelian quotients in invariant-factor form.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from operator import mul
 
 
 Matrix = list[list[int]]
-Vector = list[int]
 
 
 def _shape(a: Matrix) -> tuple[int, int]:
@@ -41,34 +39,9 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    _, cols = _shape(a)
-    if len(v) != cols:
-        raise ValueError("vector length does not match matrix width")
-    return [sum(map(mul, row, v)) for row in a]
-
-
 def transpose(a: Matrix) -> Matrix:
     rows, cols = _shape(a)
     return [[a[i][j] for i in range(rows)] for j in range(cols)]
-
-
-def mat_inverse_unimodular(a: Matrix) -> Matrix:
-    """Invert an integer matrix with determinant +-1.
-
-    The inverse is the U of the Hermite form U * a = I.  Raises
-    ValueError if the matrix is singular or not unimodular (the inverse
-    would not be integral).
-    """
-    n, m = _shape(a)
-    if n != m:
-        raise ValueError("cannot invert a non-square matrix")
-    h, u = hermite_normal_form(a)
-    if n and not any(h[-1]):
-        raise ValueError("matrix is singular")
-    if h != identity_matrix(n):
-        raise ValueError("matrix is not unimodular; inverse is not integral")
-    return u
 
 
 def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:

@@ -3,9 +3,9 @@
 A polynomial of rank r maps exponent vectors in Z^r to nonzero
 coefficients in cyclotomic.demote's normal form (an int, a non-integral
 Fraction, or a cyclotomic number), so integer polynomials stay in ints.
-This is the character-ring workhorse: group elements act by relabelling
-exponents, the augmentation sums coefficients, and exact division by
-leading-term cancellation recovers quotients such as Weyl characters.
+This is the character-ring workhorse: the augmentation sums
+coefficients, and exact division by leading-term cancellation recovers
+quotients such as Weyl characters.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from itertools import chain
 from operator import add, neg, sub
 
 from .cyclotomic import Cyclo, demote
-from .lattice import Matrix, mat_vec
 from .linalg import RowSpace
 
 
@@ -106,22 +105,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            base = inverse_monomial(self)
-            n = -n
-        else:
-            base = self
-        result = type(self).one(self.rank)
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly(self.rank, {(0,) * self.rank: other})
@@ -196,11 +179,6 @@ def _sum_terms(out: dict, pairs) -> dict:
         elif acc is not None:
             del out[e]
     return out
-
-
-def weyl_act(matrix: Matrix, f: LaurentPoly) -> LaurentPoly:
-    """Relabel exponents by an integer matrix: e^n -> e^(matrix @ n)."""
-    return LaurentPoly(f.rank, ((mat_vec(matrix, e), c) for e, c in f.terms.items()))
 
 
 def coefficient_row(f: LaurentPoly, index: dict) -> list:

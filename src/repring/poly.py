@@ -4,9 +4,7 @@ These are ordinary (nonnegative-exponent, rational) polynomials used by
 presentations and the Groebner-basis machinery: the special case of the
 Laurent polynomials of the laurent module whose arithmetic they share.
 Monomial orders are key functions mapping an exponent tuple to a
-sortable value; graded reverse lexicographic is the default everywhere,
-and a block order eliminating a leading variable group supports the
-point-ideal computation.
+sortable value; graded reverse lexicographic is the default everywhere.
 """
 
 from __future__ import annotations
@@ -49,48 +47,6 @@ class Poly(LaurentPoly):
         e[i] = 1
         return cls(nvars, {tuple(e): Fraction(1)})
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
-        return super().__pow__(n)
-
-    def substitute(self, values: list) -> object:
-        """Evaluate with arbitrary ring elements (anything with + and *)."""
-        if len(values) != self.nvars:
-            raise ValueError("need one value per variable")
-        total = None
-        for e, c in sorted(self.terms.items()):
-            term = None
-            for v, k in zip(values, e):
-                for _ in range(k):
-                    term = v if term is None else term * v
-            contrib = c if term is None else term * c
-            total = contrib if total is None else total + contrib
-        if total is None:
-            return Fraction(0)
-        return total
-
-    def render(self, names: list[str]) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, key=grevlex_key, reverse=True):
-            c = self.terms[e]
-            mono = "*".join(f"{names[i]}^{k}" if k > 1 else names[i]
-                            for i, k in enumerate(e) if k)
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
-
 
 def grevlex_key(e: Monomial):
     """Graded reverse lexicographic order as a sort key (larger sorts last)."""
@@ -125,21 +81,6 @@ def monomial_values(values: list[LaurentPoly], exponents, cut=None) -> list[Laur
             value = values[k] if prev == zero else table[prev] * values[k]
             table[e] = value if cut is None else cut(value)
     return [table[e] for e in exponents]
-
-
-def make_elim_key(block: int):
-    """Block order eliminating the first `block` variables.
-
-    Any monomial involving an eliminated variable beats any that does
-    not, so basis elements free of the block generate the elimination
-    ideal.
-    """
-    def key(e: Monomial):
-        head = e[:block]
-        tail = e[block:]
-        return (sum(head), tuple(-x for x in reversed(head)),
-                sum(tail), tuple(-x for x in reversed(tail)))
-    return key
 
 
 _TOKEN_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?$")

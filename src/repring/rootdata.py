@@ -412,10 +412,6 @@ def fundamental_group(d: RootDatum) -> FinAbGroup:
     return quotient_group(d.rank, Sublattice(d.rank, d.simple_coroots))
 
 
-def is_derived_simply_connected(d: RootDatum) -> bool:
-    return fundamental_group(d).is_torsion_free
-
-
 def positive_roots(d: RootDatum) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The (root, coroot) pairs whose root is a nonnegative combination
     of the simple roots: those of positive height."""

@@ -13,7 +13,7 @@ rows, or a walk over W whose translates must be that orbit.
 from __future__ import annotations
 
 import re
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -38,15 +38,13 @@ class EvalPoint:
     pairs with nonzero exponents, encoding a positive rational.  The same
     data in integers, rows, are computed once per point; evaluation,
     supports, Galois keys and Weyl translates read them.  Torsion is
-    checked in integers; primes in proven_primes (a validated source
-    point's) skip trial division.
+    checked in integers.
     """
 
     torsion: tuple[Fraction, ...]
     rational: tuple[tuple[tuple[int, int], ...], ...]
-    proven_primes: InitVar[frozenset] = frozenset()
 
-    def __post_init__(self, proven_primes) -> None:
+    def __post_init__(self) -> None:
         if len(self.torsion) != len(self.rational):
             raise ValueError("torsion and rational parts must have equal length")
         for t in self.torsion:
@@ -54,7 +52,7 @@ class EvalPoint:
                 raise ValueError("torsion entries must lie in [0, 1)")
         for coord in self.rational:
             for p, e in coord:
-                if p not in proven_primes and not _is_prime(p):
+                if not _is_prime(p):
                     raise ValueError(f"{p} is not prime")
                 if e == 0:
                     raise ValueError("zero exponents must be dropped")
@@ -196,11 +194,6 @@ def render_rows(rows) -> str:
             parts.append(str(num) if den == 1 else f"{num}/{den}")
         out.append("*".join(parts) if parts else "1")
     return ",".join(out)
-
-
-def render_point(p: EvalPoint) -> str:
-    """Canonical literal for a point; parse_point round-trips it."""
-    return render_rows(p.rows)
 
 
 def _character(rows, n) -> tuple[int, int, int]:

@@ -9,9 +9,8 @@ exactly, and the quotient is halved back.
 from fractions import Fraction
 
 from orbit_oracle import weyl_group
-from reflection_oracle import det
+from reflection_oracle import det, mat_vec
 
-from repring.lattice import mat_vec
 from repring.laurent import LaurentPoly, exact_divide
 from repring.rootdata import two_rho
 

@@ -6,18 +6,104 @@ of the point ideal, its standard monomials, and normal forms against
 it.  The map between two truncations is checked by reducing the images
 of the source's standard monomials.  This is independent of the shifted
 Macaulay echelon in `repring.completion`, so the two are compared level
-by level.
+by level.  The point ideal (with its block elimination order) and the
+term-by-term substitution, which no command needs, live here with it.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from repring.completion import point_ideal
+from repring.completion import Presentation
+from repring.cyclotomic import Cyclo, cyclotomic_polynomial
 from repring.groebner import groebner, reduce_poly, standard_monomials
 from repring.linalg import rank, solve_coordinates
-from repring.poly import Poly
+from repring.poly import Monomial, Poly
+from repring.spectrum import EvalPoint, evaluate_poly
+
+
+def substitute(f: Poly, values: list) -> object:
+    """Evaluate with arbitrary ring elements (anything with + and *)."""
+    if len(values) != f.nvars:
+        raise ValueError("need one value per variable")
+    total = None
+    for e, c in sorted(f.terms.items()):
+        term = None
+        for v, k in zip(values, e):
+            for _ in range(k):
+                term = v if term is None else term * v
+        contrib = c if term is None else term * c
+        total = contrib if total is None else total + contrib
+    if total is None:
+        return Fraction(0)
+    return total
+
+
+def make_elim_key(block: int):
+    """Block order eliminating the first `block` variables.
+
+    Any monomial involving an eliminated variable beats any that does
+    not, so basis elements free of the block generate the elimination
+    ideal.
+    """
+    def key(e: Monomial):
+        head = e[:block]
+        tail = e[block:]
+        return (sum(head), tuple(-x for x in reversed(head)),
+                sum(tail), tuple(-x for x in reversed(tail)))
+    return key
+
+
+def _value_to_z_poly(value, nvars: int, order: int) -> Poly:
+    """Rewrite a scalar as a polynomial in the first variable z.
+
+    Rational scalars become constants; cyclotomic scalars of compatible
+    order become polynomials in z of degree below phi(order).
+    """
+    if isinstance(value, (int, Fraction)):
+        return Poly.constant(nvars, Fraction(value))
+    assert isinstance(value, Cyclo)
+    return Poly(nvars, {(k,) + (0,) * (nvars - 1): q
+                        for k, q in enumerate(value.promote(order).coords) if q})
+
+
+def point_ideal(pres: Presentation, p: EvalPoint) -> list[Poly]:
+    """Generators of the maximal ideal of evaluation at the point.
+
+    Each presentation variable is pinned to its value at the point.  For
+    rational values the ideal is generated by the obvious differences.
+    Cyclotomic values are handled by adjoining one auxiliary variable z
+    satisfying the relevant cyclotomic polynomial and eliminating it,
+    which yields the kernel of evaluation as an ideal over the
+    rationals.
+    """
+    if p.rank != pres.rank:
+        raise ValueError("point rank does not match presentation rank")
+    values = [evaluate_poly(p, img) for img in pres.laurent_values()]
+    nv = pres.num_vars
+    if all(isinstance(v, (int, Fraction)) for v in values):
+        return [Poly.variable(nv, i) - Poly.constant(nv, Fraction(v))
+                for i, v in enumerate(values)]
+    order = math.lcm(*(v.order for v in values if isinstance(v, Cyclo)))
+    total = nv + 1
+    cyc = cyclotomic_polynomial(order)
+    gens = [Poly(total, {
+        tuple([k] + [0] * nv): Fraction(c) for k, c in enumerate(cyc) if c
+    })]
+    for i, v in enumerate(values):
+        var = Poly.variable(total, i + 1)
+        gens.append(var - _value_to_z_poly(v, total, order))
+    gb = groebner(gens, key=make_elim_key(1))
+    out = []
+    for g in gb.polys:
+        if any(e[0] != 0 for e in g.terms):
+            continue
+        out.append(Poly(nv, {e[1:]: c for e, c in g.terms.items()}))
+    if not out:
+        raise AssertionError("elimination produced no rational relations")
+    return out
 
 
 def groebner_truncation(pres, ideal_gens, level):
@@ -74,7 +160,7 @@ def groebner_levels(source, target, p, restriction, j_max):
             var_images.append(quotient_inverse(rest[i - 1], gb_t, monos_t))
         rows = []
         for e in monos_s:
-            mapped = Poly(source.num_vars, {e: Fraction(1)}).substitute(var_images)
+            mapped = substitute(Poly(source.num_vars, {e: Fraction(1)}), var_images)
             if isinstance(mapped, (int, Fraction)):
                 mapped = Poly.constant(target.num_vars, Fraction(mapped))
             rows.append(quotient_coords(mapped, gb_t, monos_t))

@@ -7,8 +7,8 @@ point lies in its orbit.  These references do it the long way: W is
 listed as its sorted matrices (weyl_group, the walk without rows), |W| is
 the size of the free orbit of 2 rho, every group element gives a full
 EvalPoint through weyl_translate, its rows through an inverse computed by
-lattice.mat_inverse_unimodular, Galois keys are read off the points with
-a search over every unit, stabilizers are sets of matrices (the
+reflection_oracle.mat_inverse_unimodular, Galois keys are read off the
+points with a search over every unit, stabilizers are sets of matrices (the
 centralizer's the dense closure of the reflections in the roots the point
 sends to 1), a polynomial is evaluated term by term, and a probe block's
 terms at rows are compared as tuples.  The fiber's former per-member
@@ -24,11 +24,11 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
 
-from reflection_oracle import reflection_matrix
+from reflection_oracle import mat_inverse_unimodular, reflection_matrix
 
 from repring.cyclotomic import Cyclo, demote
 from repring.invariants import orbit_sum
-from repring.lattice import mat_inverse_unimodular, mat_mul, transpose
+from repring.lattice import mat_mul, transpose
 from repring.laurent import LaurentPoly
 from repring.rootdata import (RootDatum, all_roots, dominant_representative, orbit, two_rho,
                               weyl_walk)
@@ -56,16 +56,14 @@ def weyl_group(d: RootDatum, cap: int | None = None) -> WeylGroup:
 
 def weyl_translate(w, p: EvalPoint) -> EvalPoint:
     """The translated point (w . p)(n) = p(w^{-1} n): p's integer rows
-    through the inverse-transpose of the integer matrix w, with p's
-    primes proven."""
+    through the inverse-transpose of the integer matrix w."""
     if len(w) != p.rank:
         raise ValueError("matrix size does not match point rank")
     inv_t = transpose(mat_inverse_unimodular(w))
     m, zeta_row, prime_rows = p.rows
     coords = tuple(tuple((prime, x) for prime, row in prime_rows if (x := sum(map(mul, r, row))))
                    for r in inv_t)
-    return EvalPoint(tuple(Fraction(sum(map(mul, r, zeta_row)) % m, m) for r in inv_t), coords,
-                     frozenset(prime for prime, _ in prime_rows))
+    return EvalPoint(tuple(Fraction(sum(map(mul, r, zeta_row)) % m, m) for r in inv_t), coords)
 
 
 def weyl_order_by_orbit(d) -> int:

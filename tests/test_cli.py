@@ -387,6 +387,16 @@ def test_double_dash_refusal_names_the_declared_option(capsys, argv, message):
      "invalid input: give either --type/--rank or --datum-file, not both"),
     (["nal-check", "--case", "no-such-file.json", "--j-max", "-1"], 2,
      "invalid input: [Errno 2] No such file or directory: 'no-such-file.json'"),
+    # A cap below 0 is invalid input, read where the command reads --cap.
+    (["roots", "--type", "A", "--rank", "2", "--cap", "-1"], 2,
+     "invalid input: --cap must be nonnegative, got -1"),
+    (["validate", "--type", "A", "--rank", "2", "--cap", "-1",
+      "--presentation-file", "no-such-file.json"], 2,
+     "invalid input: --cap must be nonnegative, got -1"),
+    (["roots", "--type", "Q", "--rank", "2", "--cap", "-1"], 2,
+     "invalid input: unknown type label 'Q'"),
+    (["validate", "--datum-file", "no-such-file.json", "--cap", "-5"], 2,
+     "invalid input: [Errno 2] No such file or directory: 'no-such-file.json'"),
 ])
 def test_the_first_bad_input_is_the_one_reported(capsys, argv, code, message):
     assert invoke(capsys, argv) == (code, "", message + "\n")

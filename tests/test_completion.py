@@ -21,9 +21,8 @@ CASES_DIR = pathlib.Path(__file__).resolve().parent.parent / "cases"
 
 from repring.completion import (LocalIsoReport, Presentation, _expand, _MacaulayEchelon,
                                 inversion_relations, load_case_config,
-                                local_isomorphism_check, point_ideal,
-                                presentation_from_config, truncated_quotient,
-                                validate_presentation)
+                                local_isomorphism_check, presentation_from_config,
+                                truncated_quotient, validate_presentation)
 from repring.groebner import groebner, ideal_membership, reduce_poly
 from repring.invariants import orbit_sum
 from repring.laurent import LaurentPoly
@@ -32,7 +31,7 @@ from repring.poly import Poly, parse_poly
 from repring.rootdata import standard_datum, torus_datum
 from repring.spectrum import EvalPoint, parse_point
 
-from groebner_oracle import groebner_levels, groebner_truncation, quotient_inverse
+from groebner_oracle import groebner_levels, groebner_truncation, point_ideal, quotient_inverse
 from rowspace_oracle import rank as oracle_rank
 
 

@@ -14,15 +14,13 @@ from itertools import product as boxes
 import pytest
 from character_oracle import alternating_sum_character
 from orbit_oracle import weyl_group
-from reflection_oracle import simple_reflections
+from reflection_oracle import mat_vec, simple_reflections, weyl_act
 
 from repring import invariants
-from repring.invariants import (_box, character_dimension, decompose_into_orbit_sums,
-                                dominance_leq, dominant_weights_in_box,
-                                fundamental_character_probe, orbit_sum,
-                                weyl_character)
-from repring.lattice import mat_vec
-from repring.laurent import LaurentPoly, Span, augmentation, weyl_act
+from repring.invariants import (_box, decompose_into_orbit_sums, dominance_leq,
+                                dominant_weights_in_box, fundamental_character_probe,
+                                orbit_sum, weyl_character)
+from repring.laurent import LaurentPoly, Span, augmentation
 from repring.rootdata import (all_roots, gl_datum, is_dominant, is_invariant,
                               positive_roots, product, standard_datum,
                               torus_datum, two_rho)
@@ -72,7 +70,7 @@ def test_sl2_characters_frozen():
         chi = weyl_character(d, (m,))
         expected = LaurentPoly(1, {(m - 2 * k,): 1 for k in range(m + 1)})
         assert chi == expected
-        assert character_dimension(d, (m,)) == m + 1
+        assert augmentation(chi) == m + 1
 
 
 def test_sl3_adjoint_character_structure():
@@ -81,7 +79,7 @@ def test_sl3_adjoint_character_structure():
     expected_terms = {tuple(a): Fraction(1) for a, _ in all_roots(d)}
     expected_terms[(0, 0)] = Fraction(2)
     assert chi == LaurentPoly(2, expected_terms)
-    assert character_dimension(d, (1, 1)) == 8
+    assert augmentation(chi) == 8
 
 
 def test_character_dimensions_against_product_formula():
@@ -89,14 +87,14 @@ def test_character_dimensions_against_product_formula():
     for label, rank in cases:
         d = standard_datum(label, rank)
         for lam in dominant_weights_in_box(d, 2):
-            dim = character_dimension(d, lam)
+            dim = augmentation(weyl_character(d, lam))
             assert dim == dimension_formula(d, lam)
 
 
 def test_g2_fundamental_dimensions():
     d = standard_datum("G", 2)
-    dims = sorted([int(character_dimension(d, (1, 0))),
-                   int(character_dimension(d, (0, 1)))])
+    dims = sorted([augmentation(weyl_character(d, (1, 0))),
+                   augmentation(weyl_character(d, (0, 1)))])
     assert dims == [7, 14]
 
 
@@ -128,13 +126,6 @@ def test_characters_read_string_weights_without_a_dominant_descent(monkeypatch):
     for label, rank, lam in [("D", 4, (1, 1, 1, 1)), ("C", 4, (1, 0, 0, 1)), ("G", 2, (1, 1))]:
         d = standard_datum(label, rank)
         assert weyl_character(d, lam).terms == alternating_sum_character(d, lam).terms
-
-
-def test_character_dimension_is_augmentation():
-    d = standard_datum("A", 2)
-    for lam in [(1, 0), (2, 0), (1, 1)]:
-        chi = weyl_character(d, lam)
-        assert augmentation(chi) == character_dimension(d, lam)
 
 
 def test_dominant_weights_in_box():

@@ -14,13 +14,12 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from reflection_oracle import det
+from reflection_oracle import det, mat_vec
 
 from repring.lattice import (FinAbGroup, Sublattice, coset_representative,
                              full_lattice, hermite_normal_form,
                              identity_matrix, is_member, kernel, mat_mul,
-                             mat_vec, quotient_group, saturate,
-                             smith_normal_form)
+                             quotient_group, saturate, smith_normal_form)
 from repring.linalg import rank as q_rank, solve_coordinates
 
 

@@ -17,7 +17,8 @@ check of tests/orbit_oracle.py passes exactly the rows whose signatures
 are equal.  `render` of a Laurent polynomial of rank 0-4 is the string
 tests/render_oracle.py grows term by term.  The generator-monomial
 primitives agree with their definitions: the degree enumerator with a
-filtered box, the monomial value table with Poly.substitute (and with
+filtered box, the monomial value table with the substitution of
+tests/groebner_oracle.py (and with
 the cut of the uncut value), and span membership with solving for
 coordinates.  At the command-line boundary, argv drawn from a small grammar of subcommands, data, point
 literals and bounds never lets an exception escape, exits 0, 2 or 3 (2
@@ -44,18 +45,18 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from repring.cli import run  # noqa: E402
 from repring.completion import _cut  # noqa: E402
 from repring.cyclotomic import Cyclo, euler_phi  # noqa: E402
-from repring.laurent import (LaurentPoly, Span, coefficient_row, exact_divide,  # noqa: E402
-                             render, weyl_act)
-from repring.lattice import (identity_matrix, kernel, mat_inverse_unimodular,  # noqa: E402
-                             mat_mul, mat_vec, smith_normal_form)
+from repring.laurent import LaurentPoly, Span, coefficient_row, exact_divide, render  # noqa: E402
+from repring.lattice import identity_matrix, kernel, mat_mul, smith_normal_form  # noqa: E402
 from repring.linalg import rank as q_rank, solve_coordinates  # noqa: E402
 from repring.poly import Poly, grevlex_key, monomial_values, monomials_below  # noqa: E402
 from repring.rootdata import (is_invariant, product, standard_datum, torus_datum,  # noqa: E402
                               weyl_order)
-from repring.spectrum import EvalPoint, _evaluate, _prepare, parse_point, render_point  # noqa: E402
+from repring.spectrum import EvalPoint, _evaluate, _prepare, parse_point, render_rows  # noqa: E402
+from groebner_oracle import substitute  # noqa: E402
 from orbit_oracle import (_check_probe_terms, probe_signature, weyl_group,  # noqa: E402
                           weyl_order_by_orbit)
-from reflection_oracle import det, simple_reflections  # noqa: E402
+from reflection_oracle import (det, mat_inverse_unimodular, mat_vec,  # noqa: E402
+                               simple_reflections, weyl_act)
 from render_oracle import render as render_by_growing  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -284,7 +285,7 @@ def test_render_matches_the_string_grown_term_by_term(f):
 @PROPERTY
 @given(points())
 def test_render_point_round_trips_through_parse_point(p):
-    assert parse_point(render_point(p), p.rank) == p
+    assert parse_point(render_rows(p.rows), p.rank) == p
 
 
 @st.composite
@@ -386,7 +387,7 @@ def variable_values(draw, low):
 def test_monomial_values_agree_with_substitution(case):
     values, exponents = case
     got = monomial_values(values, exponents)
-    assert got == [Poly(len(values), {e: 1}).substitute(values) for e in exponents]
+    assert got == [substitute(Poly(len(values), {e: 1}), values) for e in exponents]
 
 
 @PROPERTY

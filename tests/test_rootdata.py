@@ -19,19 +19,18 @@ from fractions import Fraction
 
 import pytest
 from orbit_oracle import weyl_group, weyl_order_by_orbit
-from reflection_oracle import det, reflection_matrix, simple_reflections
+from reflection_oracle import det, mat_vec, reflection_matrix, simple_reflections
 
 from repring import rootdata
 from repring.errors import ResourceCapError
 from repring.invariants import decompose_into_orbit_sums
 from repring.laurent import LaurentPoly
-from repring.lattice import (Sublattice, full_lattice, is_member, mat_mul, mat_vec,
-                             quotient_group, saturate, transpose)
+from repring.lattice import (Sublattice, full_lattice, is_member, mat_mul, quotient_group,
+                             saturate, transpose)
 from repring.linalg import solve_coordinates
 from repring.rootdata import (RootDatum, all_roots, centralizer_subsystem,
                               datum_from_dict, dominant_representative,
-                              fundamental_group, gl_datum,
-                              is_derived_simply_connected, is_dominant, orbit,
+                              fundamental_group, gl_datum, is_dominant, orbit,
                               positive_roots, product, standard_datum,
                               torus_datum, two_rho, weyl_order, weyl_walk)
 
@@ -398,14 +397,6 @@ def test_fundamental_group_is_the_quotient_by_all_coroots():
     for d in data:
         coroots = Sublattice(d.rank, [av for _, av in all_roots(d)])
         assert fundamental_group(d) == quotient_group(d.rank, coroots), d.name
-
-
-def test_simply_connected_detection():
-    assert is_derived_simply_connected(standard_datum("A", 2))
-    assert is_derived_simply_connected(standard_datum("C", 2))
-    assert not is_derived_simply_connected(standard_datum("A", 1, "adjoint"))
-    assert is_derived_simply_connected(gl_datum(3))
-    assert is_derived_simply_connected(torus_datum(2))
 
 
 def test_product_datum():

@@ -14,17 +14,17 @@ import pytest
 from orbit_oracle import (_check_probe_terms, _invariant_probe, evaluate_by_terms, fiber_points,
                           least_unit_multiple, probe_signature, stabilizers, subsystem_elements,
                           translate_rows, weyl_group, weyl_translate)
+from reflection_oracle import mat_inverse_unimodular, mat_vec
 
 from repring import rootdata
 from repring.cyclotomic import Cyclo, demote
-from repring.lattice import (FinAbGroup, Sublattice, is_member, mat_inverse_unimodular,
-                             mat_mul, mat_vec)
+from repring.lattice import FinAbGroup, Sublattice, is_member, mat_mul
 from repring.laurent import LaurentPoly
 from repring.rootdata import (LeviDatum, all_roots, product, standard_datum, torus_datum,
                               weyl_order)
 from repring.spectrum import (EvalPoint, _galois_key, evaluate_char, evaluate_poly,
-                              fiber_over_RG, parse_coordinate, parse_point, render_point,
-                              render_rows, stabilizer_check, support)
+                              fiber_over_RG, parse_coordinate, parse_point, render_rows,
+                              stabilizer_check, support)
 
 ORBIT_MISMATCH = "the fiber's translates are not the orbit of the point's rows"
 
@@ -80,14 +80,14 @@ def test_render_parse_round_trip():
     for _ in range(60):
         rank = rng.randint(1, 3)
         p = random_point(rng, rank)
-        text = render_point(p)
+        text = render_rows(p.rows)
         assert parse_point(text, rank) == p
 
 
 def test_render_frozen():
     p = parse_point("zeta(4)^1*2,1,3/10", 3)
-    assert render_point(p) == "zeta(4)^1*2,1,3/10"
-    assert render_point(EvalPoint.all_ones(2)) == "1,1"
+    assert render_rows(p.rows) == "zeta(4)^1*2,1,3/10"
+    assert render_rows(EvalPoint.all_ones(2).rows) == "1,1"
 
 
 def test_point_validation():
@@ -397,8 +397,8 @@ def test_evaluate_poly_over_several_primes_with_negative_exponents():
 
 
 def test_a_translate_passes_the_full_point_checks():
-    # weyl_translate takes the source point's primes as proven prime; every
-    # translate must still be a point that the full checks accept.
+    # Every translate is a point that the full checks accept, and equal to
+    # the point built again from its parts.
     rng = random.Random(2718)
     w = weyl_group(standard_datum("C", 3))
     for _ in range(8):
@@ -408,9 +408,7 @@ def test_a_translate_passes_the_full_point_checks():
             assert q == EvalPoint(q.torsion, q.rational)
 
 
-def test_proven_primes_skip_only_trial_division():
-    proven = frozenset({2, 3, 4})
-    assert EvalPoint((Fraction(0),), (((4, 1),),), proven).rational == (((4, 1),),)
+def test_eval_point_validation_messages():
     for torsion, rational, message in [
             ((Fraction(1, 2),), (), "equal length"),
             ((Fraction(3, 2),), ((),), r"\[0, 1\)"),
@@ -418,7 +416,7 @@ def test_proven_primes_skip_only_trial_division():
             ((Fraction(0),), (((3, 1), (2, 1)),), "sorted and distinct"),
             ((Fraction(0),), (((9, 1),),), "9 is not prime")]:
         with pytest.raises(ValueError, match=message):
-            EvalPoint(torsion, rational, proven)
+            EvalPoint(torsion, rational)
 
 
 def test_weyl_translate_evaluates_as_the_point_at_the_inverse():
