@@ -4,7 +4,7 @@ Every level's dimensions and `surjective` flag come from exact ranks of
 the shifted Macaulay echelons, so a change in how those ranks are
 computed must leave stdout byte for byte the same.  The sha256 of argv,
 exit code and stdout is pinned for the curated sl3 case at every j_max
-from 1 to 12, and for case files at points with a root-of-unity
+from 1 to 17, and for case files at points with a root-of-unity
 coordinate: sl2 onto its torus in rank one (one valid and one wrong
 restriction), sl3 at a regular point onto the rank-two torus, and a
 line through that point whose value is rational while the torus's are
@@ -12,8 +12,10 @@ not, so no level is surjective.  One more case maps sl2 onto its torus
 at the central point 1, where y1 - 2 goes into m^2, so only level one
 is reached.  Every case file, the curated one copied, is written to a
 temporary directory and named relative to it, so the path echoed on
-stdout is the same on every run.  The digests were recorded before the
-truncations' row spaces were kept in integers.
+stdout is the same on every run.  The digests up to j_max 12 were
+recorded before the truncations' row spaces were kept in integers, and
+those of j_max 13 to 17, the levels up to MACAULAY_COLUMN_CAP, before
+the shifted series were held as dense integer coefficient vectors.
 """
 
 import contextlib
@@ -56,7 +58,7 @@ CASES = {
 
 
 def invocations():
-    for j in range(1, 13):
+    for j in range(1, 18):
         yield f"sl3_levi-j{j}", ["nal-check", "--case", "sl3_levi.json", "--j-max", str(j)]
     for name in CASES:
         yield name, ["nal-check", "--case", name]
@@ -82,6 +84,11 @@ GOLDEN = {
     "sl3_levi-j10": "b0b0d05909307bdb5477c93b21eaf6581589864829027c4043cc18830d78927b",
     "sl3_levi-j11": "2984a58970a5d5cacb194126348ab59378fcb9aba8facff55c092c682f344813",
     "sl3_levi-j12": "2bb2a114d4331c55a506998ca069d5a8de08003368c05d485e10b5d04bc2d272",
+    "sl3_levi-j13": "98b79c891a0ae40dfeef535eee79d04b93afa799a3b048abaab760a890a85283",
+    "sl3_levi-j14": "445a93faf5fcef7c99b55711d0a9281a690c40d486572b857bcc7449d0d9cad5",
+    "sl3_levi-j15": "ce4ad7935e7198f17e08891b5895f6050915850118039334f2df008e25542daa",
+    "sl3_levi-j16": "91d97a3a27fa1616e95e3b268287799cdc789f60a1e09aad082416df77dd1d8b",
+    "sl3_levi-j17": "30b2aad10d4d72caa10429b8154068f5c6ab91fbd9d2bd95751344bd8a45826f",
     "a1_zeta5.json": "e033baa861db915d035d65ba142eb60418a769e0e645fcc8023502f8ede4b45b",
     "a1_zeta3_wrong.json": "9909ff9738c4b728429edea02f3a4b38cfaeeb799ffd4fb3b0898ea5d728d6df",
     "a2_zeta3.json": "645e429da2ab8605b3b0b741ec88708b407ea15de264b20fceb4a6adfc820e16",
