@@ -183,7 +183,7 @@ def _sum_terms(out: dict, pairs) -> dict:
 
 def coefficient_row(f: LaurentPoly, index: dict) -> list:
     """The coefficients of f as a dense row, one column per exponent of index."""
-    row = [Fraction(0)] * len(index)
+    row = [0] * len(index)
     for e, c in f.terms.items():
         row[index[e]] = c
     return row

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from operator import neg
+from operator import mul, neg
 
 from .cyclotomic import Cyclo
 from .laurent import LaurentPoly
@@ -62,14 +62,15 @@ def monomials_below(nvars: int, bound: int) -> list[Monomial]:
                   key=grevlex_key)
 
 
-def monomial_values(values: list[LaurentPoly], exponents, cut=None) -> list[LaurentPoly]:
+def monomial_values(values: list, exponents, one=None, product=mul) -> list:
     """The value of x^e for each exponent tuple e (a collection, read
-    twice), given each variable's value, all of one Laurent rank.  Each
-    monomial is made once: a first power is the variable's value, any
-    other the monomial with one fewer factor of its last variable times
-    that variable's value, each put through cut if given."""
+    twice), given each variable's value: LaurentPolys of one rank, or the
+    elements of another ring given its one and its product.  Each monomial
+    is made once: a first power is the variable's value, any other the
+    monomial with one fewer factor of its last variable times that
+    variable's value."""
     zero = (0,) * len(values)
-    table = {zero: LaurentPoly.one(values[0].rank if values else 0)}
+    table = {zero: LaurentPoly.one(values[0].rank if values else 0) if one is None else one}
     for e in exponents:
         steps = []
         while e not in table:
@@ -78,8 +79,7 @@ def monomial_values(values: list[LaurentPoly], exponents, cut=None) -> list[Laur
             steps.append((e, prev, k))
             e = prev
         for e, prev, k in reversed(steps):
-            value = values[k] if prev == zero else table[prev] * values[k]
-            table[e] = value if cut is None else cut(value)
+            table[e] = values[k] if prev == zero else product(table[prev], values[k])
     return [table[e] for e in exponents]
 
 
@@ -116,7 +116,7 @@ def parse_poly(text: str, names: list[str]) -> Poly:
         raise ValueError(f"dangling sign in {text!r}")
     chunks.append((sign, cur))
 
-    result = Poly.zero(nvars)
+    terms = []
     for sgn, chunk in chunks:
         coeff = Fraction(sgn)
         exps = [0] * nvars
@@ -130,5 +130,5 @@ def parse_poly(text: str, names: list[str]) -> Poly:
             if not m or m.group(1) not in idx:
                 raise ValueError(f"unknown factor {factor!r} in {text!r}")
             exps[idx[m.group(1)]] += int(m.group(2) or 1)
-        result = result + Poly(nvars, {tuple(exps): coeff})
-    return result
+        terms.append((exps, coeff))
+    return Poly(nvars, terms)

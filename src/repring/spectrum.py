@@ -25,8 +25,12 @@ from .laurent import LaurentPoly
 from .rootdata import RootDatum, centralizer_subsystem, row_orbit, weyl_order, weyl_walk
 
 
+# Primes parse_point has factored (only primes), held while it builds their point.
+_PARSED_PRIMES: set[int] = set()
+
+
 def _is_prime(n: int) -> bool:
-    return n >= 2 and next(prime_factors(n)) == n
+    return n in _PARSED_PRIMES or (n >= 2 and next(prime_factors(n)) == n)
 
 
 @dataclass(frozen=True)
@@ -171,7 +175,11 @@ def parse_point(text: str, rank: int) -> EvalPoint:
     if len(coords) != rank:
         raise ValueError(f"expected {rank} coordinates, got {len(coords)}")
     torsion, rational = zip(*map(parse_coordinate, coords))
-    return EvalPoint.from_parts(torsion, rational)
+    _PARSED_PRIMES.update(*rational)
+    try:
+        return EvalPoint.from_parts(torsion, rational)
+    finally:
+        _PARSED_PRIMES.clear()
 
 
 def render_rows(rows) -> str:

@@ -19,7 +19,7 @@ import pytest
 
 CASES_DIR = pathlib.Path(__file__).resolve().parent.parent / "cases"
 
-from repring.completion import (LocalIsoReport, Presentation, _expand, _MacaulayEchelon,
+from repring.completion import (LocalIsoReport, Presentation, _MacaulayEchelon, _SeriesRing,
                                 inversion_relations, load_case_config,
                                 local_isomorphism_check, presentation_from_config,
                                 truncated_quotient, validate_presentation)
@@ -31,8 +31,10 @@ from repring.poly import Poly, parse_poly
 from repring.rootdata import standard_datum, torus_datum
 from repring.spectrum import EvalPoint, parse_point
 
-from groebner_oracle import groebner_levels, groebner_truncation, point_ideal, quotient_inverse
+from groebner_oracle import (groebner_levels, groebner_truncation, point_ideal, quotient_inverse,
+                             substitute)
 from rowspace_oracle import rank as oracle_rank
+from series_oracle import cut, shifted
 
 
 def sl2_presentation():
@@ -439,7 +441,9 @@ def test_the_macaulay_echelon_adds_no_row_the_cut_leaves_zero(monkeypatch):
     # Columns t^a with |a| + (least degree of f(t + v)) >= the bound give
     # rows the cut leaves zero, so they are not added: the pivots and free
     # columns are those of the echelon of every column's row, on both sides
-    # of the curated case up to j_max 10.
+    # of the curated case up to j_max 10.  Those rows are built here from
+    # the LaurentPoly references (the oracles' substitute, shifted and cut),
+    # not from the echelon's dense series.
     case = load_case_config(str(CASES_DIR / "sl3_levi.json"))
     added = []
     real_add = RowSpace.add
@@ -452,11 +456,11 @@ def test_the_macaulay_echelon_adds_no_row_the_cut_leaves_zero(monkeypatch):
     for pres in (case["source"], case["target"]):
         for bound in range(1, 11):
             monkeypatch.setattr(RowSpace, "add", record_add)
-            echelon = _MacaulayEchelon(pres, case["point"], bound)
+            echelon = _MacaulayEchelon(pres, case["point"], _SeriesRing(pres.num_vars, bound))
             monkeypatch.undo()
             every = RowSpace(len(echelon.columns))
             for f in pres.relations:
-                expanded = _expand(f, echelon.shift, bound)
+                expanded = cut(substitute(f, shifted(echelon.values)), bound)
                 for a in echelon.columns:
                     every.add([expanded.terms.get(tuple(x - y for x, y in zip(e, a)), 0)
                                for e in echelon.columns])

@@ -1,8 +1,9 @@
 """The package ships what its subcommands run.
 
 References that only the tests read live in the test oracles
-(`groebner_oracle`, `reflection_oracle`), and capabilities that nothing
-called are gone.  No module of src/repring defines or imports one of
+(`groebner_oracle`, `reflection_oracle`, `series_oracle`), and
+capabilities that nothing called, or that the dense series of
+`completion` replaced, are gone.  No module of src/repring defines or imports one of
 those names, the package exports none of them, and the import edges
 that only they needed are gone: `completion` does not import `groebner`,
 `laurent` does not import `lattice`, and only `__init__` imports
@@ -15,15 +16,17 @@ import pathlib
 
 import repring
 from repring.laurent import LaurentPoly
-from repring.poly import Poly
+from repring.poly import Poly, monomial_values
 from repring.spectrum import EvalPoint
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repring"
 
-# Moved to tests/groebner_oracle.py or tests/reflection_oracle.py, or deleted.
+# Moved to tests/groebner_oracle.py, tests/reflection_oracle.py or
+# tests/series_oracle.py (`_cut` as `cut`), or deleted.
 GONE = {"point_ideal", "_value_to_z_poly", "make_elim_key", "substitute",
         "mat_inverse_unimodular", "mat_vec", "weyl_act", "character_dimension",
-        "is_derived_simply_connected", "render_point", "proven_primes"}
+        "is_derived_simply_connected", "render_point", "proven_primes",
+        "_cut", "_expand", "_series_inverse"}
 
 
 def names_and_imports(path):
@@ -58,6 +61,7 @@ def test_the_core_keeps_no_test_reference_and_no_dead_capability():
                         (LaurentPoly, "__pow__")]:
         assert not hasattr(cls, member), (cls.__name__, member)
     assert list(inspect.signature(EvalPoint).parameters) == ["torsion", "rational"]
+    assert "cut" not in inspect.signature(monomial_values).parameters
     assert "groebner" not in imports["completion"]
     assert "lattice" not in imports["laurent"]
     assert [name for name, mods in imports.items() if "groebner" in mods] == ["__init__"]

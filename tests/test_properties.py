@@ -18,9 +18,12 @@ are equal.  `render` of a Laurent polynomial of rank 0-4 is the string
 tests/render_oracle.py grows term by term.  The generator-monomial
 primitives agree with their definitions: the degree enumerator with a
 filtered box, the monomial value table with the substitution of
-tests/groebner_oracle.py (and with
-the cut of the uncut value), and span membership with solving for
-coordinates.  At the command-line boundary, argv drawn from a small grammar of subcommands, data, point
+tests/groebner_oracle.py, and span membership with solving for
+coordinates.  The dense truncated series of `nal-check` agree with the
+cut LaurentPoly reference of tests/series_oracle.py, over Fraction and
+Cyclo coefficients: monomial values cut at every product are the cut of
+the uncut values, products and expansions f(t + v) are the cut ones, and
+f times its inverse is 1 below the bound when f has a nonzero constant.  At the command-line boundary, argv drawn from a small grammar of subcommands, data, point
 literals and bounds never lets an exception escape, exits 0, 2 or 3 (2
 for an option value of "--"), repeats itself byte for byte and finishes
 in seconds.  Every test is derandomized, so a run always draws the same
@@ -43,7 +46,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from repring.cli import run  # noqa: E402
-from repring.completion import _cut  # noqa: E402
+from repring.completion import _SeriesRing  # noqa: E402
 from repring.cyclotomic import Cyclo, euler_phi  # noqa: E402
 from repring.laurent import LaurentPoly, Span, coefficient_row, exact_divide, render  # noqa: E402
 from repring.lattice import identity_matrix, kernel, mat_mul, smith_normal_form  # noqa: E402
@@ -58,6 +61,7 @@ from orbit_oracle import (_check_probe_terms, probe_signature, weyl_group,  # no
 from reflection_oracle import (det, mat_inverse_unimodular, mat_vec,  # noqa: E402
                                simple_reflections, weyl_act)
 from render_oracle import render as render_by_growing  # noqa: E402
+from series_oracle import cut, dense, shifted  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -390,12 +394,64 @@ def test_monomial_values_agree_with_substitution(case):
     assert got == [substitute(Poly(len(values), {e: 1}), values) for e in exponents]
 
 
+def series(ring, f, bound):
+    """f cut below the bound as a dense series of the ring."""
+    return dense(cut(f, bound), ring.columns)
+
+
 @PROPERTY
 @given(variable_values(0), st.integers(1, 6))
 def test_cut_monomial_values_are_the_cut_of_the_uncut_values(case, bound):
+    # The monomial values of dense series, cut at every product of the
+    # series ring, against the LaurentPoly monomial values cut once.
     values, exponents = case
-    got = monomial_values(values, exponents, lambda f: _cut(f, bound))
-    assert got == [_cut(f, bound) for f in monomial_values(values, exponents)]
+    ring = _SeriesRing(2, bound)
+    got = monomial_values([series(ring, f, bound) for f in values], exponents,
+                          ring.one, ring.mul)
+    assert got == [series(ring, f, bound) for f in monomial_values(values, exponents)]
+
+
+@PROPERTY
+@given(variable_values(0), st.integers(1, 6))
+def test_series_products_are_the_cut_laurent_products(case, bound):
+    values, _ = case
+    ring = _SeriesRing(2, bound)
+    f, g = values[0], values[-1]
+    assert ring.mul(series(ring, f, bound), series(ring, g, bound)) == series(ring, f * g, bound)
+
+
+@PROPERTY
+@given(variable_values(0), st.integers(1, 6), st.booleans())
+def test_series_inverses_invert_below_the_bound(case, bound, nonzero_ring):
+    # f * inverse(f) is 1 below the bound, up to the denominator returned
+    # beside it, when f has a nonzero constant term; otherwise f is refused
+    # as a non-unit, unless the ring is the zero quotient.
+    values, _ = case
+    ring = _SeriesRing(2, bound)
+    f = series(ring, values[0], bound)
+    if not f[0]:
+        if nonzero_ring:
+            with pytest.raises(ValueError, match="not invertible"):
+                ring.inverse((f, 1), nonzero_ring)
+        return
+    inverse, den = ring.inverse((f, 3), nonzero_ring)
+    assert ring.mul(f, inverse) == [3 * den] + [0] * (len(f) - 1)
+
+
+@PROPERTY
+@given(variable_values(0), st.integers(1, 6))
+def test_series_expansions_are_the_cut_laurent_substitutions(case, bound):
+    # f(t + v) for f = sum of the drawn monomials with rational weights, at
+    # the values' constant terms (Fraction or Cyclo): the numerators over
+    # the denominator returned beside them.
+    values, exponents = case
+    v = [f.coefficient((0, 0)) for f in values]
+    f = Poly(len(values), [(e, Fraction(k + 1, 2)) for k, e in enumerate(exponents)])
+    ring = _SeriesRing(len(values), bound)
+    nums, den = ring.expand(f, [ring.variable(k, x) for k, x in enumerate(v)])
+    # substitute gives a number where f is constant, so a zero is added.
+    expected = series(ring, substitute(f, shifted(v)) + LaurentPoly.zero(len(v)), bound)
+    assert [x / Fraction(den) for x in nums] == expected
 
 
 @st.composite

@@ -16,7 +16,7 @@ from orbit_oracle import (_check_probe_terms, _invariant_probe, evaluate_by_term
                           translate_rows, weyl_group, weyl_translate)
 from reflection_oracle import mat_inverse_unimodular, mat_vec
 
-from repring import rootdata
+from repring import rootdata, spectrum
 from repring.cyclotomic import Cyclo, demote
 from repring.lattice import FinAbGroup, Sublattice, is_member, mat_mul
 from repring.laurent import LaurentPoly
@@ -417,6 +417,27 @@ def test_eval_point_validation_messages():
             ((Fraction(0),), (((9, 1),),), "9 is not prime")]:
         with pytest.raises(ValueError, match=message):
             EvalPoint(torsion, rational)
+
+
+def test_parse_point_factors_each_prime_once(monkeypatch):
+    # The literal's factoring proves its primes; the point built from them
+    # does not run the trial division again, and a point built afterwards
+    # from its parts proves its primes in full.
+    calls = []
+    real = spectrum.prime_factors
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(spectrum, "prime_factors", counting)
+    p = parse_point("99999999977,2", 2)
+    assert p.rational == (((99999999977, 1),), ((2, 1),))
+    assert calls.count(99999999977) == 1
+    assert EvalPoint.from_parts(p.torsion, [{99999999977: 1}, {2: 1}]) == p
+    assert calls.count(99999999977) == 2
+    with pytest.raises(ValueError, match="99999999979 is not prime"):
+        EvalPoint.from_parts([0], [{99999999979: 1}])
 
 
 def test_weyl_translate_evaluates_as_the_point_at_the_inverse():
