@@ -11,14 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 from .completion import load_case_config, local_isomorphism_check, \
     presentation_from_config, validate_presentation
 from .errors import ResourceCapError
 from .invariants import dominant_weights_in_box, orbit_sum, weyl_character
-from .lattice import FinAbGroup
 from .laurent import augmentation, render
 from .rootdata import (RootDatum, all_roots, centralizer_subsystem,
                        datum_from_dict, dominant_representative,
@@ -26,11 +24,6 @@ from .rootdata import (RootDatum, all_roots, centralizer_subsystem,
 from .spectrum import (EvalPoint, fiber_over_RG, parse_point, render_rows,
                        stabilizer_check, support)
 from .twist import twist_check
-
-
-def _group_doc(g: FinAbGroup) -> dict:
-    return {"free_rank": g.free_rank,
-            "invariant_factors": g.invariant_factors}
 
 
 def _resolve_datum(args) -> RootDatum:
@@ -78,7 +71,7 @@ def _under_cap(d: RootDatum, cap: int | None, *readers) -> list:
 
 
 def _pi1(d: RootDatum, _, args) -> dict:
-    return _group_doc(fundamental_group(d))
+    return fundamental_group(d)._asdict()
 
 
 def _roots(d: RootDatum, _, args) -> dict:
@@ -98,7 +91,7 @@ def _orbit(d: RootDatum, w: list[int], args) -> dict:
 
 def _support(d: RootDatum, p: EvalPoint, args) -> dict:
     desc = support(p)
-    return {"connected": desc.connected, "quotient": _group_doc(desc.quotient),
+    return {"connected": desc.connected, "quotient": desc.quotient._asdict(),
             "kernel_lattice": desc.kernel_lattice.hnf_rows}
 
 
@@ -118,7 +111,7 @@ def _fiber(d: RootDatum, p: EvalPoint, args) -> dict:
 
 
 def _stabilizer(d: RootDatum, p: EvalPoint, args) -> dict:
-    return asdict(stabilizer_check(d, p))
+    return stabilizer_check(d, p)._asdict()
 
 
 def _character(d: RootDatum, w: list[int], args) -> dict:
@@ -142,7 +135,7 @@ def _nal_check(case: dict, j_max: int, args) -> dict:
     return {
         "all_passed": report.all_passed,
         "restriction_valid": report.restriction_valid,
-        "levels": [{**asdict(lv), "isomorphic": lv.isomorphic} for lv in report.levels],
+        "levels": [{**lv._asdict(), "isomorphic": lv.isomorphic} for lv in report.levels],
     }
 
 
@@ -153,13 +146,13 @@ def _validate(d: RootDatum, _, args) -> dict:
         "rank": d.rank,
         "roots_count": len(pairs),
         "weyl_order": order,
-        "fundamental_group": _group_doc(fundamental_group(d)),
+        "fundamental_group": fundamental_group(d)._asdict(),
     }
     if args.presentation_file:
         with open(args.presentation_file, encoding="utf-8") as fh:
             cfg = json.load(fh)
         pres = presentation_from_config(cfg, d)
-        result["presentation"] = asdict(validate_presentation(pres, d, args.height))
+        result["presentation"] = validate_presentation(pres, d, args.height)._asdict()
     return result
 
 

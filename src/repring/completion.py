@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .cyclotomic import Cyclo
@@ -23,7 +23,7 @@ from .errors import ResourceCapError
 from .invariants import dominant_weights_in_box, orbit_sum
 from .laurent import LaurentPoly, Span, inverse_monomial
 from .linalg import RowSpace
-from .poly import Monomial, Poly, monomial_values, monomials_below, parse_poly
+from .poly import Poly, monomial_values, monomials_below, parse_poly
 from .rootdata import (LeviDatum, RootDatum, centralizer_subsystem, is_invariant, json_int,
                        orbit, standard_datum)
 from .spectrum import EvalPoint, _evaluate, _prepare, parse_point, support
@@ -33,8 +33,7 @@ from .spectrum import EvalPoint, _evaluate, _prepare, parse_point, support
 MACAULAY_COLUMN_CAP = 1_000
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(namedtuple("Presentation", "rank images inverted relations")):
     """Invariant generators with relations, some generators inverted.
 
     Polynomial variables are y1..yg for the generators, followed by u{i}
@@ -44,12 +43,11 @@ class Presentation:
     images, so their Laurent inverses exist termwise.
     """
 
-    rank: int
-    images: tuple[LaurentPoly, ...]
-    inverted: tuple[int, ...]
-    relations: tuple[Poly, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, rank: int, images: tuple[LaurentPoly, ...], inverted: tuple[int, ...],
+                relations: tuple[Poly, ...]):
+        self = super().__new__(cls, rank, images, inverted, relations)
         g = len(self.images)
         if g == 0:
             raise ValueError("a presentation needs at least one generator")
@@ -64,6 +62,7 @@ class Presentation:
                 raise ValueError(f"inverted generator {i} must have a monomial image")
         if any(rel.nvars != self.num_vars for rel in self.relations):
             raise ValueError("relation variable count mismatch")
+        return self
 
     @property
     def num_gens(self) -> int:
@@ -146,15 +145,11 @@ def presentation_from_config(cfg: dict, d: RootDatum) -> Presentation:
     return Presentation(rank=d.rank, images=images, inverted=inverted, relations=tuple(rels))
 
 
-@dataclass(frozen=True)
-class PresentationReport:
+class PresentationReport(namedtuple("PresentationReport", "images_invariant relations_vanish "
+                                    "spans_orbit_sums degree_bound all_passed")):
     """Validation outcome for a presentation against a root datum."""
 
-    images_invariant: bool
-    relations_vanish: bool
-    spans_orbit_sums: bool
-    degree_bound: int
-    all_passed: bool
+    __slots__ = ()
 
 
 def validate_presentation(pres: Presentation, d: RootDatum,
@@ -191,15 +186,12 @@ def validate_presentation(pres: Presentation, d: RootDatum,
                               all_passed=invariant and vanish and spans)
 
 
-@dataclass(frozen=True)
-class TruncationReport:
+class TruncationReport(namedtuple("TruncationReport", "level dimension monomials")):
     """One quotient by a power of the maximal ideal: `monomials`, a basis
     over the residue field kappa of monomials in t = x - v in grevlex order,
     and `dimension` over Q, that basis size times [kappa:Q]."""
 
-    level: int
-    dimension: int
-    monomials: tuple[Monomial, ...]
+    __slots__ = ()
 
 
 def _substitute(f: Poly, values: list[LaurentPoly], rank: int) -> LaurentPoly:
@@ -365,27 +357,21 @@ def truncated_quotient(pres: Presentation, p: EvalPoint,
     return _MacaulayEchelon(pres, p, _SeriesRing(pres.num_vars, level)).report(level)
 
 
-@dataclass(frozen=True)
-class LevelReport:
+class LevelReport(namedtuple("LevelReport", "level dim_source dim_target surjective")):
     """Comparison of one truncation level on both sides of restriction."""
 
-    level: int
-    dim_source: int
-    dim_target: int
-    surjective: bool
+    __slots__ = ()
 
     @property
     def isomorphic(self) -> bool:
         return self.surjective and self.dim_source == self.dim_target
 
 
-@dataclass(frozen=True)
-class LocalIsoReport:
-    """Outcome of the truncated local comparison at an evaluation point."""
+class LocalIsoReport(namedtuple("LocalIsoReport", "levi restriction_valid levels")):
+    """Outcome of the truncated local comparison at an evaluation point:
+    the LeviDatum of the target, and one LevelReport per level."""
 
-    levi: LeviDatum
-    restriction_valid: bool
-    levels: tuple[LevelReport, ...]
+    __slots__ = ()
 
     @property
     def all_passed(self) -> bool:

@@ -9,7 +9,7 @@ are capped and raise ResourceCapError rather than running open-ended.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product
@@ -153,12 +153,10 @@ def _interreduce(basis: list[Poly], key=grevlex_key) -> list[Poly]:
     return reduced
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(namedtuple("GroebnerBasis", "nvars polys")):
     """A reduced basis and the number of variables of its ring."""
 
-    nvars: int
-    polys: tuple[Poly, ...]
+    __slots__ = ()
 
     def leading_terms(self, key=grevlex_key) -> list[Monomial]:
         return [leading_term(g, key)[0] for g in self.polys]

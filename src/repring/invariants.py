@@ -11,7 +11,7 @@ the Weyl group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from operator import add, mul, sub
@@ -140,8 +140,8 @@ def decompose_into_orbit_sums(d: RootDatum, f: LaurentPoly) -> dict[tuple[int, .
     return {k: v for k, v in out.items() if v != 0}
 
 
-@dataclass(frozen=True)
-class CharacterBasisReport:
+class CharacterBasisReport(namedtuple("CharacterBasisReport", "independent spanning weights "
+                                      "column_weights transition all_passed")):
     """Outcome of the fundamental-character probe.
 
     transition[i][j] is the coefficient of the orbit sum at
@@ -150,12 +150,7 @@ class CharacterBasisReport:
     reaches outside the enumerated box.
     """
 
-    independent: bool
-    spanning: bool
-    weights: tuple[tuple[int, ...], ...]
-    column_weights: tuple[tuple[int, ...], ...]
-    transition: tuple[tuple[Fraction, ...], ...]
-    all_passed: bool
+    __slots__ = ()
 
 
 def fundamental_character_probe(d: RootDatum, degree_bound: int) -> CharacterBasisReport:

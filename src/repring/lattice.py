@@ -10,7 +10,7 @@ generated abelian quotients in invariant-factor form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 
@@ -121,14 +121,13 @@ def hermite_normal_form(a: Matrix) -> tuple[Matrix, Matrix]:
     return h, u
 
 
-@dataclass(frozen=True)
-class FinAbGroup:
+class FinAbGroup(namedtuple("FinAbGroup", "free_rank invariant_factors")):
     """A finitely generated abelian group in invariant-factor form."""
 
-    free_rank: int
-    invariant_factors: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, free_rank: int, invariant_factors: tuple[int, ...]):
+        self = super().__new__(cls, free_rank, invariant_factors)
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         prev = None
@@ -138,6 +137,7 @@ class FinAbGroup:
             if prev is not None and f % prev != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
             prev = f
+        return self
 
     @property
     def is_torsion_free(self) -> bool:

@@ -37,16 +37,6 @@ class Poly(LaurentPoly):
     def nvars(self) -> int:
         return self.rank
 
-    @classmethod
-    def constant(cls, nvars: int, c) -> "Poly":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
-
-    @classmethod
-    def variable(cls, nvars: int, i: int) -> "Poly":
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): Fraction(1)})
-
 
 def grevlex_key(e: Monomial):
     """Graded reverse lexicographic order as a sort key (larger sorts last)."""

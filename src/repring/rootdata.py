@@ -21,8 +21,7 @@ All enumerations are exact and guarded by caps.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache, partial
 from itertools import chain
 from math import prod
@@ -37,17 +36,14 @@ WEYL_ORDER_CAP = 10 ** 6
 ROOT_CLOSURE_CAP = 10 ** 4
 
 
-@dataclass(frozen=True)
-class RootDatum:
-    """A root datum in standard coordinates on Z^rank."""
+class RootDatum(namedtuple("RootDatum", "rank simple_roots simple_coroots name variant")):
+    """A root datum in standard coordinates on Z^rank.  Its compiled
+    reflections and root closure are kept in its __dict__."""
 
-    rank: int
-    simple_roots: tuple[tuple[int, ...], ...]
-    simple_coroots: tuple[tuple[int, ...], ...]
-    name: str = "datum"
-    variant: str | None = None
-
-    def __post_init__(self) -> None:
+    def __new__(cls, rank: int, simple_roots: tuple[tuple[int, ...], ...],
+                simple_coroots: tuple[tuple[int, ...], ...], name: str = "datum",
+                variant: str | None = None):
+        self = super().__new__(cls, rank, simple_roots, simple_coroots, name, variant)
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
         if len(self.simple_roots) != len(self.simple_coroots):
@@ -64,6 +60,7 @@ class RootDatum:
                     raise ValueError(
                         f"pairings do not form a generalized Cartan matrix: "
                         f"entry ({i}, {j}) is {x} and ({j}, {i}) is {c[j][i]}")
+        return self
 
     @property
     def num_simple(self) -> int:
@@ -234,8 +231,8 @@ def _reflections(d: RootDatum) -> tuple[tuple, tuple]:
     if "_reflections" not in vars(d):
         pairs = [(tuple(a), tuple(av)) for a, av in d.simple_pairs]
         simple = [_compile(a, av) for a, av in pairs]
-        object.__setattr__(d, "_reflections", (simple, [
-            _adjoint(s, _compile(av, a), d.rank) for s, (a, av) in zip(simple, pairs)]))
+        d._reflections = (simple, [
+            _adjoint(s, _compile(av, a), d.rank) for s, (a, av) in zip(simple, pairs)])
     return d._reflections
 
 
@@ -290,7 +287,7 @@ def _root_closure(d: RootDatum, cap: int = ROOT_CLOSURE_CAP):
     closed = vars(d).get("_closure")
     if closed is None:
         closed = _close_roots(d, cap)
-        object.__setattr__(d, "_closure", closed)
+        d._closure = closed
     if len(closed) > cap:
         raise ResourceCapError(f"root closure exceeded cap {cap}")
     return closed
@@ -305,7 +302,7 @@ def _base_closure(d: RootDatum):
         if Sublattice(d.rank, d.simple_roots).rank != d.num_simple:
             raise ValueError("the simple roots are linearly dependent; "
                              "the datum is not of finite type")
-        object.__setattr__(d, "_independent", True)
+        d._independent = True
     return closed
 
 
@@ -433,16 +430,12 @@ def weyl_order(d: RootDatum, cap: int | None = None) -> int:
     return _order(d, cap, "Weyl group order {order} exceeds " + name + "{cap}")
 
 
-@dataclass(frozen=True)
-class LeviDatum:
+class LeviDatum(namedtuple("LeviDatum", "parent kernel pairs datum saturation_applied")):
     """The root subsystem cut out by a sublattice of the character lattice:
-    the parent's (root, coroot) pairs inside it, and the datum of their base."""
+    the parent's (root, coroot) pairs inside it, the Sublattice kernel, and
+    the RootDatum of their base."""
 
-    parent: RootDatum
-    kernel: Sublattice
-    pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    datum: RootDatum
-    saturation_applied: bool
+    __slots__ = ()
 
     @property
     def roots(self) -> tuple[tuple[int, ...], ...]:

@@ -13,14 +13,14 @@ rows, or a walk over W whose translates must be that orbit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import add, mul
 
 from .cyclotomic import Cyclo, cyclotomic_polynomial, demote, prime_factors
-from .lattice import FinAbGroup, Sublattice, kernel, quotient_group
+from .lattice import Sublattice, kernel, quotient_group
 from .laurent import LaurentPoly
 from .rootdata import RootDatum, centralizer_subsystem, row_orbit, weyl_order, weyl_walk
 
@@ -33,8 +33,7 @@ def _is_prime(n: int) -> bool:
     return n in _PARSED_PRIMES or (n >= 2 and next(prime_factors(n)) == n)
 
 
-@dataclass(frozen=True)
-class EvalPoint:
+class EvalPoint(namedtuple("EvalPoint", "torsion rational")):
     """An exact evaluation point of the rank-r character lattice.
 
     torsion[i] is a reduced fraction a/m in [0, 1) meaning the root of
@@ -45,10 +44,9 @@ class EvalPoint:
     checked in integers.
     """
 
-    torsion: tuple[Fraction, ...]
-    rational: tuple[tuple[tuple[int, int], ...], ...]
-
-    def __post_init__(self) -> None:
+    def __new__(cls, torsion: tuple[Fraction, ...],
+                rational: tuple[tuple[tuple[int, int], ...], ...]):
+        self = super().__new__(cls, torsion, rational)
         if len(self.torsion) != len(self.rational):
             raise ValueError("torsion and rational parts must have equal length")
         for t in self.torsion:
@@ -63,6 +61,7 @@ class EvalPoint:
             primes = [p for p, _ in coord]
             if primes != sorted(set(primes)):
                 raise ValueError("primes must be sorted and distinct")
+        return self
 
     @property
     def rank(self) -> int:
@@ -293,13 +292,11 @@ def evaluate_poly(p: EvalPoint, f: LaurentPoly) -> int | Fraction | Cyclo:
     return _evaluate(p.rows, _prepare([f]))[0]
 
 
-@dataclass(frozen=True)
-class SupportDesc:
-    """The kernel sublattice of a point with its quotient invariants."""
+class SupportDesc(namedtuple("SupportDesc", "kernel_lattice quotient connected")):
+    """The kernel sublattice of a point with its quotient invariants (a
+    FinAbGroup), and whether that quotient is torsion-free."""
 
-    kernel_lattice: Sublattice
-    quotient: FinAbGroup
-    connected: bool
+    __slots__ = ()
 
 
 def support(p: EvalPoint) -> SupportDesc:
@@ -384,15 +381,12 @@ def fiber_over_RG(d: RootDatum, p: EvalPoint) -> list[tuple]:
     return sorted({_galois_key(q): q for q in reversed(translates)}.values())
 
 
-@dataclass(frozen=True)
-class StabilizerReport:
+class StabilizerReport(namedtuple("StabilizerReport",
+                                  "geometric_order ideal_order subsystem_order agree")):
     """The orders of three stabilizers, and whether they are one group, as
     they must be for connected support."""
 
-    geometric_order: int
-    ideal_order: int
-    subsystem_order: int
-    agree: bool
+    __slots__ = ()
 
 
 def stabilizer_check(d: RootDatum, p: EvalPoint) -> StabilizerReport:

@@ -24,6 +24,18 @@ from repring.poly import Monomial, Poly
 from repring.spectrum import EvalPoint, evaluate_poly
 
 
+def constant(nvars: int, c) -> Poly:
+    """The constant polynomial c in nvars variables."""
+    return Poly(nvars, {(0,) * nvars: Fraction(c)})
+
+
+def variable(nvars: int, i: int) -> Poly:
+    """The i-th variable (0-based) of nvars."""
+    e = [0] * nvars
+    e[i] = 1
+    return Poly(nvars, {tuple(e): Fraction(1)})
+
+
 def substitute(f: Poly, values: list) -> object:
     """Evaluate with arbitrary ring elements (anything with + and *)."""
     if len(values) != f.nvars:
@@ -63,7 +75,7 @@ def _value_to_z_poly(value, nvars: int, order: int) -> Poly:
     order become polynomials in z of degree below phi(order).
     """
     if isinstance(value, (int, Fraction)):
-        return Poly.constant(nvars, Fraction(value))
+        return constant(nvars, Fraction(value))
     assert isinstance(value, Cyclo)
     return Poly(nvars, {(k,) + (0,) * (nvars - 1): q
                         for k, q in enumerate(value.promote(order).coords) if q})
@@ -84,7 +96,7 @@ def point_ideal(pres: Presentation, p: EvalPoint) -> list[Poly]:
     values = [evaluate_poly(p, img) for img in pres.laurent_values()]
     nv = pres.num_vars
     if all(isinstance(v, (int, Fraction)) for v in values):
-        return [Poly.variable(nv, i) - Poly.constant(nv, Fraction(v))
+        return [variable(nv, i) - constant(nv, Fraction(v))
                 for i, v in enumerate(values)]
     order = math.lcm(*(v.order for v in values if isinstance(v, Cyclo)))
     total = nv + 1
@@ -93,7 +105,7 @@ def point_ideal(pres: Presentation, p: EvalPoint) -> list[Poly]:
         tuple([k] + [0] * nv): Fraction(c) for k, c in enumerate(cyc) if c
     })]
     for i, v in enumerate(values):
-        var = Poly.variable(total, i + 1)
+        var = variable(total, i + 1)
         gens.append(var - _value_to_z_poly(v, total, order))
     gb = groebner(gens, key=make_elim_key(1))
     out = []
@@ -111,7 +123,7 @@ def groebner_truncation(pres, ideal_gens, level):
     nv = pres.num_vars
     gens = list(pres.relations)
     for combo in combinations_with_replacement(ideal_gens, level):
-        prod = Poly.constant(nv, 1)
+        prod = constant(nv, 1)
         for f in combo:
             prod = prod * f
         gens.append(prod)
@@ -135,7 +147,7 @@ def quotient_inverse(f, gb, monos):
     nv = f.nvars
     rows = [quotient_coords(f * Poly(nv, {e: Fraction(1)}), gb, monos)
             for e in monos]
-    one = quotient_coords(Poly.constant(nv, 1), gb, monos)
+    one = quotient_coords(constant(nv, 1), gb, monos)
     sol = solve_coordinates(rows, one)
     if sol is None:
         raise ValueError("element is not invertible in the truncated quotient")
@@ -162,7 +174,7 @@ def groebner_levels(source, target, p, restriction, j_max):
         for e in monos_s:
             mapped = substitute(Poly(source.num_vars, {e: Fraction(1)}), var_images)
             if isinstance(mapped, (int, Fraction)):
-                mapped = Poly.constant(target.num_vars, Fraction(mapped))
+                mapped = constant(target.num_vars, Fraction(mapped))
             rows.append(quotient_coords(mapped, gb_t, monos_t))
         out.append((len(monos_s), len(monos_t), rank(rows) == len(monos_t)))
     return out

@@ -31,8 +31,8 @@ from repring.poly import Poly, parse_poly
 from repring.rootdata import standard_datum, torus_datum
 from repring.spectrum import EvalPoint, parse_point
 
-from groebner_oracle import (groebner_levels, groebner_truncation, point_ideal, quotient_inverse,
-                             substitute)
+from groebner_oracle import (constant, groebner_levels, groebner_truncation, point_ideal,
+                             quotient_inverse, substitute, variable)
 from rowspace_oracle import rank as oracle_rank
 from series_oracle import cut, shifted
 
@@ -76,7 +76,7 @@ def test_presentation_validation():
         Presentation(rank=1, images=(two_terms,), inverted=(1,), relations=())
     with pytest.raises(ValueError):
         Presentation(rank=1, images=(img,), inverted=(),
-                     relations=(Poly.variable(2, 0),))
+                     relations=(variable(2, 0),))
 
 
 def test_presentation_variables_and_values():
@@ -102,12 +102,12 @@ def test_point_ideal_rational_values():
     pres = sl2_presentation()
     nv = pres.num_vars
     assert point_ideal(pres, EvalPoint.all_ones(1)) == [
-        Poly.variable(nv, 0) - Poly.constant(nv, 2)]
+        variable(nv, 0) - constant(nv, 2)]
     assert point_ideal(pres, parse_point("2", 1)) == [
-        Poly.variable(nv, 0) - Poly.constant(nv, Fraction(5, 2))]
+        variable(nv, 0) - constant(nv, Fraction(5, 2))]
     # zeta(3) + zeta(3)^-1 is already rational, so no elimination runs.
     assert point_ideal(pres, parse_point("zeta(3)^1", 1)) == [
-        Poly.variable(nv, 0) + Poly.constant(nv, 1)]
+        variable(nv, 0) + constant(nv, 1)]
 
 
 def test_point_ideal_cyclotomic_values():
@@ -144,8 +144,8 @@ def test_truncated_dimensions_two_variables():
     pres = sl3_presentation()
     m = point_ideal(pres, parse_point("2,4", 2))
     assert m == [
-        Poly.variable(2, 0) - Poly.constant(2, Fraction(17, 4)),
-        Poly.variable(2, 1) - Poly.constant(2, 5),
+        variable(2, 0) - constant(2, Fraction(17, 4)),
+        variable(2, 1) - constant(2, 5),
     ]
     for j in range(1, 4):
         rep = truncated_quotient(pres, parse_point("2,4", 2), j)
@@ -168,7 +168,7 @@ def test_quotient_inverse_frozen():
     inv = quotient_inverse(parse_poly("y1", names), gb, monos)
     assert inv == parse_poly("1 - 1/4*y1", names)
     prod = reduce_poly(inv * parse_poly("y1", names), list(gb.polys))
-    assert prod == Poly.constant(1, 1)
+    assert prod == constant(1, 1)
     with pytest.raises(ValueError):
         quotient_inverse(parse_poly("y1 - 2", names), gb, monos)
 
@@ -417,7 +417,7 @@ def singular_presentations():
         nv = base.num_vars
         extra = []
         for _ in range(rng.randint(1, 2)):
-            f = Poly.variable(nv, rng.randrange(nv)) + rng.randint(-2, 2)
+            f = variable(nv, rng.randrange(nv)) + rng.randint(-2, 2)
             f = f * rng.choice(m)
             if rng.random() < 0.5:
                 f = f * rng.choice(m)

@@ -58,7 +58,7 @@ def test_the_core_keeps_no_test_reference_and_no_dead_capability():
     assert not GONE & set(dir(repring))
     assert not GONE & set(repring.__all__)
     for cls, member in [(Poly, "render"), (Poly, "substitute"), (Poly, "__pow__"),
-                        (LaurentPoly, "__pow__")]:
+                        (Poly, "constant"), (Poly, "variable"), (LaurentPoly, "__pow__")]:
         assert not hasattr(cls, member), (cls.__name__, member)
     assert list(inspect.signature(EvalPoint).parameters) == ["torsion", "rational"]
     assert "cut" not in inspect.signature(monomial_values).parameters
