@@ -201,22 +201,15 @@ class Cyclo:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
-        """Multiplicative inverse: a rational element inverts as its
-        Fraction, any other as the product of its other conjugates in the
-        least Q(zeta_d), d | order, that holds it, over the rational norm
-        (Cohen 4.3).  It lies in Q(zeta_d) when every zeta -> zeta^k with
-        k = 1 mod d fixes it, and zeta -> zeta^k acts there by k mod d."""
+        """Multiplicative inverse: the product of the other Galois conjugates
+        over the rational norm, which is the product of all of them (Cohen
+        4.3).  Rationals and elements of subfields invert the same way."""
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        m = self.order
-        if self.is_rational():
-            return Cyclo.from_rational(1 / self.as_rational(), m)
-        units = [k for k in range(1, m) if gcd(k, m) == 1]
-        d = next(d for d in range(2, m + 1) if m % d == 0 and all(
-            self.galois(k) == self for k in units if k % d == 1 and k > 1))
-        others = Cyclo.from_rational(1, m)
-        for k in {k % d: k for k in units if k % d != 1}.values():
-            others = others * self.galois(k)
+        others = Cyclo.from_rational(1, self.order)
+        for k in range(2, self.order):
+            if gcd(k, self.order) == 1:
+                others = others * self.galois(k)
         return others / (self * others).as_rational()
 
     def __truediv__(self, other):
@@ -264,25 +257,21 @@ class Cyclo:
         return f"Cyclo({self.order}, {list(self.coords)})"
 
     def __str__(self) -> str:
-        parts: list[tuple[bool, str]] = []
+        parts = []
         for k, c in enumerate(self.coords):
-            if not c:
-                continue
-            neg = c < 0
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            elif mag == 1:
-                body = f"zeta({self.order})^{k}"
-            else:
-                body = f"{mag}*zeta({self.order})^{k}"
-            parts.append((neg, body))
-        if not parts:
-            return "0"
-        out = ("-" if parts[0][0] else "") + parts[0][1]
-        for neg, body in parts[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
+            if c:
+                power = f"zeta({self.order})^{k}"
+                body = str(abs(c)) if k == 0 else power if abs(c) == 1 else f"{abs(c)}*{power}"
+                parts.append("-" + body if c < 0 else body)
+        return join_signed(parts)
+
+
+def join_signed(parts: list[str]) -> str:
+    """The sum of some terms, each a string with a leading "-" when it is
+    negative: "0" for none, else the terms joined by " + " and " - "."""
+    if not parts:
+        return "0"
+    return parts[0] + "".join([" - " + p[1:] if p[0] == "-" else " + " + p for p in parts[1:]])
 
 
 def demote(value):

@@ -193,6 +193,8 @@ def fundamental_character_probe(d: RootDatum, degree_bound: int) -> CharacterBas
 def dominance_leq(d: RootDatum, lower, upper) -> bool:
     """Whether upper - lower is a nonnegative rational combination of the
     simple roots."""
+    if not len(lower) == len(upper) == d.rank:
+        raise ValueError("weight length does not match the datum rank")
     diff = [u - l for u, l in zip(upper, lower)]
     coeffs = solve_coordinates(d.simple_roots, diff)
     return coeffs is not None and all(c >= 0 for c in coeffs)

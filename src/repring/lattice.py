@@ -154,44 +154,26 @@ class FinAbGroup(namedtuple("FinAbGroup", "free_rank invariant_factors")):
         return n
 
 
-class Sublattice:
-    """A sublattice of Z^ambient_rank given by generating row vectors.
-
-    Equality and hashing go through the canonical form: the row Hermite
-    normal form of the generator matrix with zero rows dropped.
+class Sublattice(namedtuple("Sublattice", "ambient_rank hnf_rows")):
+    """A sublattice of Z^ambient_rank given by generating row vectors, kept
+    in its canonical form: the row Hermite normal form of the generator
+    matrix with zero rows dropped, so equal sublattices are equal records.
     """
 
-    __slots__ = ("ambient_rank", "hnf_rows")
+    __slots__ = ()
 
-    def __init__(self, ambient_rank: int, generators) -> None:
+    def __new__(cls, ambient_rank: int, generators):
         if ambient_rank < 0:
             raise ValueError("ambient rank must be nonnegative")
         gens = [list(map(int, g)) for g in generators]
-        for g in gens:
-            if len(g) != ambient_rank:
-                raise ValueError("generator length does not match ambient rank")
-        self.ambient_rank = ambient_rank
-        if gens:
-            h, _ = hermite_normal_form(gens)
-            rows = tuple(tuple(r) for r in h if any(r))
-        else:
-            rows = ()
-        self.hnf_rows = rows
+        if any(len(g) != ambient_rank for g in gens):
+            raise ValueError("generator length does not match ambient rank")
+        rows = tuple(tuple(r) for r in hermite_normal_form(gens)[0] if any(r))
+        return super().__new__(cls, ambient_rank, rows)
 
     @property
     def rank(self) -> int:
         return len(self.hnf_rows)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sublattice):
-            return NotImplemented
-        return self.ambient_rank == other.ambient_rank and self.hnf_rows == other.hnf_rows
-
-    def __hash__(self) -> int:
-        return hash((self.ambient_rank, self.hnf_rows))
-
-    def __repr__(self) -> str:
-        return f"Sublattice({self.ambient_rank}, {list(map(list, self.hnf_rows))})"
 
 
 def full_lattice(ambient_rank: int) -> Sublattice:

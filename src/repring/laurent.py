@@ -15,8 +15,11 @@ from heapq import heappop, heappush
 from itertools import chain
 from operator import add, neg, sub
 
-from .cyclotomic import Cyclo, demote
+from .cyclotomic import Cyclo, demote, join_signed
 from .linalg import RowSpace
+
+# Most leading-term cancellations exact_divide makes before it refuses.
+DIVISION_STEP_CAP = 200_000
 
 
 class LaurentPoly:
@@ -152,9 +155,7 @@ def render(f: LaurentPoly) -> str:
             parts.append("-" + mono)
         else:
             parts.append(f"{c}*{mono}")
-    if not parts:
-        return "0"
-    return parts[0] + "".join([" - " + p[1:] if p[0] == "-" else " + " + p for p in parts[1:]])
+    return join_signed(parts)
 
 
 def _exponents(pairs, rank: int):
@@ -221,7 +222,7 @@ def inverse_monomial(f: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(f.rank, {tuple(-x for x in e): Fraction(1) / c})
 
 
-def exact_divide(num: LaurentPoly, den: LaurentPoly, step_cap: int = 200_000) -> LaurentPoly:
+def exact_divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     """Exact quotient num / den, or ValueError when den does not divide num.
 
     Division runs by cancelling the lexicographically largest term of the
@@ -243,7 +244,7 @@ def exact_divide(num: LaurentPoly, den: LaurentPoly, step_cap: int = 200_000) ->
     heap = sorted(tuple(map(neg, e)) for e in rem)  # a sorted list is a heap
     minus_den = [(e, -c) for e, c in den.terms.items()]
     quot: dict[tuple[int, ...], object] = {}
-    for _ in range(step_cap):
+    for _ in range(DIVISION_STEP_CAP):
         if not rem:
             return LaurentPoly(num.rank, quot)
         while (lead := tuple(map(neg, heappop(heap)))) not in rem:

@@ -96,26 +96,21 @@ def rank(rows: list[list]) -> int:
 
 
 def solve_coordinates(rows: list[list], target: list) -> list[Fraction] | None:
-    """Express target as a combination of the given rows.
+    """Express target as a combination of the given rows, each as long as
+    target (ValueError otherwise).
 
     Returns one coefficient vector, or None when target is outside the
-    span.  Coefficients correspond to rows in the order given.
+    span.  Coefficients correspond to rows in the order given.  Each row
+    carries an indicator column of itself and the target a scale column
+    holding 1, so the reduced target is s*target - sum(c_i * row_i) with
+    -c_i in the indicator columns and s in the scale column; where the
+    first part is zero, the coefficients are c_i / s.
     """
-    if not rows:
-        return None if any(target) else []
-    width = len(rows[0])
-    n = len(rows)
-    # Augment each row with an indicator so elimination tracks the
-    # combination that produced it.
-    space = RowSpace(width + n)
+    width, n = len(target), len(rows)
+    space = RowSpace(width + n + 1)
     for i, r in enumerate(rows):
-        if len(r) != width:
-            raise ValueError("row width mismatch")
-        space.add(list(r) + [int(i == k) for k in range(n)])
-    v = list(target) + [Fraction(0)] * n
-    for row, p, support in zip(space.rows, space.pivots, space._support):
-        if p < width and v[p]:
-            v = _clear(v, row, p, support, False)
+        space.add([*r, *(int(i == k) for k in range(n)), 0])
+    v = space.reduce([*target, *[0] * n, 1])
     if any(v[:width]):
         return None
-    return [-x for x in v[width:]]
+    return [-x / Fraction(v[-1]) for x in v[width:-1]]

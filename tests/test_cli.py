@@ -7,6 +7,8 @@ order, so any change to the JSON envelope shows up as a diff here.
 import json
 import math
 import pathlib
+import subprocess
+import sys
 import time
 from collections import Counter
 
@@ -102,6 +104,18 @@ def test_stabilizer_output(capsys):
     doc = json.loads(out)
     assert doc["result"] == {"geometric_order": 2, "ideal_order": 2,
                              "subsystem_order": 2, "agree": True}
+
+
+def test_stabilizer_at_a_root_of_unity_of_huge_prime_order():
+    # The point's Galois key comes from the scan over unit cosets; testing
+    # each unit mod 1000000007 in turn would take about 10^9 steps.  A child
+    # process lets the time bound stop such a run.
+    proc = subprocess.run(
+        [sys.executable, "-m", "repring.cli", "stabilizer", "--type", "A", "--rank", "1",
+         "--point", "zeta(1000000007)^1*2"], capture_output=True, text=True, timeout=2.0)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["result"] == {"geometric_order": 1, "ideal_order": 1,
+                                                 "subsystem_order": 1, "agree": True}
 
 
 def test_centralizer_output(capsys):
@@ -421,8 +435,6 @@ def test_exit_three_on_cap(capsys):
 
 
 def test_console_entry_point():
-    import subprocess
-    import sys
     proc = subprocess.run(
         [sys.executable, "-m", "repring.cli", "pi1", "--type", "C",
          "--rank", "2", "--variant", "simply_connected"],

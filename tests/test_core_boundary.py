@@ -15,7 +15,7 @@ import inspect
 import pathlib
 
 import repring
-from repring.laurent import LaurentPoly
+from repring.laurent import LaurentPoly, exact_divide
 from repring.poly import Poly, monomial_values
 from repring.spectrum import EvalPoint
 
@@ -62,6 +62,7 @@ def test_the_core_keeps_no_test_reference_and_no_dead_capability():
         assert not hasattr(cls, member), (cls.__name__, member)
     assert list(inspect.signature(EvalPoint).parameters) == ["torsion", "rational"]
     assert "cut" not in inspect.signature(monomial_values).parameters
+    assert list(inspect.signature(exact_divide).parameters) == ["num", "den"]
     assert "groebner" not in imports["completion"]
     assert "lattice" not in imports["laurent"]
     assert [name for name, mods in imports.items() if "groebner" in mods] == ["__init__"]

@@ -164,6 +164,17 @@ def test_inverse_round_trip():
         assert z * w == Fraction(1)
         assert (1 / z) * z == Fraction(1)
         done += 1
+    # Rationals and elements of proper subfields invert by the same product
+    # of conjugates over the norm as elements that generate the field.
+    for order in (1, 2, 7, 12, 60):
+        q = Cyclo.from_rational(Fraction(-3, 7), order)
+        assert q.inverse() == Fraction(-7, 3) and q.inverse().order == order
+    for order in (12, 60, 210):
+        for z in (Cyclo.zeta(3), Cyclo.zeta(3) * 2 - Fraction(1, 5), Cyclo.zeta(4) + 3):
+            if order % z.order == 0:
+                w = z.promote(order)
+                assert w.inverse().order == order
+                assert w * w.inverse() == 1 and w.inverse() == z.inverse()
 
 
 def test_division_and_scalar_interop():

@@ -8,7 +8,8 @@ resultant Res(Phi_m, a(x)), which is the product of a(zeta) over the
 primitive m-th roots of unity.  A product of cyclotomic numbers is
 compared with sympy's remainder of the product polynomial modulo Phi_m.
 The rank of a rational matrix, with dependent rows, zero rows and large
-denominators, is compared with sympy's Matrix.rank.
+denominators, is compared with sympy's Matrix.rank, and the reduced
+grevlex Groebner basis of a seeded ideal with sympy's, made monic.
 """
 
 import random
@@ -21,8 +22,10 @@ sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form  # noqa: E402
 
 from repring.cyclotomic import Cyclo, cyclotomic_polynomial, euler_phi  # noqa: E402
+from repring.groebner import groebner  # noqa: E402
 from repring.lattice import smith_normal_form  # noqa: E402
 from repring.linalg import rank  # noqa: E402
+from repring.poly import Poly  # noqa: E402
 
 X = sympy.Symbol("x")
 
@@ -82,6 +85,7 @@ def test_norm_is_the_resultant_with_the_cyclotomic_polynomial():
                                  for c in reversed(coords)], X, domain=sympy.QQ)
             res = sympy.resultant(phi_m, a_of_x)
             assert norm == Fraction(int(res.p), int(res.q)), (m, coords)
+            assert not a or a.inverse() == others / norm
 
 
 def test_product_is_the_remainder_modulo_the_cyclotomic_polynomial():
@@ -102,3 +106,34 @@ def test_product_is_the_remainder_modulo_the_cyclotomic_polynomial():
         theirs = [Fraction(int(c.p), int(c.q)) for c in reversed(rem.all_coeffs())]
         theirs += [Fraction(0)] * (euler_phi(m) - len(theirs))
         assert list((Cyclo(m, ca) * Cyclo(m, cb)).coords) == theirs, m
+
+
+def test_groebner_reference_matches_sympy():
+    rng = random.Random(1965)
+    seen = set()
+    for _ in range(60):
+        nvars = rng.choice([2, 3])
+        xs = sympy.symbols(f"x0:{nvars}")
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                e = [0] * nvars
+                for _ in range(rng.randint(0, 3)):
+                    e[rng.randrange(nvars)] += 1
+                terms[tuple(e)] = terms.get(tuple(e), 0) + rng.randint(-3, 3)
+            if any(terms.values()):
+                gens.append(Poly(nvars, terms))
+        if not gens:
+            continue
+        ours = sorted(sorted(g.terms.items()) for g in groebner(gens).polys)
+        exprs = [sum(c * sympy.prod(x ** k for x, k in zip(xs, e)) for e, c in g.terms.items())
+                 for g in gens]
+        theirs = []
+        for g in sympy.groebner(exprs, *xs, order="grevlex").exprs:
+            g = sympy.Poly(g, *xs, domain=sympy.QQ)
+            g = g.quo_ground(g.LC(order="grevlex"))  # sympy's bases are primitive, not monic
+            theirs.append(sorted((e, Fraction(int(c.p), int(c.q))) for e, c in g.terms()))
+        assert ours == sorted(theirs), gens
+        seen.add((nvars, len(ours)))
+    assert len(seen) >= 6

@@ -21,6 +21,7 @@ from repring.invariants import (_box, decompose_into_orbit_sums, dominance_leq,
                                 dominant_weights_in_box, fundamental_character_probe,
                                 orbit_sum, weyl_character)
 from repring.laurent import LaurentPoly, Span, augmentation
+from repring.linalg import solve_coordinates
 from repring.rootdata import (all_roots, gl_datum, is_dominant, is_invariant,
                               positive_roots, product, standard_datum,
                               torus_datum, two_rho)
@@ -251,6 +252,23 @@ def test_dominance_order():
     assert dominance_leq(d2, (1, 1), (1, 1))
     assert not dominance_leq(d2, (0, 0), (1, -1))
     assert not dominance_leq(d2, (1, -1), (0, 0))
+
+
+@pytest.mark.parametrize("lower, upper", [((0, 0), (2, -1, 7)), ((0,), (2,)),
+                                          ((0, 0, 0), (2, -1, 7))])
+def test_dominance_refuses_weights_of_another_length(lower, upper):
+    # A difference taken by zip would drop the 7, and a weight of length 1
+    # would reach the elimination of rows of length 2.
+    with pytest.raises(ValueError, match="datum rank"):
+        dominance_leq(standard_datum("A", 2), lower, upper)
+
+
+def test_solve_coordinates_refuses_a_target_of_another_width():
+    with pytest.raises(ValueError, match="width"):
+        solve_coordinates([[1, 0], [0, 1]], [2])
+    with pytest.raises(ValueError, match="width"):
+        solve_coordinates([[1, 0], [0, 1]], [2, -1, 7])
+    assert solve_coordinates([[1, 0], [0, 1]], [2, -1]) == [2, -1]
 
 
 def finiteness_probe(d, module_gens: list[LaurentPoly], height_bound: int) -> bool:

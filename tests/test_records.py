@@ -4,7 +4,8 @@ Every record class keeps its constructor (field names and order,
 positional and keyword arguments, `RootDatum`'s defaults), refuses
 assignment to a field, and equals and hashes like the tuple of its
 fields.  `RootDatum` and `EvalPoint` keep per-instance caches, each
-computed once per instance.
+computed once per instance.  `Sublattice` is built from generators and
+keeps their Hermite rows, so its twin is built from those rows.
 """
 
 import inspect
@@ -19,7 +20,7 @@ from repring.completion import (LevelReport, LocalIsoReport, Presentation, Prese
                                 truncated_quotient, validate_presentation)
 from repring.groebner import GroebnerBasis, groebner
 from repring.invariants import CharacterBasisReport, fundamental_character_probe
-from repring.lattice import FinAbGroup
+from repring.lattice import FinAbGroup, Sublattice, kernel
 from repring.poly import parse_poly
 from repring.rootdata import LeviDatum, RootDatum, all_roots, fundamental_group, standard_datum
 from repring.spectrum import (EvalPoint, StabilizerReport, SupportDesc, parse_point,
@@ -100,6 +101,23 @@ def test_records_are_read_only_and_compare_by_field(record):
     if cls not in CACHING:
         with pytest.raises(AttributeError):
             record.extra = 1
+
+
+def test_sublattice_is_a_record_of_its_hermite_rows():
+    s = kernel([[1, 1, 0], [0, 2, 2]])
+    assert s._fields == ("ambient_rank", "hnf_rows")
+    assert s == Sublattice(3, [[-1, 1, -1]]) and s.hnf_rows == ((1, -1, 1),)
+    for twin in (Sublattice(*s), Sublattice(ambient_rank=3, generators=s.hnf_rows)):
+        assert twin is not s and twin == s
+        assert hash(twin) == hash(s) == hash((3, ((1, -1, 1),)))
+    for n in ("ambient_rank", "hnf_rows"):
+        with pytest.raises(AttributeError):
+            setattr(s, n, getattr(s, n))
+    with pytest.raises(AttributeError):
+        s.extra = 1
+    assert not hasattr(s, "__dict__")
+    assert Sublattice(2, [[2, 0]]) != Sublattice(2, [[1, 0]])
+    assert len({Sublattice(2, [[1, 0], [0, 1]]), Sublattice(2, [[1, 1], [0, 1]])}) == 1
 
 
 def test_records_with_different_fields_differ():
