@@ -107,7 +107,13 @@ def _centralizer(d: RootDatum, p: EvalPoint, args) -> dict:
 
 def _fiber(d: RootDatum, p: EvalPoint, args) -> dict:
     members = fiber_over_RG(d, p)
-    return {"size": len(members), "points": sorted(map(render_rows, members))}
+    try:
+        return {"size": len(members), "points": sorted(map(render_rows, members))}
+    except ValueError:  # str() of an integer over the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ResourceCapError(f"a fiber point's literal has over {limit} digits, the "
+                               "interpreter's limit for an integer string; raise it with "
+                               "PYTHONINTMAXSTRDIGITS or -X int_max_str_digits") from None
 
 
 def _stabilizer(d: RootDatum, p: EvalPoint, args) -> dict:

@@ -310,7 +310,7 @@ class _MacaulayEchelon:
     def __init__(self, pres: Presentation, p: EvalPoint, ring: _SeriesRing) -> None:
         if p.rank != pres.rank:
             raise ValueError("point rank does not match presentation rank")
-        self.values = _evaluate(p.rows, _prepare(pres.laurent_values()))
+        self.values = _evaluate(p, _prepare(pres.laurent_values()))
         self.kappa_degree = _conjugate_count(self.values)
         self.ring, self.columns = ring, ring.columns
         self.shift = [ring.variable(k, v) for k, v in enumerate(self.values)]

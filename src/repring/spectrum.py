@@ -1,13 +1,13 @@
 """Evaluation points of the character lattice and their maximal-ideal data.
 
 A representable evaluation point sends each lattice coordinate to a root
-of unity times a positive rational, stored exactly: the torsion part as
-a reduced fraction in [0, 1) per coordinate, the rational part as a
-prime-to-exponent map per coordinate.  Points are evaluated on Laurent
-polynomials, compared up to the Galois action (equality of kernels of
-evaluation), translated by Weyl elements, and analysed through the
-sublattice of characters they kill; a fiber is the orbit of the point's
-rows, or a walk over W whose translates must be that orbit.
+of unity times a positive rational, stored exactly in integers: a torsion
+order m with a row of powers of zeta_m, and one row of exponents per
+prime that occurs.  Points are evaluated on Laurent polynomials, compared
+up to the Galois action (equality of kernels of evaluation), translated
+by Weyl elements, and analysed through the sublattice of characters they
+kill; a fiber is the orbit of the point, or a walk over W whose
+translates must be that orbit.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import add, mul
 
@@ -25,73 +24,61 @@ from .laurent import LaurentPoly
 from .rootdata import RootDatum, centralizer_subsystem, row_orbit, weyl_order, weyl_walk
 
 
-# Primes parse_point has factored (only primes), held while it builds their point.
-_PARSED_PRIMES: set[int] = set()
-
-
 def _is_prime(n: int) -> bool:
-    return n in _PARSED_PRIMES or (n >= 2 and next(prime_factors(n)) == n)
+    return n >= 2 and next(prime_factors(n)) == n
 
 
-class EvalPoint(namedtuple("EvalPoint", "torsion rational")):
-    """An exact evaluation point of the rank-r character lattice.
+class EvalPoint(namedtuple("EvalPoint", "m zeta_row prime_rows")):
+    """An exact evaluation point of the rank-r character lattice, in integers.
 
-    torsion[i] is a reduced fraction a/m in [0, 1) meaning the root of
-    unity zeta_m^a; rational[i] is a sorted tuple of (prime, exponent)
-    pairs with nonzero exponents, encoding a positive rational.  The same
-    data in integers, rows, are computed once per point; evaluation,
-    supports, Galois keys and Weyl translates read them.  Torsion is
-    checked in integers.
+    Coordinate i is zeta_m^zeta_row[i] times prime^row[i] for each (prime,
+    row) of prime_rows.  m is the least order of the torsion part (the
+    gcd of m and the zeta row is 1); the primes ascend, each once, and no
+    prime row is all zero.
     """
 
-    def __new__(cls, torsion: tuple[Fraction, ...],
-                rational: tuple[tuple[tuple[int, int], ...], ...]):
-        self = super().__new__(cls, torsion, rational)
-        if len(self.torsion) != len(self.rational):
-            raise ValueError("torsion and rational parts must have equal length")
-        for t in self.torsion:
-            if not (0 <= t.numerator < t.denominator):
-                raise ValueError("torsion entries must lie in [0, 1)")
-        for coord in self.rational:
-            for p, e in coord:
-                if not _is_prime(p):
-                    raise ValueError(f"{p} is not prime")
-                if e == 0:
-                    raise ValueError("zero exponents must be dropped")
-            primes = [p for p, _ in coord]
-            if primes != sorted(set(primes)):
-                raise ValueError("primes must be sorted and distinct")
+    __slots__ = ()
+
+    def __new__(cls, m: int, zeta_row, prime_rows):
+        self = super().__new__(cls, m, tuple(zeta_row),
+                               tuple((prime, tuple(row)) for prime, row in prime_rows))
+        if m < 1 or not all(0 <= a < m for a in self.zeta_row):
+            raise ValueError("torsion entries must lie in [0, m) for an order m >= 1")
+        if gcd(m, *self.zeta_row) != 1:
+            raise ValueError(f"{m} is not the least order of the torsion row")
+        if [p for p, _ in self.prime_rows] != sorted({p for p, _ in self.prime_rows}):
+            raise ValueError("primes must be sorted and distinct")
+        for prime, row in self.prime_rows:
+            if not _is_prime(prime):
+                raise ValueError(f"{prime} is not prime")
+            if len(row) != self.rank or not any(row):
+                raise ValueError(f"{prime}'s row needs length {self.rank} and a nonzero entry")
         return self
 
     @property
     def rank(self) -> int:
-        return len(self.torsion)
-
-    @cached_property
-    def torsion_order(self) -> int:
-        return lcm(*(t.denominator for t in self.torsion))
-
-    @cached_property
-    def rows(self) -> tuple:
-        """(m, zeta_row, prime_rows): coordinate i is zeta_m^zeta_row[i], m
-        the torsion order, times prime^row[i] for each (prime, row) of
-        prime_rows, one per prime that occurs, primes ascending."""
-        m = self.torsion_order
-        primes = sorted({prime for coord in self.rational for prime, _ in coord})
-        return (m, tuple(t.numerator * (m // t.denominator) for t in self.torsion),
-                tuple((prime, tuple(dict(coord).get(prime, 0) for coord in self.rational))
-                      for prime in primes))
+        return len(self.zeta_row)
 
     @classmethod
     def from_parts(cls, torsion, rational_maps) -> "EvalPoint":
-        tors = tuple(Fraction(t) % 1 for t in torsion)
-        rats = tuple(tuple(sorted((int(p), int(e)) for p, e in coord.items() if e != 0))
-                     for coord in rational_maps)
-        return cls(tors, rats)
+        """Coordinate i is exp(2 pi i torsion[i]) times p^e for each p: e of rational_maps[i]."""
+        if len(torsion) != len(rational_maps):
+            raise ValueError("torsion and rational parts must have equal length")
+        return cls(*_integer_form([Fraction(t) % 1 for t in torsion],
+                                  [{int(p): int(e) for p, e in c.items() if e}
+                                   for c in rational_maps]))
 
     @classmethod
     def all_ones(cls, rank: int) -> "EvalPoint":
-        return cls((Fraction(0),) * rank, ((),) * rank)
+        return cls._make((1, (0,) * rank, ()))
+
+
+def _integer_form(torsion, maps) -> tuple:
+    """The rows of reduced fractions in [0, 1) and prime maps without zero exponents."""
+    m = lcm(*(t.denominator for t in torsion))
+    return (m, tuple(t.numerator * (m // t.denominator) for t in torsion),
+            tuple((prime, tuple(c.get(prime, 0) for c in maps))
+                  for prime in sorted(set().union(*maps))))
 
 
 _ZETA_RE = re.compile(r"^zeta\((\d+)\)(?:\^(-?\d+))?$")
@@ -173,18 +160,13 @@ def parse_point(text: str, rank: int) -> EvalPoint:
     coords = text.split(",")
     if len(coords) != rank:
         raise ValueError(f"expected {rank} coordinates, got {len(coords)}")
-    torsion, rational = zip(*map(parse_coordinate, coords))
-    _PARSED_PRIMES.update(*rational)
-    try:
-        return EvalPoint.from_parts(torsion, rational)
-    finally:
-        _PARSED_PRIMES.clear()
+    # parse_coordinate has checked every factor and found each prime by factoring.
+    return EvalPoint._make(_integer_form(*zip(*map(parse_coordinate, coords))))
 
 
-def render_rows(rows) -> str:
-    """Canonical literal for the point with integer form rows (as
-    EvalPoint.rows); parse_point round-trips it."""
-    m, zeta_row, prime_rows = rows
+def render_rows(p: EvalPoint) -> str:
+    """Canonical literal for the point p; parse_point round-trips it."""
+    m, zeta_row, prime_rows = p
     out = []
     for i, a in enumerate(zeta_row):
         parts = []
@@ -203,9 +185,9 @@ def render_rows(rows) -> str:
     return ",".join(out)
 
 
-def _character(rows, n) -> tuple[int, int, int]:
-    """The value on e^n at rows as (k, num, den): zeta_m^k num/den, in lowest terms."""
-    m, zeta_row, prime_rows = rows
+def _character(p: EvalPoint, n) -> tuple[int, int, int]:
+    """The value on e^n at p as (k, num, den): zeta_m^k num/den, in lowest terms."""
+    m, zeta_row, prime_rows = p
     num = den = 1
     for prime, row in prime_rows:
         x = sum(map(mul, row, n))
@@ -221,8 +203,8 @@ def evaluate_char(p: EvalPoint, n) -> int | Fraction | Cyclo:
     vec = list(map(int, n))
     if len(vec) != p.rank:
         raise ValueError("exponent length does not match point rank")
-    k, num, den = _character(p.rows, vec)
-    return demote(Cyclo.zeta(p.torsion_order, k) * Fraction(num, den) if k else Fraction(num, den))
+    k, num, den = _character(p, vec)
+    return demote(Cyclo.zeta(p.m, k) * Fraction(num, den) if k else Fraction(num, den))
 
 
 def _prepare(fs) -> tuple:
@@ -249,12 +231,12 @@ def _dots(row, columns, n: int) -> list[int]:
     return acc
 
 
-def _slot_sums(rows, block) -> tuple[list[list[int]], int]:
-    """The rational terms of a prepared block at rows in m slots per
+def _slot_sums(p: EvalPoint, block) -> tuple[list[list[int]], int]:
+    """The rational terms of a prepared block at p in m slots per
     polynomial over one denominator: each term's numerator times its prime
     powers, read from one table per prime and shifted by the block's lowest
     exponent (if negative, into the denominator), in its zeta_m power's slot."""
-    m, zeta_row, prime_rows = rows
+    m, zeta_row, prime_rows = p
     columns, values, den, ends, _ = block
     n = len(values)
     for prime, row in prime_rows:
@@ -272,15 +254,15 @@ def _slot_sums(rows, block) -> tuple[list[list[int]], int]:
     return sums, den
 
 
-def _evaluate(rows, block) -> list[int | Fraction | Cyclo]:
-    """A prepared block of polynomials at rows, one value each: its slot
-    sums reduced once as one Cyclo, plus its Cyclo terms."""
-    (sums, den), out = _slot_sums(rows, block), []
+def _evaluate(p: EvalPoint, block) -> list[int | Fraction | Cyclo]:
+    """A prepared block of polynomials at p (or rows laid out as a point),
+    one value each: its slot sums reduced once as one Cyclo, plus its Cyclo terms."""
+    m, (sums, den), out = p[0], _slot_sums(p, block), []
     for slots, cyclo in zip(sums, block[4]):
-        value = Cyclo(rows[0], slots, den)
+        value = Cyclo(m, slots, den)
         for e, c in cyclo:
-            k, num, q_den = _character(rows, e)
-            value = value + c * Cyclo.zeta(rows[0], k) * Fraction(num, q_den)
+            k, num, q_den = _character(p, e)
+            value = value + c * Cyclo.zeta(m, k) * Fraction(num, q_den)
         out.append(demote(value))
     return out
 
@@ -289,7 +271,7 @@ def evaluate_poly(p: EvalPoint, f: LaurentPoly) -> int | Fraction | Cyclo:
     """Evaluate a Laurent polynomial at the point in one pass, in integers."""
     if f.rank != p.rank:
         raise ValueError("polynomial rank does not match point rank")
-    return _evaluate(p.rows, _prepare([f]))[0]
+    return _evaluate(p, _prepare([f]))[0]
 
 
 class SupportDesc(namedtuple("SupportDesc", "kernel_lattice quotient connected")):
@@ -308,7 +290,7 @@ def support(p: EvalPoint) -> SupportDesc:
     is connected exactly when the quotient is torsion-free.
     """
     r = p.rank
-    m, zeta_row, prime_rows = p.rows
+    m, zeta_row, prime_rows = p
     rows = [[*zeta_row, m]] + [[*row, 0] for _, row in prime_rows]
     ker = kernel(rows)
     lat = Sublattice(r, [g[:r] for g in ker.hnf_rows])
@@ -317,13 +299,13 @@ def support(p: EvalPoint) -> SupportDesc:
                        connected=quot.is_torsion_free)
 
 
-def _galois_key(rows) -> tuple:
-    """The Galois-normal key of the point at rows: its rational part, m,
-    and the least unit multiple of its torsion row.  With a the row's
-    first nonzero entry and g = gcd(a, m), the least first entry a unit
-    multiple reaches is g, reached exactly by the units k = (a/g)^-1 mod
-    m/g; the least is taken over those alone."""
-    m, zeta_row, prime_rows = rows
+def _galois_key(p) -> tuple:
+    """The Galois-normal key of the point p, or of a triple laid out as
+    one: its rational part, m, and the least unit multiple of its torsion
+    row.  With a the row's first nonzero entry and g = gcd(a, m), the least
+    first entry a unit multiple reaches is g, reached exactly by the units
+    k = (a/g)^-1 mod m/g; the least is taken over those alone."""
+    m, zeta_row, prime_rows = p
     a = next((a for a in zeta_row if a), 0)
     if not a:
         return prime_rows, m, zeta_row
@@ -333,11 +315,11 @@ def _galois_key(rows) -> tuple:
                               for k in range(first, m, m // g) if gcd(k, m) == 1)
 
 
-def _conjugates_in_orbit(rows, orbit) -> int:
+def _conjugates_in_orbit(p: EvalPoint, orbit) -> int:
     """The distinct sigma_k(p) (k z mod m, prime rows kept; k a unit mod m)
     in orbit, the orbit of p's rows (row_orbit): phi(m) lookups, or where m
     exceeds the orbit the orbit points with p's Galois key."""
-    m, zeta_row, prime_rows = rows
+    m, zeta_row, prime_rows = p
     rest = tuple(x for _, row in prime_rows for x in row)
     if m > len(orbit):
         key, r = _galois_key((m, zeta_row, rest)), len(zeta_row)
@@ -346,10 +328,9 @@ def _conjugates_in_orbit(rows, orbit) -> int:
                for k in range(1, m + 1) if gcd(k, m) == 1)
 
 
-def fiber_over_RG(d: RootDatum, p: EvalPoint) -> list[tuple]:
+def fiber_over_RG(d: RootDatum, p: EvalPoint) -> list[EvalPoint]:
     """The distinct maximal ideals over the invariant-ring ideal of p, as
-    the rows (EvalPoint.rows) of one point on each, sorted; render_rows
-    writes one.
+    one point on each, sorted.
 
     They are the Galois classes of p's orbit.  W acts linearly on the rows,
     so it commutes with sigma_k: (z, r) -> (k z mod m, r), and orbit points
@@ -360,20 +341,22 @@ def fiber_over_RG(d: RootDatum, p: EvalPoint) -> list[tuple]:
     class, and the distinct translates must be the orbit, or it raises.  An
     orbit point is p's rows through transposes s^T checked adjoint to s,
     <s^T r, e> = <r, s e>, and s permutes an invariant's terms, so they stay
-    p's: the per-member probe check of tests/orbit_oracle.py holds.
+    p's: the per-member probe check of tests/orbit_oracle.py holds.  Members
+    skip EvalPoint's checks: W acts on the rows unimodularly, so a translate
+    of a point is a point.
     """
     if d.rank != p.rank:
         raise ValueError("datum and point rank differ")
-    m, zeta_row, prime_rows = p.rows
-    primes, r = [prime for prime, _ in prime_rows], d.rank
+    m, zeta_row, prime_rows = p
+    primes, r, point = [prime for prime, _ in prime_rows], d.rank, EvalPoint._make
     rows = (zeta_row, *(row for _, row in prime_rows))
+    cuts = [slice(i * r, i * r + r) for i in range(1, len(rows))]
     orbit = row_orbit(d, rows, m)
     cyclotomic_polynomial(m)  # over its cap the field is refused before any class is keyed
-    points = [(m, x[:r], tuple(zip(primes, [x[i * r:i * r + r] for i in range(1, len(rows))])))
-              for x in orbit]
-    if _conjugates_in_orbit(p.rows, orbit) == 1:
+    points = [point((m, x[:r], tuple(zip(primes, [x[c] for c in cuts])))) for x in orbit]
+    if _conjugates_in_orbit(p, orbit) == 1:
         return sorted(points)
-    translates = dict.fromkeys((m, tuple([x % m for x in z]), tuple(zip(primes, rs)))
+    translates = dict.fromkeys(point((m, tuple([x % m for x in z]), tuple(zip(primes, rs))))
                                for _, (z, *rs) in weyl_walk(d, rows))
     if translates.keys() != set(points):
         raise AssertionError("the fiber's translates are not the orbit of the point's rows")
@@ -402,11 +385,11 @@ def stabilizer_check(d: RootDatum, p: EvalPoint) -> StabilizerReport:
     desc = support(p)
     if not desc.connected:
         raise ValueError("stabilizer comparison needs a connected support")
-    m, zeta_row, prime_rows = p.rows
+    m, zeta_row, prime_rows = p
     rows = (zeta_row, *(row for _, row in prime_rows))
     points = row_orbit(d, rows, m)
     geometric = weyl_order(d) // len(points)
-    ideal = geometric * _conjugates_in_orbit(p.rows, points)
+    ideal = geometric * _conjugates_in_orbit(p, points)
     levi = centralizer_subsystem(d, desc.kernel_lattice)
     subsystem = weyl_order(levi.datum)
     fixed = len(row_orbit(levi.datum, rows, m)) == 1

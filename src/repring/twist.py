@@ -21,7 +21,7 @@ class _Twist:
     """Polynomials, each twisted once by a point, in M slots: M is the lcm
     of the point's torsion order m and the orders of Cyclo coefficients.
 
-    Each exponent's value zeta_m^k num/den is read once from the rows.  A
+    Each exponent's value zeta_m^k num/den is read once from the point.  A
     coefficient splits into parts r zeta_M^s, r rational, and part r e^n
     into (a + s, a + (s + k M/m) mod M, c, v): a = 2M times n packed as the
     digits n_j + B in base 4B + 1, B the largest |n_j|, so packed exponents
@@ -32,9 +32,9 @@ class _Twist:
         if any(f.rank != p.rank for f in polys):
             raise ValueError("polynomial rank does not match point rank")
         orders = (c.order for f in polys for c in f.terms.values() if isinstance(c, Cyclo))
-        self.rows, self.m, self.products = p.rows, lcm(p.rows[0], *orders), {}
+        self.p, self.m, self.products = p, lcm(p.m, *orders), {}
         cyclotomic_polynomial(self.m)  # over its cap the field is refused first
-        values = {e: _character(self.rows, e) for f in polys for e in f.terms}
+        values = {e: _character(p, e) for f in polys for e in f.terms}
         self.parts = [[(e, i * (self.m // c.order), Fraction(x, c.den))
                        for e, c in f.terms.items() if isinstance(c, Cyclo)
                        for i, x in enumerate(c.nums) if x]
@@ -49,7 +49,7 @@ class _Twist:
                 (k, num, den), c = values[e], r.numerator * (self.cden // r.denominator)
                 a = span * sum((x + self.bound) * (4 * self.bound + 1) ** j
                                for j, x in enumerate(e))
-                k = s + k * (self.m // p.rows[0])
+                k = s + k * (self.m // p.m)
                 terms.append((a + s, a + k % self.m, c, c * num * (self.den // den)))
 
     def sum_holds(self, i: int, value) -> bool:
@@ -62,7 +62,7 @@ class _Twist:
         if not isinstance(value, tuple):
             return Cyclo(self.m, mine, own) == value
         (slots, den), theirs = value, [0] * self.m
-        theirs[::self.m // self.rows[0]] = slots
+        theirs[::self.m // self.p.m] = slots
         diff = [x * den - y * own for x, y in zip(mine, theirs)]
         return not any(diff) or not Cyclo(self.m, diff)
 
@@ -102,11 +102,11 @@ class _Twist:
     def _value(self, a: int) -> tuple[int, int | Fraction]:
         """(k, v): zeta_M^k v / den^2 is the value on the sum of two packed as a."""
         n, rest, scale = [], a, self.den ** 2
-        for _ in self.rows[1]:
+        for _ in self.p.zeta_row:
             rest, digit = divmod(rest, 4 * self.bound + 1)
             n.append(digit - 2 * self.bound)
-        k, num, den = _character(self.rows, n)
-        self.products[a] = k * (self.m // self.rows[0]), (
+        k, num, den = _character(self.p, n)
+        self.products[a] = k * (self.m // self.p.m), (
             num * (scale // den) if scale % den == 0 else Fraction(num * scale, den))
         return self.products[a]
 
@@ -114,7 +114,7 @@ class _Twist:
 def _values(polys, p: EvalPoint) -> list:
     """Each polynomial's value at p: spectrum's slot sums and their
     denominator, or evaluate_poly's number where it has Cyclo terms."""
-    sums, den = _slot_sums(p.rows, _prepare(polys))
+    sums, den = _slot_sums(p, _prepare(polys))
     return [evaluate_poly(p, f) if any(isinstance(c, Cyclo) for c in f.terms.values())
             else (slots, den) for f, slots in zip(polys, sums)]
 

@@ -28,7 +28,7 @@ from reflection_oracle import mat_inverse_unimodular, reflection_matrix
 
 from repring.cyclotomic import Cyclo, demote
 from repring.invariants import orbit_sum
-from repring.lattice import mat_mul, transpose
+from repring.lattice import mat_mul
 from repring.laurent import LaurentPoly
 from repring.rootdata import (RootDatum, all_roots, dominant_representative, orbit, two_rho,
                               weyl_walk)
@@ -56,14 +56,11 @@ def weyl_group(d: RootDatum, cap: int | None = None) -> WeylGroup:
 
 def weyl_translate(w, p: EvalPoint) -> EvalPoint:
     """The translated point (w . p)(n) = p(w^{-1} n): p's integer rows
-    through the inverse-transpose of the integer matrix w."""
+    through the inverse-transpose of the integer matrix w, with every
+    check of EvalPoint."""
     if len(w) != p.rank:
         raise ValueError("matrix size does not match point rank")
-    inv_t = transpose(mat_inverse_unimodular(w))
-    m, zeta_row, prime_rows = p.rows
-    coords = tuple(tuple((prime, x) for prime, row in prime_rows if (x := sum(map(mul, r, row))))
-                   for r in inv_t)
-    return EvalPoint(tuple(Fraction(sum(map(mul, r, zeta_row)) % m, m) for r in inv_t), coords)
+    return EvalPoint(*translate_rows(p, w))
 
 
 def weyl_order_by_orbit(d) -> int:
@@ -79,10 +76,10 @@ def least_unit_multiple(m, zeta_row) -> tuple:
 
 
 def galois_key(p) -> tuple:
-    """The rational part, the torsion order m, and the least unit
-    multiple of the torsion vector written in integers over m."""
-    m, zeta_row, _ = p.rows
-    return p.rational, m, least_unit_multiple(m, zeta_row)
+    """The prime rows, the torsion order m, and the least unit multiple
+    of the torsion row."""
+    m, zeta_row, prime_rows = p
+    return prime_rows, m, least_unit_multiple(m, zeta_row)
 
 
 def probe_signature(rows, block) -> list[list[tuple]]:
@@ -98,9 +95,10 @@ def probe_signature(rows, block) -> list[list[tuple]]:
 
 
 def translate_rows(p, m) -> tuple:
-    """The rows (EvalPoint.rows) of the translate of p by the matrix m: p's
-    rows through the inverse-transpose of m, one dot product per entry."""
-    mod, zeta_row, prime_rows = p.rows
+    """The rows, laid out as a point, of the translate of p by the matrix
+    m: p's rows through the inverse-transpose of m, one dot product per
+    entry."""
+    mod, zeta_row, prime_rows = p
     inv = mat_inverse_unimodular(m)
     columns = list(zip(*inv))
     return (mod, tuple(sum(map(mul, c, zeta_row)) % mod for c in columns),
@@ -156,7 +154,7 @@ def evaluate_by_terms(p, f):
     into the slot of that power over the lcm of the coefficient
     denominators times each prime to minus its lowest exponent; Cyclo
     coefficients multiply out."""
-    m, zeta_row, primes = p.rows
+    m, zeta_row, primes = p
     terms, rest = [], 0
     for e, c in f.terms.items():
         xs = [sum(map(mul, row, e)) for _, row in primes]

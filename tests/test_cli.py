@@ -118,6 +118,28 @@ def test_stabilizer_at_a_root_of_unity_of_huge_prime_order():
                                                  "subsystem_order": 1, "agree": True}
 
 
+def test_a_fiber_over_the_digit_limit_is_a_resource_cap():
+    # 2^15000 has 4,516 digits, over the interpreter's default limit for
+    # str() on integers (4,300), so a fiber member's literal cannot be
+    # written; the other point commands answer.  Child processes fix the
+    # limit, so the environment of the test run cannot change it.
+    def child(limit, command):
+        return subprocess.run(
+            [sys.executable, "-X", f"int_max_str_digits={limit}", "-m", "repring.cli", command,
+             "--type", "A", "--rank", "1", "--point", "2^15000"],
+            capture_output=True, text=True, timeout=30)
+
+    for command in ("support", "stabilizer", "centralizer"):
+        assert child(4300, command).returncode == 0
+    proc = child(4300, "fiber")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("resource cap exceeded: ")
+    assert all(s in proc.stderr for s in ("4300", "PYTHONINTMAXSTRDIGITS", "-X int_max_str_digits"))
+    proc = child(0, "fiber")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["result"]["size"] == 2
+
+
 def test_centralizer_output(capsys):
     code, out, _ = invoke(capsys, [
         "centralizer", "--type", "A", "--rank", "2", "--point", "2,4"])

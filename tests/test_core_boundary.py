@@ -7,7 +7,9 @@ capabilities that nothing called, or that the dense series of
 those names, the package exports none of them, and the import edges
 that only they needed are gone: `completion` does not import `groebner`,
 `laurent` does not import `lattice`, and only `__init__` imports
-`groebner`, which no subcommand runs.
+`groebner`, which no subcommand runs.  An `EvalPoint` has one form, its
+integer rows, with no fractions, prime maps or cached rows beside them,
+and `spectrum` keeps no module-level set of parsed primes.
 """
 
 import ast
@@ -60,7 +62,9 @@ def test_the_core_keeps_no_test_reference_and_no_dead_capability():
     for cls, member in [(Poly, "render"), (Poly, "substitute"), (Poly, "__pow__"),
                         (Poly, "constant"), (Poly, "variable"), (LaurentPoly, "__pow__")]:
         assert not hasattr(cls, member), (cls.__name__, member)
-    assert list(inspect.signature(EvalPoint).parameters) == ["torsion", "rational"]
+    assert list(inspect.signature(EvalPoint).parameters) == ["m", "zeta_row", "prime_rows"]
+    assert not {"rows", "torsion_order", "torsion", "rational"} & set(dir(EvalPoint))
+    assert "_PARSED_PRIMES" not in names_and_imports(SRC / "spectrum.py")[0]
     assert "cut" not in inspect.signature(monomial_values).parameters
     assert list(inspect.signature(exact_divide).parameters) == ["num", "den"]
     assert "groebner" not in imports["completion"]

@@ -42,8 +42,8 @@ def torsion_point(rng, rank: int, rational: bool) -> EvalPoint:
 
 
 def conjugates_in_orbit(d, p) -> int:
-    m, zeta_row, prime_rows = p.rows
-    return _conjugates_in_orbit(p.rows, row_orbit(d, (zeta_row, *(r for _, r in prime_rows)), m))
+    m, zeta_row, prime_rows = p
+    return _conjugates_in_orbit(p, row_orbit(d, (zeta_row, *(r for _, r in prime_rows)), m))
 
 
 def test_the_fiber_is_the_orbit_exactly_when_no_other_conjugate_lies_in_it():
@@ -57,13 +57,13 @@ def test_the_fiber_is_the_orbit_exactly_when_no_other_conjugate_lies_in_it():
         assert weyl_order(d) <= 384
         for rational in (False, True):
             p = torsion_point(rng, rank, rational)
-            assert 2 <= p.torsion_order <= 12
+            assert 2 <= p.m <= 12
             classes: dict = {}
             for _, q in translates(d, p):
-                classes.setdefault(galois_key(q), set()).add(q.rows)
+                classes.setdefault(galois_key(q), set()).add(q)
             count = conjugates_in_orbit(d, p)
             assert count == len(classes[galois_key(p)])
-            assert (count == 1) == all(len(rows) == 1 for rows in classes.values())
+            assert (count == 1) == all(len(points) == 1 for points in classes.values())
             outcomes.append(count == 1)
     assert True in outcomes and False in outcomes
 
@@ -79,7 +79,7 @@ def no_walk(monkeypatch):
 
 def test_the_benchmarks_c4_fiber_walks_no_w(no_walk):
     d, p = standard_datum("C", 4), parse_point("2,3,zeta(3)^1,1", 4)
-    assert fiber_over_RG(d, p) == sorted(q.rows for q in fiber_points(d, p))
+    assert fiber_over_RG(d, p) == sorted(fiber_points(d, p))
     assert len(fiber_over_RG(d, p)) == weyl_order(d)
 
 
@@ -91,7 +91,7 @@ def test_seeded_rational_fibers_walk_no_w(no_walk):
             continue
         p = EvalPoint.from_parts([0] * rank, [{q: rng.choice([-2, -1, 1, 2]) for q in (2, 3, 5)
                                                if rng.random() < 0.4} for _ in range(rank)])
-        assert fiber_over_RG(d, p) == sorted(q.rows for q in fiber_points(d, p))
+        assert fiber_over_RG(d, p) == sorted(fiber_points(d, p))
 
 
 def test_the_e6_fiber_walks_no_w(no_walk, tmp_path):

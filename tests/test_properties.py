@@ -289,7 +289,7 @@ def test_render_matches_the_string_grown_term_by_term(f):
 @PROPERTY
 @given(points())
 def test_render_point_round_trips_through_parse_point(p):
-    assert parse_point(render_rows(p.rows), p.rank) == p
+    assert parse_point(render_rows(p), p.rank) == p
 
 
 @st.composite

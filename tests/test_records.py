@@ -3,14 +3,14 @@
 Every record class keeps its constructor (field names and order,
 positional and keyword arguments, `RootDatum`'s defaults), refuses
 assignment to a field, and equals and hashes like the tuple of its
-fields.  `RootDatum` and `EvalPoint` keep per-instance caches, each
-computed once per instance.  `Sublattice` is built from generators and
-keeps their Hermite rows, so its twin is built from those rows.
+fields.  Only `RootDatum` keeps per-instance caches, each computed once
+per instance; `EvalPoint` is its integer rows and nothing else.
+`Sublattice` is built from generators and keeps their Hermite rows, so
+its twin is built from those rows.
 """
 
 import inspect
 import pathlib
-from fractions import Fraction
 
 import pytest
 
@@ -41,12 +41,12 @@ FIELDS = {
     FinAbGroup: "free_rank invariant_factors",
     RootDatum: "rank simple_roots simple_coroots name variant",
     LeviDatum: "parent kernel pairs datum saturation_applied",
-    EvalPoint: "torsion rational",
+    EvalPoint: "m zeta_row prime_rows",
     SupportDesc: "kernel_lattice quotient connected",
     StabilizerReport: "geometric_order ideal_order subsystem_order agree",
 }
-# The two records that keep caches in an instance __dict__.
-CACHING = {RootDatum, EvalPoint}
+# The one record that keeps caches in an instance __dict__.
+CACHING = {RootDatum}
 
 
 def one_of_each():
@@ -126,15 +126,14 @@ def test_records_with_different_fields_differ():
     assert len({FinAbGroup(0, (2,)), FinAbGroup(0, (2,)), FinAbGroup(1, ())}) == 2
 
 
-def test_eval_point_rows_are_computed_once_per_point():
+def test_eval_point_fields_are_its_rows():
     p = parse_point("2,zeta(3)^1", 2)
-    assert "rows" not in vars(p)
-    rows = p.rows
-    assert p.rows is rows and vars(p)["rows"] is rows
-    twin = EvalPoint(p.torsion, p.rational)
-    assert twin == p and "rows" not in vars(twin)
-    assert twin.rows == rows and twin.rows is not rows
-    assert EvalPoint((Fraction(0),), ((),)).rows == (1, (0,), ())
+    assert p._fields == ("m", "zeta_row", "prime_rows")
+    assert p == (3, (0, 1), ((2, (1, 0)),)) and p.rank == 2
+    assert not hasattr(p, "__dict__")
+    twin = EvalPoint(*p)
+    assert twin == p and twin is not p and hash(twin) == hash(tuple(p))
+    assert EvalPoint(1, [0], []) == EvalPoint.all_ones(1) == (1, (0,), ())
 
 
 def test_root_datum_closure_is_computed_once_per_datum(monkeypatch):

@@ -80,27 +80,27 @@ def test_render_parse_round_trip():
     for _ in range(60):
         rank = rng.randint(1, 3)
         p = random_point(rng, rank)
-        text = render_rows(p.rows)
+        text = render_rows(p)
         assert parse_point(text, rank) == p
 
 
 def test_render_frozen():
     p = parse_point("zeta(4)^1*2,1,3/10", 3)
-    assert render_rows(p.rows) == "zeta(4)^1*2,1,3/10"
-    assert render_rows(EvalPoint.all_ones(2).rows) == "1,1"
+    assert render_rows(p) == "zeta(4)^1*2,1,3/10"
+    assert render_rows(EvalPoint.all_ones(2)) == "1,1"
 
 
 def test_point_validation():
     with pytest.raises(ValueError):
-        EvalPoint((Fraction(1, 2),), ())
+        EvalPoint(2, (1,), ((2, (1, 1)),))
     with pytest.raises(ValueError):
-        EvalPoint((Fraction(3, 2),), ((),))
+        EvalPoint(2, (3,), ())
     with pytest.raises(ValueError):
-        EvalPoint((Fraction(0),), (((4, 1),),))
+        EvalPoint(1, (0,), ((4, (1,)),))
     with pytest.raises(ValueError):
-        EvalPoint((Fraction(0),), (((2, 0),),))
+        EvalPoint(1, (0,), ((2, (0,)),))
     with pytest.raises(ValueError):
-        EvalPoint((Fraction(0),), (((3, 1), (2, 1)),))
+        EvalPoint(1, (0,), ((3, (1,)), (2, (1,))))
 
 
 def test_evaluate_char_rational():
@@ -176,7 +176,7 @@ def ideal_equal(p: EvalPoint, q: EvalPoint) -> bool:
     equal ranks and equal Galois keys, that is, equal rational parts and
     torsion vectors related by a unit multiplier (the Galois action on
     roots of unity)."""
-    return p.rank == q.rank and _galois_key(p.rows) == _galois_key(q.rows)
+    return p.rank == q.rank and _galois_key(p) == _galois_key(q)
 
 
 def test_ideal_equal_galois_pairs():
@@ -327,11 +327,12 @@ def value_from_coordinates(p, n):
     """Independent oracle for p(e^n): the product over coordinates of
     zeta_(denominator)^(numerator) times the coordinate's prime powers,
     each raised to n_i, demoted when rational."""
+    m, zeta_row, prime_rows = p
     value = Fraction(1)
-    for t, coord, ni in zip(p.torsion, p.rational, n):
-        x = Cyclo.zeta(t.denominator, t.numerator)
-        for prime, e in coord:
-            x = x * Fraction(prime) ** e
+    for i, ni in enumerate(n):
+        x = Cyclo.zeta(m, zeta_row[i])
+        for prime, row in prime_rows:
+            x = x * Fraction(prime) ** row[i]
         for _ in range(abs(ni)):
             value = value * x if ni > 0 else value / x
     return demote(value)
@@ -347,7 +348,7 @@ def test_evaluate_poly_is_the_sum_of_character_values():
             rational = [{q: rng.choice([-2, -1, 1, 2]) for q in (2, 3, 5)
                          if rng.random() < 0.4} for _ in range(3)]
             p = EvalPoint.from_parts(torsion, rational)
-            assert p.torsion_order == m
+            assert p.m == m
             terms = {tuple(rng.randint(-3, 3) for _ in range(3)):
                      Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(8)}
             cyclo_terms = dict(terms)
@@ -405,18 +406,22 @@ def test_a_translate_passes_the_full_point_checks():
         p = random_point(rng, 3)
         for m in w.elements:
             q = weyl_translate(m, p)
-            assert q == EvalPoint(q.torsion, q.rational)
+            assert q == EvalPoint(*q)
 
 
 def test_eval_point_validation_messages():
-    for torsion, rational, message in [
-            ((Fraction(1, 2),), (), "equal length"),
-            ((Fraction(3, 2),), ((),), r"\[0, 1\)"),
-            ((Fraction(0),), (((2, 0),),), "zero exponents"),
-            ((Fraction(0),), (((3, 1), (2, 1)),), "sorted and distinct"),
-            ((Fraction(0),), (((9, 1),),), "9 is not prime")]:
+    for m, zeta_row, prime_rows, message in [
+            (2, (1,), ((2, (1, 1)),), "length 1"),
+            (2, (3,), (), r"\[0, m\)"),
+            (0, (), (), "order m >= 1"),
+            (4, (2,), (), "4 is not the least order"),
+            (1, (0,), ((2, (0,)),), "a nonzero entry"),
+            (1, (0,), ((3, (1,)), (2, (1,))), "sorted and distinct"),
+            (1, (0,), ((9, (1,)),), "9 is not prime")]:
         with pytest.raises(ValueError, match=message):
-            EvalPoint(torsion, rational)
+            EvalPoint(m, zeta_row, prime_rows)
+    with pytest.raises(ValueError, match="equal length"):
+        EvalPoint.from_parts([Fraction(1, 2)], [])
 
 
 def test_parse_point_factors_each_prime_once(monkeypatch):
@@ -432,12 +437,54 @@ def test_parse_point_factors_each_prime_once(monkeypatch):
 
     monkeypatch.setattr(spectrum, "prime_factors", counting)
     p = parse_point("99999999977,2", 2)
-    assert p.rational == (((99999999977, 1),), ((2, 1),))
+    assert p.prime_rows == ((2, (0, 1)), (99999999977, (1, 0)))
     assert calls.count(99999999977) == 1
-    assert EvalPoint.from_parts(p.torsion, [{99999999977: 1}, {2: 1}]) == p
+    assert EvalPoint.from_parts([0, 0], [{99999999977: 1}, {2: 1}]) == p
     assert calls.count(99999999977) == 2
     with pytest.raises(ValueError, match="99999999979 is not prime"):
         EvalPoint.from_parts([0], [{99999999979: 1}])
+
+
+def random_literal(rng, rank, torsion, rational) -> str:
+    """A seeded point literal: each coordinate a root of unity if torsion,
+    times a rational if rational, each with chance 2/3 (1 if neither)."""
+    coords = []
+    for _ in range(rank):
+        factors = []
+        if torsion and rng.random() < 2 / 3:
+            m = rng.choice([2, 3, 4, 5, 6, 8, 12])
+            factors.append(f"zeta({m})^{rng.choice([a for a in range(1, m) if gcd(a, m) == 1])}")
+        if rational and rng.random() < 2 / 3:
+            factors.append(rng.choice(["2", "3/5", "2^-2", "10", "7/12", "9", "2^-2*4"]))
+        coords.append("*".join(factors) or "1")
+    return ",".join(coords)
+
+
+def test_the_unchecked_points_pass_the_checks_and_round_trip():
+    # parse_point and fiber_over_RG build their points without EvalPoint's
+    # checks.  Each must pass them and parse back from its literal: at
+    # seeded rational, torsion and mixed points of every built-in of rank
+    # <= 3, and at A2 and C2 points of high torsion order, the C2 ones on
+    # the path that walks W.
+    rng = random.Random(3003)
+    cases = [(standard_datum(label, rank, variant), random_literal(rng, rank, *kinds))
+             for label, rank in [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
+                                 ("C", 2), ("C", 3), ("D", 3), ("G", 2)]
+             for variant in ("simply_connected", "adjoint")
+             for kinds in [(False, True), (True, False), (True, True)] for _ in range(2)]
+    walks = [(standard_datum(label, 2), text.format(m=m, k=k))
+             for m in (5, 7, 8, 9, 10, 12, 60) for k in (1, m - 1)
+             for label, text in [("A", "zeta({m})^{k}*2,zeta({m})^{k}"), ("C", "zeta({m})^{k},1")]]
+    for d, text in walks[1::2]:
+        assert_walks(d, parse_point(text, 2))
+    checked = 0
+    for d, text in cases + walks:
+        p = parse_point(text, d.rank)
+        for q in [p, *fiber_over_RG(d, p)]:
+            assert type(q) is EvalPoint and EvalPoint(*q) == q
+            assert parse_point(render_rows(q), d.rank) == q
+            checked += 1
+    assert checked > 1000
 
 
 def test_weyl_translate_evaluates_as_the_point_at_the_inverse():
@@ -454,14 +501,20 @@ def test_weyl_translate_evaluates_as_the_point_at_the_inverse():
 
 
 def ideal_equal_by_unit_search(p, q):
-    """Independent oracle for Galois equality: equal ranks and rational
-    parts, and some unit k modulo the torsion order of p that rescales
-    the torsion vector of p onto that of q."""
-    if p.rank != q.rank or p.rational != q.rational:
+    """Independent oracle for Galois equality: equal ranks, prime rows and
+    torsion orders m, and some unit k modulo m that rescales the torsion
+    row of p onto that of q."""
+    if p.rank != q.rank or p.prime_rows != q.prime_rows or p.m != q.m:
         return False
-    m = p.torsion_order
-    return any(all((k * t) % 1 == s for t, s in zip(p.torsion, q.torsion))
+    m = p.m
+    return any(all(k * a % m == b for a, b in zip(p.zeta_row, q.zeta_row))
                for k in range(1, m + 1) if gcd(k, m) == 1)
+
+
+def least_order_point(m, zeta_row, prime_rows) -> EvalPoint:
+    """The point with torsion row zeta_row over m, written over its least order."""
+    g = gcd(m, *zeta_row)
+    return EvalPoint(m // g, [a // g for a in zeta_row], prime_rows)
 
 
 def test_galois_key_is_equal_exactly_for_equal_ideals():
@@ -470,17 +523,18 @@ def test_galois_key_is_equal_exactly_for_equal_ideals():
     for _ in range(200):
         rank = rng.randint(1, 3)
         p = random_point(rng, rank)
-        m = p.torsion_order
+        m = p.m
         k = rng.choice([k for k in range(1, m + 1) if gcd(k, m) == 1])
-        conjugate = EvalPoint(tuple((k * t) % 1 for t in p.torsion), p.rational)
+        conjugate = EvalPoint(m, [k * a % m for a in p.zeta_row], p.prime_rows)
         others = [conjugate, random_point(rng, rank),
-                  EvalPoint(tuple((rng.randrange(1, 4) * t) % 1 for t in p.torsion), p.rational),
-                  EvalPoint(conjugate.torsion, random_point(rng, rank, False).rational),
+                  least_order_point(m, [rng.randrange(1, 4) * a % m for a in p.zeta_row],
+                                    p.prime_rows),
+                  EvalPoint(m, conjugate.zeta_row, random_point(rng, rank, False).prime_rows),
                   random_point(rng, rank + 1)]
         assert ideal_equal_by_unit_search(p, conjugate)
         for q in others:
             expected = ideal_equal_by_unit_search(p, q)
-            assert (_galois_key(p.rows) == _galois_key(q.rows)) == expected
+            assert (_galois_key(p) == _galois_key(q)) == expected
             assert ideal_equal(p, q) == expected
 
 
@@ -502,10 +556,10 @@ def test_fiber_and_stabilizers_match_a_walk_over_full_points():
         points = [parse_point(",".join(["1"] * rank), rank),
                   parse_point(",".join(["zeta(2)^1"] * rank), rank)]
         points += [random_point(rng, rank) for _ in range(3)]
-        assert any(p.torsion_order > 1 for p in points)
-        assert any(e < 0 for p in points for coord in p.rational for _, e in coord)
+        assert any(p.m > 1 for p in points)
+        assert any(x < 0 for p in points for _, row in p.prime_rows for x in row)
         for p in points:
-            assert fiber_over_RG(d, p) == sorted(q.rows for q in fiber_points(d, p))
+            assert fiber_over_RG(d, p) == sorted(fiber_points(d, p))
             if support(p).connected:
                 report = stabilizer_check(d, p)
                 geo, idl = stabilizers(d, p)
@@ -550,7 +604,7 @@ def test_stabilizer_orders_and_agreement_match_the_brute_force_sets():
             assert (report.geometric_order, report.ideal_order,
                     report.subsystem_order) == (len(geo), len(idl), len(sub))
             assert report.agree == (set(geo) == set(idl) == sub) is True
-            kinds.add((p.torsion_order > 1, len(geo) > 1))
+            kinds.add((p.m > 1, len(geo) > 1))
     assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
@@ -616,7 +670,7 @@ def test_evaluate_poly_matches_the_term_by_term_sum():
                       (p, LaurentPoly(3, {**rational_terms, **cyclo_terms})),
                       (p, LaurentPoly(3, cyclo_terms)),  # no rational terms
                       (p, LaurentPoly(3, {}))]
-    assert any(p.torsion_order == 1 for p, _ in cases)
+    assert any(p.m == 1 for p, _ in cases)
     for p, f in cases:
         got, expected = evaluate_poly(p, f), evaluate_by_terms(p, f)
         assert got == expected and type(got) is type(expected)
@@ -638,9 +692,9 @@ def test_a_stacked_block_evaluates_as_its_polynomials_one_by_one():
                              (0, -1, 0): Fraction(1, 2)})]
     points = [parse_point(text, 3) for text in
               ("2,3/5,1", "2^-3,7,5/6", "zeta(4)^1*2,3,1", "1,zeta(12)^5,zeta(3)^2*3/2")]
-    assert points[0].torsion_order == points[1].torsion_order == 1
+    assert points[0].m == points[1].m == 1
     for p in points:
-        got = _evaluate(p.rows, _prepare(block))
+        got = _evaluate(p, _prepare(block))
         assert got == [evaluate_poly(p, f) for f in block] == [evaluate_by_terms(p, f) for f in block]
         assert [type(v) for v in got] == [type(evaluate_by_terms(p, f)) for f in block]
 
@@ -667,7 +721,7 @@ def break_one_step(monkeypatch, d, change):
 def assert_walks(d, p):
     """Fewer fiber members than orbit points: a Galois conjugate of p lies in
     its orbit, so the fiber at p walks W."""
-    m, zeta_row, prime_rows = p.rows
+    m, zeta_row, prime_rows = p
     orbit = rootdata.row_orbit(d, (zeta_row, *(row for _, row in prime_rows)), m)
     assert len(fiber_over_RG(d, p)) < len(orbit)
 
@@ -692,7 +746,7 @@ def test_the_fiber_probe_check_fires_on_a_zeta_row_off_by_one(monkeypatch):
     # element's translate comes back with its first zeta entry moved by 1
     # mod m: only its torsion row is wrong.
     d, p = standard_datum("C", 2), parse_point("1,zeta(4)^1", 2)
-    assert p.torsion_order == 4
+    assert p.m == 4
     assert_walks(d, p)
     hits = break_one_step(monkeypatch, d, lambda rows: ((rows[0][0] + 1, *rows[0][1:]),
                                                         *rows[1:]))
@@ -713,7 +767,7 @@ def test_every_weyl_element_gives_the_points_probe_signature(label, rank):
     rng = random.Random(2718)
     for _ in range(6):
         p = random_point(rng, rank)
-        _check_probe_terms(probes, p.rows, [translate_rows(p, m) for m in w.elements])
+        _check_probe_terms(probes, p, [translate_rows(p, m) for m in w.elements])
 
 
 def test_the_fiber_refuses_a_walk_that_misses_an_element(monkeypatch):
@@ -723,7 +777,7 @@ def test_the_fiber_refuses_a_walk_that_misses_an_element(monkeypatch):
     # be the whole orbit, not a part of it.
     from repring import spectrum
     d, p = standard_datum("C", 2), parse_point("zeta(6)^1,zeta(5)^1", 2)
-    assert len(rootdata.row_orbit(d, [p.rows[1]], p.rows[0])) == weyl_order(d)
+    assert len(rootdata.row_orbit(d, [p.zeta_row], p.m)) == weyl_order(d)
     assert_walks(d, p)
     real = spectrum.weyl_walk
     monkeypatch.setattr(spectrum, "weyl_walk", lambda *args: real(*args)[:-1])
@@ -775,12 +829,12 @@ def test_a_non_adjoint_transpose_is_refused_where_the_probe_oracle_fails(monkeyp
             command(standard_datum(label, rank), parse_point(point, rank))
     monkeypatch.undo()
     d, p, s = standard_datum(label, rank), parse_point(point, rank), real(a, av)
-    m, zeta_row, prime_rows = p.rows
+    m, zeta_row, prime_rows = p
     wrong = (m, tuple(x % m for x in s(zeta_row)), tuple((q, s(row)) for q, row in prime_rows))
     probes = _prepare(_invariant_probe(d))
-    _check_probe_terms(probes, p.rows, fiber_over_RG(d, p))
+    _check_probe_terms(probes, p, fiber_over_RG(d, p))
     with pytest.raises(AssertionError, match="disagrees on an invariant probe"):
-        _check_probe_terms(probes, p.rows, [wrong])
+        _check_probe_terms(probes, p, [wrong])
 
 
 def point_of_order_dividing_60(rng, rank):
@@ -811,14 +865,14 @@ def test_the_integer_probe_check_agrees_with_the_tuple_signatures(label, rank):
     points += [parse_point(",".join(["2", "1", "1"][:rank]), rank),
                parse_point(",".join([f"2^{huge}", "3", "5"][:rank]), rank),
                parse_point(",".join([f"zeta(60)^7*3^-{huge}*5", f"2^{huge}*7", "1"][:rank]), rank)]
-    assert max(p.torsion_order for p in points) == 60
+    assert max(p.m for p in points) == 60
     outcomes = set()
     for p in points:
-        assert fiber_over_RG(d, p) == sorted(q.rows for q in fiber_points(d, p))
-        base = probe_signature(p.rows, probes)
+        assert fiber_over_RG(d, p) == sorted(fiber_points(d, p))
+        base = probe_signature(p, probes)
         translates = [translate_rows(p, m) for m in elements]
-        _check_probe_terms(probes, p.rows, translates)
-        m = p.torsion_order
+        _check_probe_terms(probes, p, translates)
+        m = p.m
         for m_, zeta_row, prime_rows in translates:
             wrong = []
             if prime_rows:
@@ -831,9 +885,9 @@ def test_the_integer_probe_check_agrees_with_the_tuple_signatures(label, rank):
                 outcomes.add(differs)
                 if differs:
                     with pytest.raises(AssertionError, match="disagrees on an invariant probe"):
-                        _check_probe_terms(probes, p.rows, [rows])
+                        _check_probe_terms(probes, p, [rows])
                 else:
-                    _check_probe_terms(probes, p.rows, [rows])
+                    _check_probe_terms(probes, p, [rows])
     assert outcomes == {True, False}
 
 
